@@ -16,8 +16,8 @@ from .doob_meyer import (Decomposition, bracket_via_integrals, compensator,
                          uniqueness_residual)
 from .errors import (ConfigError, DomainError, IdentityViolation,
                      IllConditionedBasisError, StructureError, UndefinedRatioError)
-from .inequalities import (ChebyshevCertificate, ProjectionCertificate, RatioEstimate,
-                           bg_ratio, chebyshev_projection, dual_doob_ratio,
+from .inequalities import (ChebyshevCertificate, ProjectionCertificate, bg_ratio,
+                           chebyshev_projection, dual_doob_ratio,
                            epsilon_from_percentile, kolmogorov_projection,
                            segal_modulus)
 from .integrals import (IntegralSum, integral_process, integrand_bound, left_sum,
@@ -34,7 +34,7 @@ __all__ = [
     "AdaptedProcess", "AlgElement", "ChebyshevCertificate", "CheckResult",
     "ConfigError", "Decomposition", "DomainError", "Filtration", "IdentityViolation",
     "IllConditionedBasisError", "IntegralSum", "Projection", "ProjectionCertificate",
-    "RatioEstimate", "StructureError", "SubalgebraLevel", "TimeGrid", "TracialAlgebra",
+    "StructureError", "SubalgebraLevel", "TimeGrid", "TracialAlgebra",
     "UndefinedRatioError", "abs2", "bg_ratio", "bracket_via_integrals",
     "chebyshev_projection", "compensator", "cross_variation", "doob_meyer_decompose",
     "dual_doob_ratio", "epsilon_from_percentile", "expect_chain", "full_partition",

@@ -14,14 +14,12 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .algebra import AlgElement, abs2, lp_norm, min_eigenvalue, trace
-from .errors import DomainError, IdentityViolation, StructureError
+from .errors import DomainError, StructureError
+from .integrals import MARTINGALE_TOL, left_sum, right_sum
 from .processes import (AdaptedProcess, as_partition, full_partition, increments,
                         is_martingale)
-from .integrals import left_sum, right_sum
 
-MARTINGALE_TOL = 1e-9
 EXACT_TOL = 1e-10
-GAP_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -135,13 +133,12 @@ def naturality_pairing(a: AdaptedProcess, y: AlgElement,
     return lhs, rhs
 
 
-def naturality_gap(x: AdaptedProcess, partition: Iterable[int]) -> float:
-    """g = || sum_k (|dX_k|^2 - E_{k-1}|dX_k|^2) ||_2 over the partition.
+def naturality_gap(x: AdaptedProcess, partition: Iterable[int]) -> tuple[float, dict]:
+    """g = || sum_k d_k ||_2 with d_k = |dX_k|^2 - E_{k-1}|dX_k|^2 over the partition.
 
-    Self-verifies the orthogonality identity
-    ``g^2 == sum_k ||d_k||_2^2`` and the fourth-moment bound
-    ``g^2 <= 4 tau(sum_k |dX_k|^4)``; both are guaranteed for a martingale,
-    so violations raise :class:`IdentityViolation`.
+    Returns ``(g, residuals)``.  ``orthogonality`` is ``|g^2 - sum_k
+    ||d_k||_2^2|`` and ``fourth_moment`` is ``max(0, g^2 - 4 tau(sum_k
+    |dX_k|^4))``; both vanish for a martingale, and the harness judges them.
     """
     idx = as_partition(len(x.values), partition)
     levels = x.filtration.levels
@@ -155,14 +152,11 @@ def naturality_gap(x: AdaptedProcess, partition: Iterable[int]) -> float:
     for d in terms:
         total = total + d
     g = lp_norm(total, 2)
-    diag = sum(lp_norm(d, 2) ** 2 for d in terms)
-    if abs(g * g - diag) > GAP_TOL:
-        raise IdentityViolation(
-            f"orthogonality identity violated: g^2={g * g:.6e}, diagonal sum={diag:.6e}")
-    if g * g > 4.0 * fourth + GAP_TOL:
-        raise IdentityViolation(
-            f"fourth-moment bound violated: g^2={g * g:.6e} > 4*{fourth:.6e}")
-    return g
+    residuals = {
+        "orthogonality": abs(g ** 2 - sum(lp_norm(d, 2) ** 2 for d in terms)),
+        "fourth_moment": max(0.0, g ** 2 - 4.0 * fourth),
+    }
+    return g, residuals
 
 
 def uniqueness_residual(m: AdaptedProcess, hermitian_tol: float = 1e-9) -> float:
@@ -187,12 +181,12 @@ def uniqueness_residual(m: AdaptedProcess, hermitian_tol: float = 1e-9) -> float
 
 def cross_variation(x: AdaptedProcess, y: AdaptedProcess,
                     partition: Iterable[int]) -> AlgElement:
-    """<X, Y> = sum_k dX_k* dY_k over the partition, with self-checks.
+    """<X, Y> = sum_k dX_k* dY_k over the partition.
 
-    Verifies the integral expansion
-    ``X*(t)Y(t) - X*(0)Y(0) - S^l(dX*, Y) - S^r(X*, dY)`` and the
-    polarization formula through :func:`quadratic_variation_sum`; either
-    failing beyond 1e-10 raises :class:`IdentityViolation`.
+    The integral expansion ``X*(t)Y(t) - X*(0)Y(0) - S^l(dX*, Y) -
+    S^r(X*, dY)`` and the polarization formula through
+    :func:`quadratic_variation_sum` reach the same element by independent
+    routes; the harness compares them with this sum.
     """
     if x.filtration is not y.filtration:
         raise StructureError("processes live on different filtrations")
@@ -200,20 +194,4 @@ def cross_variation(x: AdaptedProcess, y: AdaptedProcess,
     total = x.filtration.algebra.zero()
     for (i, j) in zip(idx, idx[1:]):
         total = total + (x.values[j] - x.values[i]).adjoint() @ (y.values[j] - y.values[i])
-
-    xs = x.adjoint()
-    expansion = (xs.values[idx[-1]] @ y.values[idx[-1]]
-                 - xs.values[idx[0]] @ y.values[idx[0]]
-                 - left_sum(xs, y, idx).value
-                 - right_sum(y, xs, idx).value)
-    gap = lp_norm(total - expansion, 2)
-    if gap > EXACT_TOL:
-        raise IdentityViolation(f"cross-variation expansion violated by {gap:.2e}")
-
-    qv = lambda p: quadratic_variation_sum(p, idx)
-    polarized = 0.25 * (qv(x + y) - qv(x - y)
-                        + 1j * (qv(1j * x + y) - qv(1j * x - y)))
-    gap = lp_norm(total - polarized, 2)
-    if gap > EXACT_TOL:
-        raise IdentityViolation(f"polarization formula violated by {gap:.2e}")
     return total

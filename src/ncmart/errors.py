@@ -24,8 +24,10 @@ class UndefinedRatioError(ArithmeticError):
 class IdentityViolation(ArithmeticError):
     """An algebraically guaranteed identity failed beyond tolerance.
 
-    Raised only by operations that self-verify; indicates an upstream bug
-    or a corrupted filtration, never a legitimate numerical outcome.
+    Raised only by :func:`ncmart.conditional.expect_chain`, whose tower
+    check guards its return value; every other identity is judged by the
+    harness as a check record.  Indicates an upstream bug or a corrupted
+    filtration, never a legitimate numerical outcome.
     """
 
 

@@ -1,9 +1,15 @@
-"""The per-instance identity suite behind the ``verify`` command.
+"""The one place that judges: every check record of every command.
 
-Each check computes a residual with its own code path (re-deriving both
-sides rather than trusting the op under test), freezes the tolerance the
-contract states, and emits one record.  Formula strings describe the
-identity itself so a failing record is self-explanatory.
+Operations return values and, where an identity can only be judged from
+their intermediates, a ``residuals`` dict.  Each check here turns a
+residual into one record against the tolerance the contract states.
+Where an identity equates independent routes (the bracket against the
+quadratic variation, the cross variation against its expansion and
+polarization), the routes other than the operation's are computed here.
+Formula strings describe the identity itself so a failing record is
+self-explanatory.  :func:`instance_checks` is the per-instance suite
+behind ``verify``; :func:`ratio_checks`, :func:`kolmogorov_checks` and
+:func:`refine_checks` serve the other commands.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ from ..conditional import SubalgebraLevel
 from ..doob_meyer import (bracket_via_integrals, compensator, cross_variation,
                           doob_meyer_decompose, naturality_gap, naturality_pairing,
                           quadratic_variation_sum, uniqueness_residual)
+from ..inequalities import ProjectionCertificate
 from ..integrals import integral_process, left_sum, right_sum
 from ..processes import (AdaptedProcess, Filtration, full_partition, increments,
                          lift_process, martingale_from_terminal, random_element,
@@ -164,6 +171,30 @@ def integral_checks(x: AdaptedProcess, f: AdaptedProcess, instance: int) -> list
     ]
 
 
+def gap_checks(residuals: list[dict], instance: int) -> list[CheckRecord]:
+    """Orthogonality and fourth-moment bound of the naturality gap.
+
+    ``residuals`` are :func:`naturality_gap` residual dicts, one per
+    partition; each record carries the worst of them.
+    """
+    return [
+        record("gap_orthogonality", "g^2 == sum_k || |dX_k|^2 - E_{k-1}|dX_k|^2 ||_2^2",
+               max(r["orthogonality"] for r in residuals), 1e-9, instance),
+        record("gap_fourth_moment", "g^2 <= 4 tau(sum_k |dX_k|^4)",
+               max(r["fourth_moment"] for r in residuals), 1e-9, instance),
+    ]
+
+
+def certificate_checks(cert: ProjectionCertificate, instance: int) -> list[CheckRecord]:
+    """The trace and sup-norm bounds a Kolmogorov certificate must meet."""
+    return [
+        record("kolmogorov_trace_bound", "tau(1 - e) <= ||X_m||_2^2 / eps^2",
+               max(0.0, cert.trace_defect - cert.trace_bound), 1e-10, instance),
+        record("kolmogorov_sup_norm", "||e X_n||_inf <= eps for every n",
+               max(0.0, max(cert.sup_norms) - cert.epsilon), 1e-9, instance),
+    ]
+
+
 def doob_meyer_checks(x: AdaptedProcess, y: AdaptedProcess, partner: AlgElement,
                       instance: int) -> list[CheckRecord]:
     grid = full_partition(x)
@@ -182,23 +213,8 @@ def doob_meyer_checks(x: AdaptedProcess, y: AdaptedProcess, partner: AlgElement,
                       "sum_k tau(E_{k-1}(y) dA_k) == tau(y A_m) for predictable A",
                       abs(lhs - rhs), 1e-10, instance))
 
-    # orthogonality and fourth-moment bound of the two-variant gap
-    terms = []
-    fourth = 0.0
-    for k, dx in enumerate(increments(x, grid), 1):
-        sq = abs2(dx)
-        terms.append(sq - levels[k - 1].expect(sq))
-        fourth += trace(sq @ sq).real
-    total = x.filtration.algebra.zero()
-    for t in terms:
-        total = total + t
-    g = lp_norm(total, 2)
-    out.append(record("gap_orthogonality",
-                      "g^2 == sum_k || |dX_k|^2 - E_{k-1}|dX_k|^2 ||_2^2",
-                      abs(g ** 2 - sum(lp_norm(t, 2) ** 2 for t in terms)), 1e-9, instance))
-    out.append(record("gap_fourth_moment", "g^2 <= 4 tau(sum_k |dX_k|^4)",
-                      max(0.0, g ** 2 - 4.0 * fourth), 1e-9, instance))
-    naturality_gap(x, grid)  # the op's own verification must agree
+    g, gap_residuals = naturality_gap(x, grid)
+    out += gap_checks([gap_residuals], instance)
 
     comp_inc = max(lp_norm(levels[j - 1].expect(a.values[j] - a.values[j - 1])
                            - (levels[j - 1].expect(abs2(x.values[j])) - abs2(x.values[j - 1])), 2)
@@ -216,9 +232,7 @@ def doob_meyer_checks(x: AdaptedProcess, y: AdaptedProcess, partner: AlgElement,
                       uniqueness_residual(herm), 1e-10, instance))
 
     # cross variation against the second martingale, via independent routes
-    direct = x.filtration.algebra.zero()
-    for dx, dy in zip(increments(x, grid), increments(y, grid)):
-        direct = direct + dx.adjoint() @ dy
+    direct = cross_variation(x, y, grid)
     xs = x.adjoint()
     expansion = (xs.values[-1] @ y.values[-1] - xs.values[0] @ y.values[0]
                  - left_sum(xs, y, grid).value - right_sum(y, xs, grid).value)
@@ -230,7 +244,6 @@ def doob_meyer_checks(x: AdaptedProcess, y: AdaptedProcess, partner: AlgElement,
     out.append(record("cross_polarization",
                       "4 <X,Y> == <X+Y> - <X-Y> + i(<iX+Y> - <iX-Y>)",
                       lp_norm(direct - polar, 2), 1e-10, instance))
-    cross_variation(x, y, grid)  # the op's own verification must agree
 
     for variant in ("predictable", "bracket"):
         d = doob_meyer_decompose(x, variant)
@@ -264,3 +277,36 @@ def instance_checks(filtration: Filtration, rng: np.random.Generator, instance: 
     records += integral_checks(x, y, instance)
     records += doob_meyer_checks(x, y, partner, instance)
     return records
+
+
+def ratio_checks(rows: list[dict]) -> list[CheckRecord]:
+    """Every observed ratio of the ``ratios`` sweep is finite and nonnegative."""
+    valid = all(0.0 <= r[key] < math.inf
+                for r in rows for key in ("bg_ratio", "dual_doob_ratio"))
+    return [record("ratios_finite", "every observed ratio is finite and nonnegative",
+                   0.0 if valid else math.inf, 0.0, -1)]
+
+
+def kolmogorov_checks(cert: ProjectionCertificate,
+                      instance: int) -> tuple[list[CheckRecord], float]:
+    """Certificate bounds and meet-chain monotonicity for ``kolmogorov``.
+
+    Also returns the least eigenvalue of f_n - f_{n+1} along the meet
+    chain (0 for a single step), which the certificate row reports.
+    """
+    chain_min = 0.0
+    for a, b in zip(cert.meets, cert.meets[1:]):
+        chain_min = min(chain_min, min_eigenvalue(a.element - b.element, tol=1e-8))
+    records = certificate_checks(cert, instance) + [
+        record("kolmogorov_chain_monotone", "f_1 >= f_2 >= ... >= f_m (Loewner)",
+               max(0.0, -chain_min), 1e-9, instance)]
+    return records, chain_min
+
+
+def refine_checks(decay: list[float], gap_residuals: list[dict],
+                  cert: ProjectionCertificate, instance: int) -> list[CheckRecord]:
+    """Terminal decay, gap identities over the chain, integral-process certificate."""
+    return ([record("terminal_refinement", "final chain entry against the full grid vanishes",
+                    decay[-1], 1e-12, instance)]
+            + gap_checks(gap_residuals, instance)
+            + certificate_checks(cert, instance))

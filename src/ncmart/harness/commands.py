@@ -3,27 +3,25 @@
 Each command takes a validated :class:`ExperimentConfig`, runs its sweep
 with per-instance counter-based random streams, and returns a
 :class:`VerificationReport`.  Instance-level work is independent; results
-are assembled in instance order so reports are deterministic.
+are assembled in instance order so reports are deterministic.  Commands
+only compute; every pass/fail record comes from :mod:`.checks`.
 """
 
 from __future__ import annotations
 
-import math
 import time
-from dataclasses import asdict
 
 import numpy as np
 
-from ..algebra import min_eigenvalue, trace
+from ..algebra import trace
 from ..doob_meyer import naturality_gap
 from ..errors import UndefinedRatioError
-from ..inequalities import (RatioEstimate, bg_ratio, dual_doob_ratio,
-                            epsilon_from_percentile, kolmogorov_projection,
-                            segal_modulus)
+from ..inequalities import (bg_ratio, dual_doob_ratio, epsilon_from_percentile,
+                            kolmogorov_projection, segal_modulus)
 from ..integrals import integral_process, integrand_bound, refinement_table
 from ..processes import (full_partition, martingale_from_terminal, random_element,
                          spawn_generators)
-from .checks import instance_checks, record
+from .checks import instance_checks, kolmogorov_checks, ratio_checks, refine_checks
 from .config import ExperimentConfig
 from .report import VerificationReport
 
@@ -69,29 +67,22 @@ def cmd_ratios(config: ExperimentConfig) -> VerificationReport:
     report.tables["csv_table"] = "ratios"
 
     summary = []
-    estimates = []
     for p in config.p_values:
         for key in ("bg_ratio", "dual_doob_ratio"):
             vals = [r[key] for r in rows if r["p"] == p]
             if not vals:
                 continue
             arr = np.array(vals)
-            est = RatioEstimate(p=p, ratio=float(arr.mean()), instance_count=len(vals),
-                                max_ratio=float(arr.max()), seed=config.seed)
-            estimates.append({"ratio_kind": key, **asdict(est)})
             summary.append({
                 "p": p, "ratio_kind": key, "instance_count": len(vals),
                 "mean": float(arr.mean()), "max": float(arr.max()),
                 "q50": float(np.quantile(arr, 0.5)), "q90": float(np.quantile(arr, 0.9)),
             })
     report.summary["ratio_statistics"] = summary
-    report.summary["ratio_estimates"] = estimates
     report.summary["all_finite"] = bool(all(np.isfinite(r["bg_ratio"])
                                             and np.isfinite(r["dual_doob_ratio"])
                                             for r in rows))
-    report.records.append(record(
-        "ratios_finite", "every observed ratio is finite and nonnegative",
-        0.0 if report.summary["all_finite"] else math.inf, 0.0, -1))
+    report.records += ratio_checks(rows)
     report.summarize()
     report.timing = {"seconds": time.perf_counter() - t0}
     return report
@@ -110,11 +101,8 @@ def cmd_kolmogorov(config: ExperimentConfig) -> VerificationReport:
             eps = epsilon_from_percentile(x, config.epsilon_value)
         for side in ("left", "right"):
             cert = kolmogorov_projection(x, eps, side)
-            chain_min = 0.0
-            for a, b in zip(cert.meets, cert.meets[1:]):
-                chain_min = min(chain_min,
-                                min_eigenvalue(a.element - b.element, tol=1e-8))
-            row = {
+            records, chain_min = kolmogorov_checks(cert, i)
+            rows.append({
                 "instance": i,
                 "side": side,
                 "epsilon": eps,
@@ -126,19 +114,9 @@ def cmd_kolmogorov(config: ExperimentConfig) -> VerificationReport:
                 "projection_trace": trace(cert.projection.element).real,
                 "chain_min_eigenvalue": chain_min,
                 "seed": config.seed,
-            }
-            rows.append(row)
-            report.records.append(record(
-                "kolmogorov_trace_bound", "tau(1 - e) <= ||X_m||_2^2 / eps^2",
-                max(0.0, cert.trace_defect - cert.trace_bound), 1e-10, i))
-            report.records.append(record(
-                "kolmogorov_sup_norm", "||e X_n||_inf <= eps for every n",
-                max(0.0, max(cert.sup_norms) - eps), 1e-9, i))
-            report.records.append(record(
-                "kolmogorov_chain_monotone", "f_1 >= f_2 >= ... >= f_m (Loewner)",
-                max(0.0, -chain_min), 1e-9, i))
+            })
+            report.records += records
     report.certificates = rows
-    report.tables["certificates"] = rows
     report.tables["csv_table"] = "certificates"
     slacks = np.array([r["trace_slack"] for r in rows]) if rows else np.zeros(0)
     report.summary["bound_slack"] = {
@@ -161,22 +139,20 @@ def cmd_refine(config: ExperimentConfig) -> VerificationReport:
     for i, rng, x in _instance_martingales(config, filtration):
         decay = refinement_table(x, x, "left", chain)
         gaps = [naturality_gap(x, part) for part in chain]
-        for lvl, (d, g) in enumerate(zip(decay, gaps)):
+        for lvl, (d, (g, _)) in enumerate(zip(decay, gaps)):
             rows.append({
                 "instance": i, "chain_level": lvl, "partition_size": len(chain[lvl]),
                 "decay": d, "naturality_gap": g, "seed": config.seed,
             })
-        report.records.append(record(
-            "terminal_refinement", "final chain entry against the full grid vanishes",
-            decay[-1], 1e-12, i))
         report.summary.setdefault("integrand_bound", {})[str(i)] = integrand_bound(x)
 
-        # continuity diagnostics of the integral process (reported, no threshold)
+        # continuity diagnostics of the integral process; the modulus has no threshold
         proc = integral_process(x, x, "left")
         eps = epsilon_from_percentile(proc, 50.0)
         cert = kolmogorov_projection(proc, eps, "left")
         report.summary.setdefault("segal_modulus", {})[str(i)] = [
             [g, m] for g, m in segal_modulus(proc, cert.projection, "left")]
+        report.records += refine_checks(decay, [res for _, res in gaps], cert, i)
     report.tables["refinement"] = rows
     report.tables["csv_table"] = "refinement"
     report.summarize()

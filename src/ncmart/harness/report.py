@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .checks import CheckRecord
@@ -36,7 +36,7 @@ class VerificationReport:
             "command": self.command,
             "config": self.config,
             "summary": self.summary,
-            "records": [asdict(r) for r in self.records],
+            "records": [dict(vars(r)) for r in self.records],
             "tables": self.tables,
             "certificates": self.certificates,
         }
@@ -68,10 +68,12 @@ class VerificationReport:
     def csv_rows(self) -> tuple[list[str], list[dict]]:
         """The command's sweep table as (columns, rows) for CSV output."""
         name = self.tables.get("csv_table")
-        if name and name in self.tables:
+        if name == "certificates":
+            rows = self.certificates
+        elif name in self.tables:
             rows = self.tables[name]
         else:
-            rows = [asdict(r) for r in self.records]
+            rows = [dict(vars(r)) for r in self.records]
         if not rows:
             return [], []
         return list(rows[0].keys()), rows

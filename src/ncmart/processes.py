@@ -12,11 +12,10 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .algebra import AlgElement, TracialAlgebra, abs2, lp_norm, min_eigenvalue
-from .conditional import SubalgebraLevel
+from .conditional import INCLUSION_TOL, SubalgebraLevel
 from .errors import DomainError, StructureError
 
 ADAPTED_TOL = 1e-10
-INCLUSION_TOL = 1e-10
 
 
 class CheckResult(NamedTuple):

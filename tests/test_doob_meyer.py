@@ -178,28 +178,32 @@ class TestNaturalityPairing:
 
 class TestNaturalityGap:
     def test_worked_gap_vanishes(self, worked):
-        assert nc.naturality_gap(worked, [0, 1, 2]) < 1e-14
+        g, residuals = nc.naturality_gap(worked, [0, 1, 2])
+        assert g < 1e-14
 
     def test_constant_process(self, constant):
-        assert nc.naturality_gap(constant, [0, 1, 2]) == 0.0
+        g, residuals = nc.naturality_gap(constant, [0, 1, 2])
+        assert g == 0.0
 
     @pytest.mark.parametrize("seed", range(3))
     def test_orthogonality_identity(self, pool, seed):
         name, filt = pool[2]
         x = random_martingale(filt, seed + 50)
         grid = nc.full_partition(x)
-        g = nc.naturality_gap(x, grid)
+        g, residuals = nc.naturality_gap(x, grid)
         terms = []
         for k, dx in enumerate(nc.increments(x, grid), 1):
             sq = nc.abs2(dx)
             terms.append(sq - filt.levels[k - 1].expect(sq))
         assert abs(g ** 2 - sum(nc.lp_norm(t, 2) ** 2 for t in terms)) < 1e-9
+        assert set(residuals) == {"orthogonality", "fourth_moment"}
+        assert all(r <= 1e-9 for r in residuals.values())
 
     def test_fourth_moment_bound(self, pool):
         name, filt = pool[6]
         x = random_martingale(filt, 51)
         grid = nc.full_partition(x)
-        g = nc.naturality_gap(x, grid)
+        g, residuals = nc.naturality_gap(x, grid)
         fourth = sum(nc.trace(nc.abs2(dx) @ nc.abs2(dx)).real
                      for dx in nc.increments(x, grid))
         assert g ** 2 <= 4.0 * fourth + 1e-9
@@ -212,7 +216,8 @@ class TestNaturalityGap:
         qv = nc.quadratic_variation_sum(x, grid)
         y = nc.random_element(filt.algebra, 53)
         lhs = abs(nc.trace(y @ (a.values[-1] - qv)))
-        assert lhs <= nc.lp_norm(y, 2) * nc.naturality_gap(x, grid) + 1e-10
+        g, residuals = nc.naturality_gap(x, grid)
+        assert lhs <= nc.lp_norm(y, 2) * g + 1e-10
 
 
 class TestUniqueness:

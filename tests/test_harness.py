@@ -1,13 +1,23 @@
-"""Config validation, presets, commands, CLI surface and determinism."""
+"""Config validation, presets, commands, CLI surface, determinism, containment
+and pinned payloads."""
 
+import dataclasses
 import json
+import math
+from pathlib import Path
 
 import pytest
 
 import ncmart as nc
 from ncmart.harness import (cmd_kolmogorov, cmd_ratios, cmd_refine, cmd_verify,
                             load_config, midpoint_chain, preset)
+from ncmart.harness import commands
 from ncmart.harness.cli import main
+
+PINS = Path(__file__).parent / "data" / "payload_pins.json"
+PIN_INSTANCES = {"m2-worked-example": 1, "m4-random": 3, "m2m3-random": 3}
+REFINE_ADDED = ("gap_orthogonality", "gap_fourth_moment",
+                "kolmogorov_trace_bound", "kolmogorov_sup_norm")
 
 
 def m2_config(**overrides):
@@ -189,3 +199,121 @@ class TestCli:
             payload.pop("timing")
             outs.append(json.dumps(payload))
         assert outs[0] == outs[1]
+
+
+def run_cli(tmp_path, argv):
+    """Run the CLI into a report file; return the exit code and the parsed report."""
+    out = tmp_path / "report.json"
+    code = main(argv + ["--out", str(out)])
+    return code, json.loads(out.read_text())
+
+
+def failing(report, check):
+    return [r for r in report["records"] if r["check"] == check and not r["passed"]]
+
+
+def first_call_returns(monkeypatch, name, value):
+    """Patch ``commands.<name>`` so that its first call returns ``value``."""
+    real = getattr(commands, name)
+    calls = []
+
+    def patched(*args, **kwargs):
+        calls.append(None)
+        return value if len(calls) == 1 else real(*args, **kwargs)
+    monkeypatch.setattr(commands, name, patched)
+
+
+class TestContainment:
+    """An identity that fails mid-sweep is a failing record in a written report."""
+
+    @pytest.mark.parametrize("command", ["kolmogorov", "refine"])
+    def test_broken_certificate_keeps_the_report(self, tmp_path, monkeypatch, command):
+        real = commands.kolmogorov_projection
+
+        def broken(*args, **kwargs):
+            cert = real(*args, **kwargs)
+            return dataclasses.replace(cert, trace_defect=cert.trace_bound + 1)
+        monkeypatch.setattr(commands, "kolmogorov_projection", broken)
+        code, report = run_cli(tmp_path, [command, "--preset", "m4-random",
+                                          "--instances", "2"])
+        assert code == 1
+        assert failing(report, "kolmogorov_trace_bound")
+        assert report["summary"]["all_passed"] is False
+
+    def test_nan_ratio_keeps_the_report(self, tmp_path, monkeypatch):
+        first_call_returns(monkeypatch, "bg_ratio", math.nan)
+        code, report = run_cli(tmp_path, ["ratios", "--preset", "m4-random",
+                                          "--instances", "3"])
+        assert code == 1
+        assert failing(report, "ratios_finite")
+
+    def test_negative_ratio_fails_ratios_finite(self, tmp_path, monkeypatch):
+        first_call_returns(monkeypatch, "bg_ratio", -1.0)
+        code, report = run_cli(tmp_path, ["ratios", "--preset", "m4-random",
+                                          "--instances", "3"])
+        assert code == 1
+        assert failing(report, "ratios_finite")
+
+
+def pinned_payload(command, name):
+    """The numeric payload of one command on one preset, as plain JSON data."""
+    data = preset(name)
+    data["instances"] = PIN_INSTANCES[name]
+    report = commands.COMMANDS[command](load_config(data))
+    return json.loads(json.dumps(report.numeric_payload()))
+
+
+def assert_payload_close(ref, got, path="$"):
+    """Same structure and key order; numbers within 1e-12 relative (absolute below 1)."""
+    assert type(got) is type(ref), f"{path}: {type(got).__name__} != {type(ref).__name__}"
+    if isinstance(ref, dict):
+        assert list(got) == list(ref), f"{path}: keys {list(got)} != {list(ref)}"
+        for key in ref:
+            assert_payload_close(ref[key], got[key], f"{path}.{key}")
+    elif isinstance(ref, list):
+        assert len(got) == len(ref), f"{path}: length {len(got)} != {len(ref)}"
+        for i, (a, b) in enumerate(zip(ref, got)):
+            assert_payload_close(a, b, f"{path}[{i}]")
+    elif isinstance(ref, float):
+        assert got == ref or abs(got - ref) <= 1e-12 * max(1.0, abs(ref)), \
+            f"{path}: {got!r} != {ref!r}"
+    else:
+        assert got == ref, f"{path}: {got!r} != {ref!r}"
+
+
+class TestPayloadPins:
+    """Payloads match ``tests/data/payload_pins.json`` up to the documented deltas.
+
+    The pins were written before the operations stopped verifying their own
+    identities.  Since then ``refine`` carries four more records per
+    instance, ``kolmogorov`` no longer repeats its rows as
+    ``tables.certificates`` and ``ratios`` no longer repeats its statistics
+    as ``summary.ratio_estimates``; nothing else may change.
+    """
+
+    @pytest.mark.parametrize("name", sorted(PIN_INSTANCES))
+    @pytest.mark.parametrize("command", sorted(commands.COMMANDS))
+    def test_payload_matches_pin(self, command, name):
+        ref = json.loads(PINS.read_text(encoding="utf-8"))[command][name]
+        got = pinned_payload(command, name)
+        if command == "refine":
+            added = [r for r in got["records"] if r["check"] in REFINE_ADDED]
+            assert len(added) == len(REFINE_ADDED) * PIN_INSTANCES[name]
+            assert all(r["passed"] for r in added)
+            got["records"] = [r for r in got["records"] if r["check"] not in REFINE_ADDED]
+            for check in REFINE_ADDED:
+                del got["summary"]["checks"][check]
+        elif command == "kolmogorov":
+            del ref["tables"]["certificates"]
+        elif command == "ratios":
+            del ref["summary"]["ratio_estimates"]
+        assert_payload_close(ref, got)
+
+    def test_kolmogorov_csv_columns(self, tmp_path):
+        out = tmp_path / "certs.csv"
+        code = main(["kolmogorov", "--preset", "m4-random", "--instances", "2",
+                     "--format", "csv", "--out", str(out)])
+        assert code == 0
+        header = out.read_text().splitlines()[0]
+        assert header == ("instance,side,epsilon,trace_defect,trace_bound,trace_slack,"
+                          "max_sup_norm,sup_slack,projection_trace,chain_min_eigenvalue,seed")
