@@ -21,11 +21,8 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import DomainError, StructureError
-
-HERMITIAN_TOL = 1e-10
-PROJECTION_TOL = 1e-10
-BOUNDARY_TOL = 1e-12
-MEET_NULL_TOL = 1e-8
+from .tolerances import (HERMITIAN_TOL, MEET_NULL_TOL, PROJECTION_TOL, SPECTRAL_EDGE_TOL,
+                         WEIGHT_SUM_TOL)
 
 
 class TracialAlgebra:
@@ -51,7 +48,7 @@ class TracialAlgebra:
             raise StructureError("block_weights length must match block_dims")
         if any(w <= 0 for w in weights):
             raise StructureError("block_weights must be positive (trace faithfulness)")
-        if abs(sum(weights) - 1.0) > 1e-12:
+        if abs(sum(weights) - 1.0) > WEIGHT_SUM_TOL:
             raise StructureError(f"block_weights must sum to 1, got {sum(weights)!r}")
         self.block_dims = dims
         self.block_weights = weights
@@ -122,9 +119,6 @@ class AlgElement:
     def adjoint(self) -> "AlgElement":
         return AlgElement(self.algebra, [m.conj().T for m in self.blocks])
 
-    def is_hermitian(self, tol: float = HERMITIAN_TOL) -> bool:
-        return hermiticity_defect(self) <= tol
-
     def __add__(self, other: "AlgElement") -> "AlgElement":
         _check_same_algebra(self, other)
         return AlgElement(self.algebra, [a + b for a, b in zip(self.blocks, other.blocks)])
@@ -161,16 +155,16 @@ class AlgElement:
 class Projection:
     """Orthogonal projection: a Hermitian idempotent element.
 
-    Construction validates ``e == e* == e @ e`` within ``tol`` in operator
-    norm and rejects anything else.
+    Construction validates ``e == e* == e @ e`` within ``PROJECTION_TOL`` in
+    operator norm and rejects anything else.
     """
 
     __slots__ = ("element",)
 
-    def __init__(self, element: AlgElement, tol: float = PROJECTION_TOL):
+    def __init__(self, element: AlgElement):
         sym = hermiticity_defect(element)
         idem = lp_norm(element @ element - element, math.inf)
-        if sym > tol or idem > tol:
+        if sym > PROJECTION_TOL or idem > PROJECTION_TOL:
             raise DomainError(
                 f"not a projection: hermiticity defect {sym:.2e}, idempotency defect {idem:.2e}")
         object.__setattr__(self, "element", element)
@@ -247,23 +241,22 @@ def _hermitian_eigh(x: AlgElement, tol: float):
     return [np.linalg.eigh(m) for m in x.blocks]
 
 
-def hermitian_apply(x: AlgElement, fn: Callable[[np.ndarray], np.ndarray],
-                    tol: float = HERMITIAN_TOL) -> AlgElement:
+def hermitian_apply(x: AlgElement, fn: Callable[[np.ndarray], np.ndarray]) -> AlgElement:
     """Functional calculus f(x) for Hermitian x via eigendecomposition.
 
     ``fn`` receives the eigenvalue vector of each block and must return a
     real vector of the same length.
     """
     out = []
-    for w, v in _hermitian_eigh(x, tol):
+    for w, v in _hermitian_eigh(x, HERMITIAN_TOL):
         fw = np.asarray(fn(w), dtype=float)
         out.append((v * fw) @ v.conj().T)
     return AlgElement(x.algebra, out)
 
 
-def psd_sqrt(x: AlgElement, tol: float = HERMITIAN_TOL) -> AlgElement:
+def psd_sqrt(x: AlgElement) -> AlgElement:
     """Square root of a positive semidefinite element (negatives clipped at 0)."""
-    return hermitian_apply(x, lambda w: np.sqrt(np.maximum(w, 0.0)), tol)
+    return hermitian_apply(x, lambda w: np.sqrt(np.maximum(w, 0.0)))
 
 
 def min_eigenvalue(x: AlgElement, tol: float = HERMITIAN_TOL) -> float:
@@ -276,20 +269,19 @@ def loewner_psd(h: AlgElement, tol: float) -> bool:
     return min_eigenvalue(h, tol) >= -tol
 
 
-def spectral_projection(h: AlgElement, interval: tuple[float, float],
-                        tol: float = HERMITIAN_TOL) -> Projection:
+def spectral_projection(h: AlgElement, interval: tuple[float, float]) -> Projection:
     """Spectral projection of a Hermitian element onto ``[a, b)``.
 
-    Eigenvalues within ``1e-12`` of either endpoint are included, so the
-    lower endpoint behaves as closed and ties just above the upper cut are
-    assigned below it.  ``b`` may be ``inf``.
+    Eigenvalues within ``SPECTRAL_EDGE_TOL`` of either endpoint are
+    included, so the lower endpoint behaves as closed and ties just above
+    the upper cut are assigned below it.  ``b`` may be ``inf``.
     """
     a, b = float(interval[0]), float(interval[1])
     if not a < b:
         raise DomainError(f"empty interval [{a}, {b})")
     out = []
-    for w, v in _hermitian_eigh(h, tol):
-        mask = (w >= a - BOUNDARY_TOL) & (w < b + BOUNDARY_TOL)
+    for w, v in _hermitian_eigh(h, HERMITIAN_TOL):
+        mask = (w >= a - SPECTRAL_EDGE_TOL) & (w < b + SPECTRAL_EDGE_TOL)
         vs = v[:, mask]
         out.append(vs @ vs.conj().T)
     return Projection(AlgElement(h.algebra, out))

@@ -16,9 +16,7 @@ import numpy as np
 
 from .algebra import AlgElement, TracialAlgebra, lp_norm, trace
 from .errors import DomainError, IdentityViolation, IllConditionedBasisError, StructureError
-
-INCLUSION_TOL = 1e-10
-COND_LIMIT = 1e12
+from .tolerances import COND_LIMIT, INCLUSION_TOL
 
 LEVEL_KINDS = ("scalars", "block_scalar", "block_full", "general")
 
@@ -54,8 +52,7 @@ class SubalgebraLevel:
     :meth:`block_full`, :meth:`general`.
     """
 
-    def __init__(self, algebra: TracialAlgebra, kind: str, groups=None, basis=None,
-                 cond_limit: float = COND_LIMIT):
+    def __init__(self, algebra: TracialAlgebra, kind: str, groups=None, basis=None):
         if kind not in LEVEL_KINDS:
             raise StructureError(f"unknown level kind {kind!r}")
         self.algebra = algebra
@@ -66,6 +63,7 @@ class SubalgebraLevel:
         self._onb = None         # general: orthonormal rows in scaled-vec space
         self.condition = 1.0
         self._span_cache: tuple[AlgElement, ...] | None = None
+        self._general_cache: SubalgebraLevel | None = None
 
         if kind in ("block_scalar", "block_full"):
             if groups is None:
@@ -86,7 +84,7 @@ class SubalgebraLevel:
             for b in self.basis:
                 if b.algebra != algebra:
                     raise StructureError("basis element from a different algebra")
-            self._build_onb(cond_limit)
+            self._build_onb()
             self._validate_general()
 
     # -- constructors ----------------------------------------------------
@@ -107,10 +105,9 @@ class SubalgebraLevel:
         return cls(algebra, "block_full", groups=groups)
 
     @classmethod
-    def general(cls, algebra: TracialAlgebra, basis: Sequence[AlgElement],
-                cond_limit: float = COND_LIMIT) -> "SubalgebraLevel":
+    def general(cls, algebra: TracialAlgebra, basis: Sequence[AlgElement]) -> "SubalgebraLevel":
         """Subalgebra spanned by ``basis``; must be *-closed and contain 1."""
-        return cls(algebra, "general", basis=basis, cond_limit=cond_limit)
+        return cls(algebra, "general", basis=basis)
 
     # -- Gram engine ------------------------------------------------------
 
@@ -130,14 +127,14 @@ class SubalgebraLevel:
             pos += n * n
         return AlgElement(alg, out)
 
-    def _build_onb(self, cond_limit: float) -> None:
+    def _build_onb(self) -> None:
         rows = np.stack([self._uvec(b) for b in self.basis])
         gram = rows @ rows.conj().T
         w, v = np.linalg.eigh(gram)
         wmax = float(w[-1])
         wmin = float(w[0])
         cond = np.inf if wmin <= 0 else wmax / wmin
-        if not np.isfinite(cond) or cond > cond_limit:
+        if not np.isfinite(cond) or cond > COND_LIMIT:
             raise IllConditionedBasisError("linearly dependent subalgebra basis", cond)
         self.condition = cond
         self._onb = (v.conj().T @ rows) / np.sqrt(w)[:, None]
@@ -180,8 +177,8 @@ class SubalgebraLevel:
         coeff = self._onb.conj() @ self._uvec(x)
         return self._unvec(self._onb.T @ coeff)
 
-    def contains(self, x: AlgElement, tol: float = INCLUSION_TOL) -> bool:
-        return lp_norm(self.expect(x) - x, 2) <= tol
+    def contains(self, x: AlgElement) -> bool:
+        return lp_norm(self.expect(x) - x, 2) <= INCLUSION_TOL
 
     @property
     def dim(self) -> int:
@@ -227,20 +224,22 @@ class SubalgebraLevel:
         return AlgElement(self.algebra, blocks)
 
     def as_general(self) -> "SubalgebraLevel":
-        """The same subalgebra rebuilt on the Gram engine (for cross-checks)."""
-        return SubalgebraLevel.general(self.algebra, self.spanning_basis())
+        """The same subalgebra rebuilt on the Gram engine (for cross-checks), cached."""
+        if self._general_cache is None:
+            self._general_cache = SubalgebraLevel.general(self.algebra, self.spanning_basis())
+        return self._general_cache
 
     def __repr__(self) -> str:
         return f"SubalgebraLevel(kind={self.kind!r}, dim={self.dim})"
 
 
 def expect_chain(levels: Sequence[SubalgebraLevel], x: AlgElement,
-                 s_index: int, t_index: int, tol: float = INCLUSION_TOL) -> AlgElement:
+                 s_index: int, t_index: int) -> AlgElement:
     """Iterated expectation E_s(E_t(x)) with the tower identity verified.
 
     Returns the level-s expectation of x; raises IdentityViolation if the
-    chained and direct projections disagree beyond ``tol`` (which would
-    mean the levels are not nested).
+    chained and direct projections disagree beyond ``INCLUSION_TOL``
+    (which would mean the levels are not nested).
     """
     if not (0 <= s_index < len(levels) and 0 <= t_index < len(levels)):
         raise DomainError("level index out of range")
@@ -249,6 +248,6 @@ def expect_chain(levels: Sequence[SubalgebraLevel], x: AlgElement,
     chained = levels[s_index].expect(levels[t_index].expect(x))
     direct = levels[s_index].expect(x)
     gap = lp_norm(chained - direct, 2)
-    if gap > tol:
+    if gap > INCLUSION_TOL:
         raise IdentityViolation(f"tower identity violated by {gap:.2e}")
     return direct

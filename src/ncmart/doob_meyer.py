@@ -15,11 +15,11 @@ from typing import Iterable
 
 from .algebra import AlgElement, abs2, lp_norm, min_eigenvalue, trace
 from .errors import DomainError, StructureError
-from .integrals import MARTINGALE_TOL, left_sum, right_sum
+from .integrals import left_sum, right_sum
 from .processes import (AdaptedProcess, as_partition, full_partition, increments,
                         is_martingale)
-
-EXACT_TOL = 1e-10
+from .tolerances import (INITIAL_ZERO_TOL, LOEWNER_HERMITIAN_TOL, MARTINGALE_TOL,
+                         SELFADJOINT_TOL)
 
 
 @dataclass(frozen=True)
@@ -90,10 +90,9 @@ def doob_meyer_decompose(x: AdaptedProcess, variant: str = "predictable") -> Dec
     if variant == "predictable":
         a = compensator(x)
     else:
-        grid = full_partition(x)
         vals = [x.filtration.algebra.zero()]
-        for j in range(1, len(x.values)):
-            vals.append(quadratic_variation_sum(x, grid[:j + 1]))
+        for dx in increments(x, full_partition(x)):
+            vals.append(vals[-1] + abs2(dx))
         a = AdaptedProcess(x.filtration, vals, label="quadratic_variation")
     m = AdaptedProcess(x.filtration, [s - av for s, av in zip(sq, a.values)],
                        label=f"{variant}_martingale_part", validate=False)
@@ -104,7 +103,7 @@ def doob_meyer_decompose(x: AdaptedProcess, variant: str = "predictable") -> Dec
         "martingale_part": m.martingale_residual(),
         "initial": lp_norm(a.values[0], 2),
         "increment_psd_defect": max(
-            0.0, -min(min_eigenvalue(b - c, tol=1e-8)
+            0.0, -min(min_eigenvalue(b - c, tol=LOEWNER_HERMITIAN_TOL)
                       for b, c in zip(a.values[1:], a.values[:-1]))),
     }
     if variant == "predictable":
@@ -122,7 +121,7 @@ def naturality_pairing(a: AdaptedProcess, y: AlgElement,
     Returns ``(sum_k tau(E_{k-1}(y) dA_k), tau(y A(t_m)))``; the two agree
     for a predictable A evaluated on the full grid.  Requires A(0) = 0.
     """
-    if lp_norm(a.values[0], 2) > EXACT_TOL:
+    if lp_norm(a.values[0], 2) > INITIAL_ZERO_TOL:
         raise DomainError("naturality pairing requires A(0) = 0")
     idx = as_partition(len(a.values), partition)
     levels = a.filtration.levels
@@ -159,7 +158,7 @@ def naturality_gap(x: AdaptedProcess, partition: Iterable[int]) -> tuple[float, 
     return g, residuals
 
 
-def uniqueness_residual(m: AdaptedProcess, hermitian_tol: float = 1e-9) -> float:
+def uniqueness_residual(m: AdaptedProcess) -> float:
     """| tau(sum_k (dM_k)^2) - (tau|M_m|^2 - tau|M_0|^2) | for selfadjoint M.
 
     The trace identity that forces a selfadjoint martingale with vanishing
@@ -167,7 +166,7 @@ def uniqueness_residual(m: AdaptedProcess, hermitian_tol: float = 1e-9) -> float
     martingale, so the returned residual should sit at rounding level.
     """
     defect = max(lp_norm(v - v.adjoint(), 2) for v in m.values)
-    if defect > hermitian_tol:
+    if defect > SELFADJOINT_TOL:
         raise DomainError(f"process is not selfadjoint (defect {defect:.2e})")
     ok, res = is_martingale(m, MARTINGALE_TOL)
     if not ok:

@@ -2,14 +2,16 @@
 
 Operations return values and, where an identity can only be judged from
 their intermediates, a ``residuals`` dict.  Each check here turns a
-residual into one record against the tolerance the contract states.
-Where an identity equates independent routes (the bracket against the
-quadratic variation, the cross variation against its expansion and
-polarization), the routes other than the operation's are computed here.
-Formula strings describe the identity itself so a failing record is
-self-explanatory.  :func:`instance_checks` is the per-instance suite
-behind ``verify``; :func:`ratio_checks`, :func:`kolmogorov_checks` and
-:func:`refine_checks` serve the other commands.
+residual into one record against its tolerance from
+:mod:`ncmart.tolerances`.  Where an identity equates independent routes
+(the bracket against the quadratic variation, the cross variation against
+its expansion and polarization), the routes other than the operation's
+are computed here.  Formula strings describe the identity itself so a
+failing record is self-explanatory.  :func:`instance_checks` is the
+per-instance suite behind ``verify``; :func:`ratio_checks`,
+:func:`kolmogorov_checks` and :func:`refine_checks` serve the other
+commands, and :func:`error_checks` records an instance that a numerical
+error cut short.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..algebra import AlgElement, abs2, lp_norm, min_eigenvalue, trace
-from ..conditional import SubalgebraLevel
 from ..doob_meyer import (bracket_via_integrals, compensator, cross_variation,
                           doob_meyer_decompose, naturality_gap, naturality_pairing,
                           quadratic_variation_sum, uniqueness_residual)
@@ -28,7 +29,9 @@ from ..inequalities import ProjectionCertificate
 from ..integrals import integral_process, left_sum, right_sum
 from ..processes import (AdaptedProcess, Filtration, full_partition, increments,
                          lift_process, martingale_from_terminal, random_element,
-                         refine_times, refined_filtration)
+                         refine_times, refined_filtration, submartingale_abs2_defect)
+from ..tolerances import (CHECK_TOL, CHECK_TOL_DERIVED, CHECK_TOL_PREDICATE,
+                          CHECK_TOL_REFINEMENT, LOEWNER_HERMITIAN_TOL)
 
 
 @dataclass(frozen=True)
@@ -47,15 +50,6 @@ def record(check: str, formula: str, residual: float, tolerance: float,
     return CheckRecord(check, formula, residual, tolerance, residual <= tolerance, instance)
 
 
-def _general_twin(level: SubalgebraLevel) -> SubalgebraLevel:
-    # cache the Gram-engine twin on the level; filtrations are reused across instances
-    twin = getattr(level, "_general_twin", None)
-    if twin is None:
-        twin = level.as_general()
-        level._general_twin = twin
-    return twin
-
-
 def conditional_expectation_checks(filtration: Filtration, x: AlgElement, y: AlgElement,
                                    instance: int) -> list[CheckRecord]:
     """Trace duality/preservation, tower, module, Schwarz, contraction, engines."""
@@ -68,25 +62,26 @@ def conditional_expectation_checks(filtration: Filtration, x: AlgElement, y: Alg
         a = level.expect(y)
         b = level.expect(x @ y)
         module = max(module, lp_norm(level.expect(a @ x @ b) - a @ ex @ b, 2))
-        schwarz = max(schwarz, -min_eigenvalue(level.expect(abs2(x)) - abs2(ex), tol=1e-8))
+        schwarz = max(schwarz, -min_eigenvalue(level.expect(abs2(x)) - abs2(ex),
+                                               tol=LOEWNER_HERMITIAN_TOL))
         for p in (1.0, 2.0, 4.0, math.inf):
             contraction = max(contraction, lp_norm(ex, p) - lp_norm(x, p))
         if level.kind != "general":
-            engines = max(engines, lp_norm(ex - _general_twin(level).expect(x), 2))
+            engines = max(engines, lp_norm(ex - level.as_general().expect(x), 2))
         for s in range(k):
             tower = max(tower, lp_norm(levels[s].expect(ex) - levels[s].expect(x), 2))
     return [
-        record("trace_duality", "tau((E_t x) y) == tau(x E_t y)", duality, 1e-10, instance),
-        record("trace_preservation", "tau(E_t x) == tau(x)", preserve, 1e-10, instance),
-        record("tower_property", "E_s(E_t x) == E_s x for s <= t", tower, 1e-10, instance),
+        record("trace_duality", "tau((E_t x) y) == tau(x E_t y)", duality, CHECK_TOL, instance),
+        record("trace_preservation", "tau(E_t x) == tau(x)", preserve, CHECK_TOL, instance),
+        record("tower_property", "E_s(E_t x) == E_s x for s <= t", tower, CHECK_TOL, instance),
         record("module_property", "E_t(a x b) == a (E_t x) b for a, b in level t",
-               module, 1e-9, instance),
+               module, CHECK_TOL_DERIVED, instance),
         record("schwarz_positivity", "E_t|x|^2 >= |E_t x|^2 (Loewner)",
-               max(schwarz, 0.0), 1e-9, instance),
+               max(schwarz, 0.0), CHECK_TOL_DERIVED, instance),
         record("norm_contraction", "||E_t x||_p <= ||x||_p for p in {1,2,4,inf}",
-               max(contraction, 0.0), 1e-9, instance),
+               max(contraction, 0.0), CHECK_TOL_DERIVED, instance),
         record("engine_agreement", "closed-form E_t == Gram-engine E_t",
-               engines, 1e-10, instance),
+               engines, CHECK_TOL, instance),
     ]
 
 
@@ -106,22 +101,18 @@ def martingale_checks(x: AdaptedProcess, instance: int) -> list[CheckRecord]:
     for p in (2.0, 4.0):
         norms = [lp_norm(v, p) for v in x.values]
         monotone = max(monotone, max(a - b for a, b in zip(norms, norms[1:])))
-    submart = 0.0
-    for t in range(1, len(x.values)):
-        for s in range(t):
-            submart = max(submart, -min_eigenvalue(levels[s].expect(sq[t]) - sq[s], tol=1e-8))
     return [
         record("martingale_residual", "E_s X(t) == X(s)",
-               x.martingale_residual(), 1e-10, instance),
-        record("null_increments", "E_{k-1} dX_k == 0", null_inc, 1e-10, instance),
+               x.martingale_residual(), CHECK_TOL, instance),
+        record("null_increments", "E_{k-1} dX_k == 0", null_inc, CHECK_TOL, instance),
         record("increment_projection",
-               "E_{k-1}|dX_k|^2 == E_{k-1}(|X_k|^2 - |X_{k-1}|^2)", proj_id, 1e-10, instance),
+               "E_{k-1}|dX_k|^2 == E_{k-1}(|X_k|^2 - |X_{k-1}|^2)", proj_id, CHECK_TOL, instance),
         record("increment_energy",
-               "sum_k tau|dX_k|^2 == tau|X_m|^2 - tau|X_0|^2", energy, 1e-10, instance),
+               "sum_k tau|dX_k|^2 == tau|X_m|^2 - tau|X_0|^2", energy, CHECK_TOL, instance),
         record("norm_monotonicity", "||X(s)||_p <= ||X(t)||_p for p in {2,4}",
-               max(monotone, 0.0), 1e-9, instance),
+               max(monotone, 0.0), CHECK_TOL_DERIVED, instance),
         record("submartingale_loewner", "E_s|X(t)|^2 >= |X(s)|^2 (Loewner)",
-               max(submart, 0.0), 1e-9, instance),
+               submartingale_abs2_defect(x), CHECK_TOL_DERIVED, instance),
     ]
 
 
@@ -160,14 +151,14 @@ def integral_checks(x: AdaptedProcess, f: AdaptedProcess, instance: int) -> list
     return [
         record("refinement_invariance",
                "S_theta is fixed once theta contains every change index",
-               invariance, 1e-12, instance),
+               invariance, CHECK_TOL_REFINEMENT, instance),
         record("refinement_orthogonality",
                "||S_fine - S_coarse||_2^2 == sum of diagonal term norms",
-               ortho, 1e-10, instance),
+               ortho, CHECK_TOL, instance),
         record("integral_martingale_left", "partial left integral sums form a martingale",
-               left_proc.martingale_residual(), 1e-9, instance),
+               left_proc.martingale_residual(), CHECK_TOL_DERIVED, instance),
         record("integral_martingale_right", "partial right integral sums form a martingale",
-               right_proc.martingale_residual(), 1e-9, instance),
+               right_proc.martingale_residual(), CHECK_TOL_DERIVED, instance),
     ]
 
 
@@ -179,9 +170,9 @@ def gap_checks(residuals: list[dict], instance: int) -> list[CheckRecord]:
     """
     return [
         record("gap_orthogonality", "g^2 == sum_k || |dX_k|^2 - E_{k-1}|dX_k|^2 ||_2^2",
-               max(r["orthogonality"] for r in residuals), 1e-9, instance),
+               max(r["orthogonality"] for r in residuals), CHECK_TOL_DERIVED, instance),
         record("gap_fourth_moment", "g^2 <= 4 tau(sum_k |dX_k|^4)",
-               max(r["fourth_moment"] for r in residuals), 1e-9, instance),
+               max(r["fourth_moment"] for r in residuals), CHECK_TOL_DERIVED, instance),
     ]
 
 
@@ -189,9 +180,9 @@ def certificate_checks(cert: ProjectionCertificate, instance: int) -> list[Check
     """The trace and sup-norm bounds a Kolmogorov certificate must meet."""
     return [
         record("kolmogorov_trace_bound", "tau(1 - e) <= ||X_m||_2^2 / eps^2",
-               max(0.0, cert.trace_defect - cert.trace_bound), 1e-10, instance),
+               max(0.0, cert.trace_defect - cert.trace_bound), CHECK_TOL, instance),
         record("kolmogorov_sup_norm", "||e X_n||_inf <= eps for every n",
-               max(0.0, max(cert.sup_norms) - cert.epsilon), 1e-9, instance),
+               max(0.0, max(cert.sup_norms) - cert.epsilon), CHECK_TOL_DERIVED, instance),
     ]
 
 
@@ -205,13 +196,13 @@ def doob_meyer_checks(x: AdaptedProcess, y: AdaptedProcess, partner: AlgElement,
     bracket = bracket_via_integrals(x, grid)
     out.append(record("bracket_equals_qv",
                       "|X_m|^2 - |X_0|^2 - S^l(dX*, X) - S^r(X*, dX) == sum_k |dX_k|^2",
-                      lp_norm(bracket - qv, 2), 1e-10, instance))
+                      lp_norm(bracket - qv, 2), CHECK_TOL, instance))
 
     a = compensator(x)
     lhs, rhs = naturality_pairing(a, partner, grid)
     out.append(record("naturality_pairing",
                       "sum_k tau(E_{k-1}(y) dA_k) == tau(y A_m) for predictable A",
-                      abs(lhs - rhs), 1e-10, instance))
+                      abs(lhs - rhs), CHECK_TOL, instance))
 
     g, gap_residuals = naturality_gap(x, grid)
     out += gap_checks([gap_residuals], instance)
@@ -220,16 +211,17 @@ def doob_meyer_checks(x: AdaptedProcess, y: AdaptedProcess, partner: AlgElement,
                            - (levels[j - 1].expect(abs2(x.values[j])) - abs2(x.values[j - 1])), 2)
                    for j in range(1, len(a.values)))
     out.append(record("compensator_increment",
-                      "E_{j-1} dA_j == E_{j-1}|X_j|^2 - |X_{j-1}|^2", comp_inc, 1e-10, instance))
+                      "E_{j-1} dA_j == E_{j-1}|X_j|^2 - |X_{j-1}|^2", comp_inc,
+                      CHECK_TOL, instance))
 
     pair_gap = abs(trace(partner @ (a.values[-1] - qv)))
     out.append(record("pairing_gap_bound", "|tau(y (A_m - <X>_m))| <= ||y||_2 g",
-                      max(0.0, pair_gap - lp_norm(partner, 2) * g), 1e-10, instance))
+                      max(0.0, pair_gap - lp_norm(partner, 2) * g), CHECK_TOL, instance))
 
     herm = 0.5 * (x + x.adjoint())
     out.append(record("uniqueness_residual",
                       "tau(sum_k (dM_k)^2) == tau|M_m|^2 - tau|M_0|^2 for selfadjoint M",
-                      uniqueness_residual(herm), 1e-10, instance))
+                      uniqueness_residual(herm), CHECK_TOL, instance))
 
     # cross variation against the second martingale, via independent routes
     direct = cross_variation(x, y, grid)
@@ -238,26 +230,26 @@ def doob_meyer_checks(x: AdaptedProcess, y: AdaptedProcess, partner: AlgElement,
                  - left_sum(xs, y, grid).value - right_sum(y, xs, grid).value)
     out.append(record("cross_expansion",
                       "sum_k dX_k* dY_k == X*Y|_0^m - S^l(dX*, Y) - S^r(X*, dY)",
-                      lp_norm(direct - expansion, 2), 1e-10, instance))
+                      lp_norm(direct - expansion, 2), CHECK_TOL, instance))
     qvp = lambda p: quadratic_variation_sum(p, grid)
     polar = 0.25 * (qvp(x + y) - qvp(x - y) + 1j * (qvp(1j * x + y) - qvp(1j * x - y)))
     out.append(record("cross_polarization",
                       "4 <X,Y> == <X+Y> - <X-Y> + i(<iX+Y> - <iX-Y>)",
-                      lp_norm(direct - polar, 2), 1e-10, instance))
+                      lp_norm(direct - polar, 2), CHECK_TOL, instance))
 
     for variant in ("predictable", "bracket"):
         d = doob_meyer_decompose(x, variant)
         out.append(record(f"dm_reconstruction_{variant}", "|X_t|^2 == M_t + A_t",
-                          d.residuals["reconstruction"], 1e-10, instance))
+                          d.residuals["reconstruction"], CHECK_TOL, instance))
         out.append(record(f"dm_martingale_part_{variant}", "M is a martingale",
-                          d.residuals["martingale_part"], 1e-9, instance))
+                          d.residuals["martingale_part"], CHECK_TOL_DERIVED, instance))
         out.append(record(f"dm_initial_{variant}", "A(0) == 0",
-                          d.residuals["initial"], 1e-10, instance))
+                          d.residuals["initial"], CHECK_TOL, instance))
         out.append(record(f"dm_increasing_{variant}", "dA_j >= 0 (Loewner)",
-                          d.residuals["increment_psd_defect"], 1e-9, instance))
+                          d.residuals["increment_psd_defect"], CHECK_TOL_DERIVED, instance))
         if variant == "predictable":
             out.append(record("dm_predictable", "A(t_j) lies in level j-1",
-                              d.residuals["predictability"], 1e-10, instance))
+                              d.residuals["predictability"], CHECK_TOL, instance))
     return out
 
 
@@ -279,12 +271,19 @@ def instance_checks(filtration: Filtration, rng: np.random.Generator, instance: 
     return records
 
 
+def error_checks(exc: Exception, instance: int) -> list[CheckRecord]:
+    """The one failing record of an instance that a numerical error cut short."""
+    return [record("instance_completed",
+                   f"the instance runs without a numerical error; got {type(exc).__name__}: {exc}",
+                   math.inf, CHECK_TOL_PREDICATE, instance)]
+
+
 def ratio_checks(rows: list[dict]) -> list[CheckRecord]:
     """Every observed ratio of the ``ratios`` sweep is finite and nonnegative."""
     valid = all(0.0 <= r[key] < math.inf
                 for r in rows for key in ("bg_ratio", "dual_doob_ratio"))
     return [record("ratios_finite", "every observed ratio is finite and nonnegative",
-                   0.0 if valid else math.inf, 0.0, -1)]
+                   0.0 if valid else math.inf, CHECK_TOL_PREDICATE, -1)]
 
 
 def kolmogorov_checks(cert: ProjectionCertificate,
@@ -296,10 +295,11 @@ def kolmogorov_checks(cert: ProjectionCertificate,
     """
     chain_min = 0.0
     for a, b in zip(cert.meets, cert.meets[1:]):
-        chain_min = min(chain_min, min_eigenvalue(a.element - b.element, tol=1e-8))
+        chain_min = min(chain_min,
+                        min_eigenvalue(a.element - b.element, tol=LOEWNER_HERMITIAN_TOL))
     records = certificate_checks(cert, instance) + [
         record("kolmogorov_chain_monotone", "f_1 >= f_2 >= ... >= f_m (Loewner)",
-               max(0.0, -chain_min), 1e-9, instance)]
+               max(0.0, -chain_min), CHECK_TOL_DERIVED, instance)]
     return records, chain_min
 
 
@@ -307,6 +307,6 @@ def refine_checks(decay: list[float], gap_residuals: list[dict],
                   cert: ProjectionCertificate, instance: int) -> list[CheckRecord]:
     """Terminal decay, gap identities over the chain, integral-process certificate."""
     return ([record("terminal_refinement", "final chain entry against the full grid vanishes",
-                    decay[-1], 1e-12, instance)]
+                    decay[-1], CHECK_TOL_REFINEMENT, instance)]
             + gap_checks(gap_residuals, instance)
             + certificate_checks(cert, instance))

@@ -4,44 +4,57 @@ Each command takes a validated :class:`ExperimentConfig`, runs its sweep
 with per-instance counter-based random streams, and returns a
 :class:`VerificationReport`.  Instance-level work is independent; results
 are assembled in instance order so reports are deterministic.  Commands
-only compute; every pass/fail record comes from :mod:`.checks`.
+only compute; every pass/fail record comes from :mod:`.checks`.  A
+numerical error inside one instance (a failed precondition or a LAPACK
+failure) becomes that instance's failing record, and the sweep goes on.
 """
 
 from __future__ import annotations
 
+import contextlib
 import time
 
 import numpy as np
 
 from ..algebra import trace
 from ..doob_meyer import naturality_gap
-from ..errors import UndefinedRatioError
+from ..errors import DomainError, UndefinedRatioError
 from ..inequalities import (bg_ratio, dual_doob_ratio, epsilon_from_percentile,
                             kolmogorov_projection, segal_modulus)
 from ..integrals import integral_process, integrand_bound, refinement_table
 from ..processes import (full_partition, martingale_from_terminal, random_element,
                          spawn_generators)
-from .checks import instance_checks, kolmogorov_checks, ratio_checks, refine_checks
+from .checks import (error_checks, instance_checks, kolmogorov_checks, ratio_checks,
+                     refine_checks)
 from .config import ExperimentConfig
 from .report import VerificationReport
 
 
-def _instance_martingales(config: ExperimentConfig, filtration):
-    """Yield (instance, rng, martingale) with the config's terminal policy."""
-    fixed = config.terminal_element(filtration.algebra)
+def _instance_terminals(config: ExperimentConfig, algebra):
+    """Yield (instance, rng, terminal): the config's fixed terminal, or else
+    the first draw from the instance's own stream."""
+    fixed = config.terminal_element(algebra)
     for i, rng in enumerate(spawn_generators(config.seed, config.instances)):
-        term = fixed if fixed is not None else random_element(filtration.algebra, rng, "general")
-        yield i, rng, martingale_from_terminal(filtration, term, label="X")
+        yield i, rng, fixed if fixed is not None else random_element(algebra, rng, "general")
+
+
+@contextlib.contextmanager
+def _contained(report: VerificationReport, instance: int):
+    """Record a numerical error raised in the block as the instance's failure."""
+    try:
+        yield
+    except (DomainError, np.linalg.LinAlgError) as exc:
+        report.records += error_checks(exc, instance)
 
 
 def cmd_verify(config: ExperimentConfig) -> VerificationReport:
     """Run the full identity suite per instance."""
     t0 = time.perf_counter()
     filtration = config.build_filtration()
-    fixed = config.terminal_element(filtration.algebra)
     report = VerificationReport("verify", config.to_dict())
-    for i, rng in enumerate(spawn_generators(config.seed, config.instances)):
-        report.records.extend(instance_checks(filtration, rng, i, terminal=fixed))
+    for i, rng, term in _instance_terminals(config, filtration.algebra):
+        with _contained(report, i):
+            report.records.extend(instance_checks(filtration, rng, i, terminal=term))
     report.summarize()
     report.timing = {"seconds": time.perf_counter() - t0}
     return report
@@ -54,15 +67,17 @@ def cmd_ratios(config: ExperimentConfig) -> VerificationReport:
     report = VerificationReport("ratios", config.to_dict())
     rows = []
     grid = full_partition(filtration)
-    for i, rng, x in _instance_martingales(config, filtration):
-        for p in config.p_values:
-            try:
-                bg = bg_ratio(x, grid, p)
-                dd = dual_doob_ratio(x, grid, p)
-            except UndefinedRatioError:
-                continue
-            rows.append({"p": p, "instance": i, "bg_ratio": bg,
-                         "dual_doob_ratio": dd, "seed": config.seed})
+    for i, rng, term in _instance_terminals(config, filtration.algebra):
+        with _contained(report, i):
+            x = martingale_from_terminal(filtration, term, label="X")
+            for p in config.p_values:
+                try:
+                    bg = bg_ratio(x, grid, p)
+                    dd = dual_doob_ratio(x, grid, p)
+                except UndefinedRatioError:
+                    continue
+                rows.append({"p": p, "instance": i, "bg_ratio": bg,
+                             "dual_doob_ratio": dd, "seed": config.seed})
     report.tables["ratios"] = rows
     report.tables["csv_table"] = "ratios"
 
@@ -94,28 +109,30 @@ def cmd_kolmogorov(config: ExperimentConfig) -> VerificationReport:
     filtration = config.build_filtration()
     report = VerificationReport("kolmogorov", config.to_dict())
     rows = []
-    for i, rng, x in _instance_martingales(config, filtration):
-        if config.epsilon_mode == "fixed":
-            eps = config.epsilon_value
-        else:
-            eps = epsilon_from_percentile(x, config.epsilon_value)
-        for side in ("left", "right"):
-            cert = kolmogorov_projection(x, eps, side)
-            records, chain_min = kolmogorov_checks(cert, i)
-            rows.append({
-                "instance": i,
-                "side": side,
-                "epsilon": eps,
-                "trace_defect": cert.trace_defect,
-                "trace_bound": cert.trace_bound,
-                "trace_slack": cert.trace_bound - cert.trace_defect,
-                "max_sup_norm": max(cert.sup_norms),
-                "sup_slack": eps - max(cert.sup_norms),
-                "projection_trace": trace(cert.projection.element).real,
-                "chain_min_eigenvalue": chain_min,
-                "seed": config.seed,
-            })
-            report.records += records
+    for i, rng, term in _instance_terminals(config, filtration.algebra):
+        with _contained(report, i):
+            x = martingale_from_terminal(filtration, term, label="X")
+            if config.epsilon_mode == "fixed":
+                eps = config.epsilon_value
+            else:
+                eps = epsilon_from_percentile(x, config.epsilon_value)
+            for side in ("left", "right"):
+                cert = kolmogorov_projection(x, eps, side)
+                records, chain_min = kolmogorov_checks(cert, i)
+                rows.append({
+                    "instance": i,
+                    "side": side,
+                    "epsilon": eps,
+                    "trace_defect": cert.trace_defect,
+                    "trace_bound": cert.trace_bound,
+                    "trace_slack": cert.trace_bound - cert.trace_defect,
+                    "max_sup_norm": max(cert.sup_norms),
+                    "sup_slack": eps - max(cert.sup_norms),
+                    "projection_trace": trace(cert.projection.element).real,
+                    "chain_min_eigenvalue": chain_min,
+                    "seed": config.seed,
+                })
+                report.records += records
     report.certificates = rows
     report.tables["csv_table"] = "certificates"
     slacks = np.array([r["trace_slack"] for r in rows]) if rows else np.zeros(0)
@@ -136,23 +153,25 @@ def cmd_refine(config: ExperimentConfig) -> VerificationReport:
     report = VerificationReport("refine", config.to_dict())
     chain = config.chain_indices(len(config.times))
     rows = []
-    for i, rng, x in _instance_martingales(config, filtration):
-        decay = refinement_table(x, x, "left", chain)
-        gaps = [naturality_gap(x, part) for part in chain]
-        for lvl, (d, (g, _)) in enumerate(zip(decay, gaps)):
-            rows.append({
-                "instance": i, "chain_level": lvl, "partition_size": len(chain[lvl]),
-                "decay": d, "naturality_gap": g, "seed": config.seed,
-            })
-        report.summary.setdefault("integrand_bound", {})[str(i)] = integrand_bound(x)
+    for i, rng, term in _instance_terminals(config, filtration.algebra):
+        with _contained(report, i):
+            x = martingale_from_terminal(filtration, term, label="X")
+            decay = refinement_table(x, x, "left", chain)
+            gaps = [naturality_gap(x, part) for part in chain]
+            for lvl, (d, (g, _)) in enumerate(zip(decay, gaps)):
+                rows.append({
+                    "instance": i, "chain_level": lvl, "partition_size": len(chain[lvl]),
+                    "decay": d, "naturality_gap": g, "seed": config.seed,
+                })
+            report.summary.setdefault("integrand_bound", {})[str(i)] = integrand_bound(x)
 
-        # continuity diagnostics of the integral process; the modulus has no threshold
-        proc = integral_process(x, x, "left")
-        eps = epsilon_from_percentile(proc, 50.0)
-        cert = kolmogorov_projection(proc, eps, "left")
-        report.summary.setdefault("segal_modulus", {})[str(i)] = [
-            [g, m] for g, m in segal_modulus(proc, cert.projection, "left")]
-        report.records += refine_checks(decay, [res for _, res in gaps], cert, i)
+            # continuity diagnostics of the integral process; the modulus has no threshold
+            proc = integral_process(x, x, "left")
+            eps = epsilon_from_percentile(proc, 50.0)
+            cert = kolmogorov_projection(proc, eps, "left")
+            report.summary.setdefault("segal_modulus", {})[str(i)] = [
+                [g, m] for g, m in segal_modulus(proc, cert.projection, "left")]
+            report.records += refine_checks(decay, [res for _, res in gaps], cert, i)
     report.tables["refinement"] = rows
     report.tables["csv_table"] = "refinement"
     report.summarize()

@@ -39,13 +39,6 @@ def decode_matrix(obj, field_path: str) -> np.ndarray:
     return real + 1j * imag
 
 
-def encode_matrix(m: np.ndarray) -> dict:
-    out = {"real": np.real(m).tolist()}
-    if np.any(np.imag(m) != 0):
-        out["imag"] = np.imag(m).tolist()
-    return out
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     block_dims: tuple[int, ...]

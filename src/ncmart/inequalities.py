@@ -5,8 +5,9 @@ this module estimates the observed ratios over sweeps instead of asserting
 numeric bounds.  The Chebyshev and Kolmogorov-type projection bounds, by
 contrast, are theorems with explicit constants; the certificates carry
 both sides of each bound, and the harness and tests check them as stated
-(strict inequalities relaxed to non-strict plus 1e-10, since only the
-non-strict form is forced at degenerate equality).
+(strict inequalities relaxed to non-strict plus a check tolerance from
+:mod:`ncmart.tolerances`, since only the non-strict form is forced at
+degenerate equality).
 """
 
 from __future__ import annotations
@@ -19,11 +20,11 @@ import numpy as np
 
 from .algebra import (AlgElement, Projection, abs2, loewner_psd, lp_norm,
                       proj_meet, psd_sqrt, spectral_projection, trace)
+from .doob_meyer import quadratic_variation_sum
 from .errors import DomainError, UndefinedRatioError
-from .integrals import MARTINGALE_TOL, SIDES
-from .processes import AdaptedProcess, as_partition, increments, is_martingale
-
-DENOMINATOR_FLOOR = 1e-12
+from .integrals import SIDES
+from .processes import AdaptedProcess, as_partition, is_martingale
+from .tolerances import DENOMINATOR_FLOOR, EPSILON_FLOOR, MARTINGALE_TOL, POSITIVITY_TOL
 
 MODULUS_SIDES = ("left", "right", "weak")
 
@@ -63,10 +64,7 @@ def bg_ratio(x: AdaptedProcess, partition: Iterable[int], p: float) -> float:
     if p < 2:
         raise DomainError(f"square-function ratio needs p >= 2, got {p}")
     idx = as_partition(len(x.values), partition)
-    square = x.filtration.algebra.zero()
-    for dx in increments(x, idx):
-        square = square + abs2(dx)
-    numerator = lp_norm(psd_sqrt(square), p)
+    numerator = lp_norm(psd_sqrt(quadratic_variation_sum(x, idx)), p)
     denominator = lp_norm(x.values[idx[-1]], p)
     if denominator <= DENOMINATOR_FLOOR:
         raise UndefinedRatioError(f"terminal p-norm {denominator:.2e} too small")
@@ -82,6 +80,7 @@ def dual_doob_ratio(x: AdaptedProcess, partition: Iterable[int], p: float) -> fl
         raise DomainError(f"dual Doob ratio needs p >= 2, got {p}")
     idx = as_partition(len(x.values), partition)
     levels = x.filtration.levels
+    # one pass for both sums: quadratic_variation_sum would square every increment again
     plain = x.filtration.algebra.zero()
     conditioned = x.filtration.algebra.zero()
     for i, j in zip(idx, idx[1:]):
@@ -103,7 +102,7 @@ def chebyshev_projection(x: AlgElement, eta: float) -> ChebyshevCertificate:
     """
     if eta <= 0:
         raise DomainError(f"eta must be positive, got {eta}")
-    if not loewner_psd(x, 1e-10):
+    if not loewner_psd(x, POSITIVITY_TOL):
         raise DomainError("chebyshev projection needs a positive semidefinite element")
     e = spectral_projection(x, (eta, math.inf))
     trace_value = trace(e.element).real
@@ -159,11 +158,11 @@ def kolmogorov_projection(x: AdaptedProcess, epsilon: float, side: str) -> Proje
 def epsilon_from_percentile(x: AdaptedProcess, percentile: float) -> float:
     """Threshold at the given percentile of the step operator norms.
 
-    Keeps certificates nontrivial with high probability; floored at 1e-8
-    so epsilon stays positive even for the zero process.
+    Keeps certificates nontrivial with high probability; floored at
+    ``EPSILON_FLOOR`` so epsilon stays positive even for the zero process.
     """
     norms = [lp_norm(v, math.inf) for v in x.values[1:]]
-    return max(float(np.percentile(norms, percentile)), 1e-8)
+    return max(float(np.percentile(norms, percentile)), EPSILON_FLOOR)
 
 
 def segal_modulus(p: AdaptedProcess, e: Projection,

@@ -16,10 +16,9 @@ from typing import Iterable, Sequence
 from .algebra import AlgElement, lp_norm
 from .errors import DomainError, StructureError
 from .processes import AdaptedProcess, as_partition, full_partition, is_martingale
+from .tolerances import MARTINGALE_TOL
 
 SIDES = ("left", "right")
-
-MARTINGALE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -63,8 +62,9 @@ def integral_process(x: AdaptedProcess, f: AdaptedProcess, side: str,
                      label: str = "") -> AdaptedProcess:
     """Partial integral sums over the full grid, as an adapted process.
 
-    The integrator must pass the martingale check at 1e-9; the resulting
-    process is then itself a martingale (a property the tests verify).
+    The integrator must pass the martingale check at ``MARTINGALE_TOL``;
+    the resulting process is then itself a martingale (a property the
+    tests verify).
     """
     _check_pair(x, f)
     if side not in SIDES:

@@ -12,10 +12,9 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .algebra import AlgElement, TracialAlgebra, abs2, lp_norm, min_eigenvalue
-from .conditional import INCLUSION_TOL, SubalgebraLevel
+from .conditional import SubalgebraLevel
 from .errors import DomainError, StructureError
-
-ADAPTED_TOL = 1e-10
+from .tolerances import ADAPTED_TOL, LOEWNER_HERMITIAN_TOL
 
 
 class CheckResult(NamedTuple):
@@ -49,11 +48,11 @@ class Filtration:
     """Increasing chain of subalgebra levels, one per grid time.
 
     Construction validates that each level's spanning basis is fixed
-    elementwise by the next level's expectation (inclusion within 1e-10)
-    and that the final level is the full algebra.
+    elementwise by the next level's expectation (inclusion within
+    ``INCLUSION_TOL``) and that the final level is the full algebra.
     """
 
-    def __init__(self, grid: TimeGrid, levels: Sequence[SubalgebraLevel], validate: bool = True):
+    def __init__(self, grid: TimeGrid, levels: Sequence[SubalgebraLevel]):
         levels = tuple(levels)
         if len(levels) != len(grid):
             raise StructureError("need exactly one level per grid time")
@@ -61,17 +60,16 @@ class Filtration:
         for k, lv in enumerate(levels):
             if lv.algebra != algebra:
                 raise StructureError(f"level {k} lives in a different algebra")
-        if validate:
-            for k in range(len(levels) - 1):
-                if levels[k] is levels[k + 1]:
-                    continue
-                for b in levels[k].spanning_basis():
-                    if not levels[k + 1].contains(b, INCLUSION_TOL):
-                        raise StructureError(
-                            f"levels not increasing: level {k} is not contained in level {k + 1}")
-            if levels[-1].dim != algebra.dim:
-                raise StructureError(
-                    f"final level has dimension {levels[-1].dim}, expected full {algebra.dim}")
+        for k in range(len(levels) - 1):
+            if levels[k] is levels[k + 1]:
+                continue
+            for b in levels[k].spanning_basis():
+                if not levels[k + 1].contains(b):
+                    raise StructureError(
+                        f"levels not increasing: level {k} is not contained in level {k + 1}")
+        if levels[-1].dim != algebra.dim:
+            raise StructureError(
+                f"final level has dimension {levels[-1].dim}, expected full {algebra.dim}")
         self.grid = grid
         self.levels = levels
         self.algebra = algebra
@@ -94,7 +92,7 @@ class AdaptedProcess:
     """Sequence of algebra elements adapted to a filtration.
 
     Construction rejects values that are not fixed by their level's
-    expectation within 1e-10.  Supports pointwise linear arithmetic between
+    expectation within ``ADAPTED_TOL``.  Supports pointwise linear arithmetic between
     processes on the same filtration and the pointwise adjoint.
     """
 
@@ -187,7 +185,7 @@ def submartingale_abs2_defect(p: AdaptedProcess) -> float:
     sq = [abs2(v) for v in values]
     for t in range(1, len(values)):
         for s in range(t):
-            lam = min_eigenvalue(levels[s].expect(sq[t]) - sq[s], tol=1e-8)
+            lam = min_eigenvalue(levels[s].expect(sq[t]) - sq[s], tol=LOEWNER_HERMITIAN_TOL)
             worst = max(worst, -lam)
     return worst
 

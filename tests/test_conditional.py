@@ -61,6 +61,7 @@ class TestEngineAgreement:
         for level in levels:
             twin = level.as_general()
             assert nc.lp_norm(level.expect(x) - twin.expect(x), 2) < 1e-10
+            assert level.as_general() is twin  # built once per level
 
     def test_lstsq_oracle(self, m23):
         # independent least-squares projection onto the span

@@ -6,6 +6,7 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ncmart as nc
@@ -213,13 +214,18 @@ def failing(report, check):
 
 
 def first_call_returns(monkeypatch, name, value):
-    """Patch ``commands.<name>`` so that its first call returns ``value``."""
+    """Patch ``commands.<name>`` so that its first call returns ``value``,
+    or raises it if it is an exception."""
     real = getattr(commands, name)
     calls = []
 
     def patched(*args, **kwargs):
         calls.append(None)
-        return value if len(calls) == 1 else real(*args, **kwargs)
+        if len(calls) > 1:
+            return real(*args, **kwargs)
+        if isinstance(value, Exception):
+            raise value
+        return value
     monkeypatch.setattr(commands, name, patched)
 
 
@@ -253,6 +259,36 @@ class TestContainment:
                                           "--instances", "3"])
         assert code == 1
         assert failing(report, "ratios_finite")
+
+    def test_failed_precondition_in_refine_keeps_the_report(self, tmp_path):
+        # entries of order 1e4 leave the integral process a martingale only to
+        # 2.6e-9, so its certificate's precondition raises DomainError
+        data = preset("m4-random")
+        data["instances"] = 1
+        terminal = np.random.default_rng(0).standard_normal((4, 4)) * 1e4
+        data["terminal"] = {"kind": "fixed", "blocks": [{"real": terminal.tolist()}]}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(data))
+        code, report = run_cli(tmp_path, ["refine", "--config", str(cfg)])
+        assert code == 1
+        [rec] = failing(report, "instance_completed")
+        assert rec["instance"] == 0 and "DomainError" in rec["formula"]
+        assert rec["residual"] == math.inf and rec["tolerance"] == 0.0
+
+    @pytest.mark.parametrize("command, name", [
+        ("verify", "instance_checks"), ("ratios", "bg_ratio"),
+        ("kolmogorov", "kolmogorov_projection"), ("refine", "refinement_table")])
+    def test_lapack_failure_is_one_failing_record(self, tmp_path, monkeypatch,
+                                                  command, name):
+        first_call_returns(monkeypatch, name, np.linalg.LinAlgError("SVD did not converge"))
+        code, report = run_cli(tmp_path, [command, "--preset", "m4-random",
+                                          "--instances", "3"])
+        assert code == 1
+        [rec] = [r for r in report["records"] if not r["passed"]]
+        assert (rec["check"], rec["instance"]) == ("instance_completed", 0)
+        assert "LinAlgError: SVD did not converge" in rec["formula"]
+        if command != "ratios":  # ratios records once per sweep, not per instance
+            assert {r["instance"] for r in report["records"]} == {0, 1, 2}
 
 
 def pinned_payload(command, name):
