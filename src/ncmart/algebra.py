@@ -90,10 +90,12 @@ class AlgElement:
     """Element of a :class:`TracialAlgebra`: one complex matrix per block.
 
     Immutable after construction; all arithmetic returns new elements.
-    ``@`` is the algebra product, ``*`` is reserved for scalars.
+    ``@`` is the algebra product, ``*`` is reserved for scalars.  Spectral
+    data (singular values, Hermiticity defect, eigendecomposition, square
+    root) is computed on first use and kept for the element's lifetime.
     """
 
-    __slots__ = ("algebra", "blocks")
+    __slots__ = ("algebra", "blocks", "_spectral")
 
     def __init__(self, algebra: TracialAlgebra, blocks: Iterable[np.ndarray]):
         mats = []
@@ -107,8 +109,9 @@ class AlgElement:
                 raise StructureError(f"block of shape {m.shape} does not match size {n}")
             m.setflags(write=False)
             mats.append(m)
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "blocks", tuple(mats))
+        _set_algebra(self, algebra)
+        _set_blocks(self, tuple(mats))
+        _set_spectral(self, None)  # the memo dict is created on the first spectral call
 
     def __setattr__(self, name, value):  # immutability guard
         raise AttributeError("AlgElement is immutable")
@@ -152,6 +155,13 @@ class AlgElement:
         return f"AlgElement(dims={self.algebra.block_dims})"
 
 
+# Slot setters that get past the immutability guard at half the cost of
+# object.__setattr__; every element construction runs them.
+_set_algebra = AlgElement.algebra.__set__
+_set_blocks = AlgElement.blocks.__set__
+_set_spectral = AlgElement._spectral.__set__
+
+
 class Projection:
     """Orthogonal projection: a Hermitian idempotent element.
 
@@ -184,7 +194,7 @@ class Projection:
 
 
 def _check_same_algebra(x: AlgElement, y: AlgElement) -> None:
-    if x.algebra != y.algebra:
+    if x.algebra is not y.algebra and x.algebra != y.algebra:
         raise StructureError("elements belong to different algebras")
 
 
@@ -195,9 +205,39 @@ def trace(x: AlgElement) -> complex:
                        for w, n, m in zip(alg.block_weights, alg.block_dims, x.blocks)))
 
 
+def _spectral(x: AlgElement) -> dict:
+    """x's memo of spectral data, created on the first spectral call.
+
+    Not created in ``__init__``, since most elements never need one.  An
+    element and its blocks never change, so a memoized value cannot go
+    stale; memoized arrays are read-only.
+    """
+    memo = x._spectral
+    if memo is None:
+        memo = {}
+        _set_spectral(x, memo)
+    return memo
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+def _singular_values(x: AlgElement) -> tuple[np.ndarray, ...]:
+    """Descending singular values of each block (memoized)."""
+    memo = _spectral(x)
+    if "sv" not in memo:
+        memo["sv"] = tuple([_frozen(np.linalg.svd(m, compute_uv=False)) for m in x.blocks])
+    return memo["sv"]
+
+
 def hermiticity_defect(x: AlgElement) -> float:
-    """Operator norm of x - x*."""
-    return max(_opnorm(m - m.conj().T) for m in x.blocks)
+    """Operator norm of x - x* (memoized)."""
+    memo = _spectral(x)
+    if "defect" not in memo:
+        memo["defect"] = max(_opnorm(m - m.conj().T) for m in x.blocks)
+    return memo["defect"]
 
 
 def _opnorm(m: np.ndarray) -> float:
@@ -215,7 +255,7 @@ def lp_norm(x: AlgElement, p: float) -> float:
     if p != math.inf and p < 1:
         raise DomainError(f"p must be >= 1 or inf, got {p}")
     if p == math.inf:
-        return max(_opnorm(m) for m in x.blocks)
+        return max(float(s[0]) for s in _singular_values(x))
     alg = x.algebra
     if p == 2:
         # tau(x* x) as a weighted Frobenius mean; same value, no SVD needed
@@ -223,8 +263,7 @@ def lp_norm(x: AlgElement, p: float) -> float:
                   for w, n, m in zip(alg.block_weights, alg.block_dims, x.blocks))
         return math.sqrt(max(val, 0.0))
     total = 0.0
-    for w, n, m in zip(alg.block_weights, alg.block_dims, x.blocks):
-        s = np.linalg.svd(m, compute_uv=False)
+    for w, n, s in zip(alg.block_weights, alg.block_dims, _singular_values(x)):
         total += w * float(np.sum(s ** p)) / n
     return total ** (1.0 / p)
 
@@ -238,14 +277,18 @@ def _hermitian_eigh(x: AlgElement, tol: float):
     defect = hermiticity_defect(x)
     if defect > tol:
         raise DomainError(f"element is not Hermitian within {tol:g} (defect {defect:.2e})")
-    return [np.linalg.eigh(m) for m in x.blocks]
+    memo = _spectral(x)
+    if "eigh" not in memo:
+        memo["eigh"] = tuple([(_frozen(w), _frozen(v))
+                              for w, v in map(np.linalg.eigh, x.blocks)])
+    return memo["eigh"]
 
 
 def hermitian_apply(x: AlgElement, fn: Callable[[np.ndarray], np.ndarray]) -> AlgElement:
     """Functional calculus f(x) for Hermitian x via eigendecomposition.
 
-    ``fn`` receives the eigenvalue vector of each block and must return a
-    real vector of the same length.
+    ``fn`` receives the eigenvalue vector of each block, which is
+    read-only, and must return a real vector of the same length.
     """
     out = []
     for w, v in _hermitian_eigh(x, HERMITIAN_TOL):
@@ -255,8 +298,11 @@ def hermitian_apply(x: AlgElement, fn: Callable[[np.ndarray], np.ndarray]) -> Al
 
 
 def psd_sqrt(x: AlgElement) -> AlgElement:
-    """Square root of a positive semidefinite element (negatives clipped at 0)."""
-    return hermitian_apply(x, lambda w: np.sqrt(np.maximum(w, 0.0)))
+    """Square root of a positive semidefinite element (negatives clipped at 0; memoized)."""
+    memo = _spectral(x)
+    if "sqrt" not in memo:
+        memo["sqrt"] = hermitian_apply(x, lambda w: np.sqrt(np.maximum(w, 0.0)))
+    return memo["sqrt"]
 
 
 def min_eigenvalue(x: AlgElement, tol: float = HERMITIAN_TOL) -> float:
@@ -293,7 +339,7 @@ def proj_meet(e: Projection, f: Projection) -> Projection:
     Computed per block from the near-null space of (1-e) + (1-f); exact at
     desk scale and symmetric in its arguments.
     """
-    if e.algebra != f.algebra:
+    if e.algebra is not f.algebra and e.algebra != f.algebra:
         raise StructureError("projections belong to different algebras")
     out = []
     for n, eb, fb in zip(e.algebra.block_dims, e.element.blocks, f.element.blocks):

@@ -158,7 +158,7 @@ class SubalgebraLevel:
         The general kind solves the Gram system through the cached
         orthonormal basis.
         """
-        if x.algebra != self.algebra:
+        if x.algebra is not self.algebra and x.algebra != self.algebra:
             raise StructureError("element from a different algebra")
         if self.kind == "scalars":
             return trace(x) * self.algebra.identity()

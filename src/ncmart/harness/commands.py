@@ -94,10 +94,9 @@ def cmd_ratios(config: ExperimentConfig) -> VerificationReport:
                 "q50": float(np.quantile(arr, 0.5)), "q90": float(np.quantile(arr, 0.9)),
             })
     report.summary["ratio_statistics"] = summary
-    report.summary["all_finite"] = bool(all(np.isfinite(r["bg_ratio"])
-                                            and np.isfinite(r["dual_doob_ratio"])
-                                            for r in rows))
-    report.records += ratio_checks(rows)
+    [finite] = ratio_checks(rows)
+    report.summary["all_finite"] = finite.passed
+    report.records.append(finite)
     report.summarize()
     report.timing = {"seconds": time.perf_counter() - t0}
     return report

@@ -18,9 +18,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .algebra import (AlgElement, Projection, abs2, loewner_psd, lp_norm,
-                      proj_meet, psd_sqrt, spectral_projection, trace)
-from .doob_meyer import quadratic_variation_sum
+from .algebra import (AlgElement, Projection, loewner_psd, lp_norm, proj_meet, psd_sqrt,
+                      spectral_projection, trace)
 from .errors import DomainError, UndefinedRatioError
 from .integrals import SIDES
 from .processes import AdaptedProcess, as_partition, is_martingale
@@ -64,7 +63,8 @@ def bg_ratio(x: AdaptedProcess, partition: Iterable[int], p: float) -> float:
     if p < 2:
         raise DomainError(f"square-function ratio needs p >= 2, got {p}")
     idx = as_partition(len(x.values), partition)
-    numerator = lp_norm(psd_sqrt(quadratic_variation_sum(x, idx)), p)
+    plain, _ = x.square_sums(idx)
+    numerator = lp_norm(psd_sqrt(plain), p)
     denominator = lp_norm(x.values[idx[-1]], p)
     if denominator <= DENOMINATOR_FLOOR:
         raise UndefinedRatioError(f"terminal p-norm {denominator:.2e} too small")
@@ -78,15 +78,7 @@ def dual_doob_ratio(x: AdaptedProcess, partition: Iterable[int], p: float) -> fl
     """
     if p < 2:
         raise DomainError(f"dual Doob ratio needs p >= 2, got {p}")
-    idx = as_partition(len(x.values), partition)
-    levels = x.filtration.levels
-    # one pass for both sums: quadratic_variation_sum would square every increment again
-    plain = x.filtration.algebra.zero()
-    conditioned = x.filtration.algebra.zero()
-    for i, j in zip(idx, idx[1:]):
-        sq = abs2(x.values[j] - x.values[i])
-        plain = plain + sq
-        conditioned = conditioned + levels[i].expect(sq)
+    plain, conditioned = x.square_sums(partition)
     denominator = lp_norm(plain, p / 2)
     if denominator <= DENOMINATOR_FLOOR:
         raise UndefinedRatioError(f"square-sum {p / 2}-norm {denominator:.2e} too small")

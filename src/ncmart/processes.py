@@ -93,7 +93,9 @@ class AdaptedProcess:
 
     Construction rejects values that are not fixed by their level's
     expectation within ``ADAPTED_TOL``.  Supports pointwise linear arithmetic between
-    processes on the same filtration and the pointwise adjoint.
+    processes on the same filtration and the pointwise adjoint.  A process
+    never changes, so its martingale residual and its square sums are
+    computed once and kept.
     """
 
     def __init__(self, filtration: Filtration, values: Sequence[AlgElement],
@@ -114,6 +116,7 @@ class AdaptedProcess:
         self.values = values
         self.label = label
         self._mart_residual: float | None = None
+        self._square_sums: dict[tuple[int, ...], tuple[AlgElement, AlgElement]] = {}
 
     def value(self, k: int) -> AlgElement:
         return self.values[k]
@@ -159,6 +162,22 @@ class AdaptedProcess:
                     worst = max(worst, lp_norm(levels[s].expect(values[t]) - values[s], 2))
             self._mart_residual = worst
         return self._mart_residual
+
+    def square_sums(self, partition: Iterable[int]) -> tuple[AlgElement, AlgElement]:
+        """(sum_k |dX_k|^2, sum_k E_{k-1}|dX_k|^2) over the partition (cached).
+
+        One pass builds both sums, so every increment is squared once.
+        """
+        idx = as_partition(len(self.values), partition)
+        if idx not in self._square_sums:
+            levels, values = self.filtration.levels, self.values
+            plain = conditioned = self.filtration.algebra.zero()
+            for i, j in zip(idx, idx[1:]):
+                sq = abs2(values[j] - values[i])
+                plain = plain + sq
+                conditioned = conditioned + levels[i].expect(sq)
+            self._square_sums[idx] = (plain, conditioned)
+        return self._square_sums[idx]
 
     def __repr__(self) -> str:
         name = f" {self.label!r}" if self.label else ""

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -145,3 +147,14 @@ def centered_terminal(algebra, rng):
     """Random terminal with zero trace, so scalars-first martingales start at 0."""
     x = nc.random_element(algebra, rng, "general")
     return x - nc.trace(x) * algebra.identity()
+
+
+def count_linalg(monkeypatch):
+    """Count the calls of numpy.linalg.svd and numpy.linalg.eigh from now on."""
+    counts = Counter()
+    for name in ("svd", "eigh"):
+        def counted(*args, _real=getattr(np.linalg, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    return counts

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import ncmart as nc
-from conftest import single
+from conftest import count_linalg, single
 
 
 @pytest.fixture
@@ -241,3 +241,79 @@ class TestFunctionalCalculus:
         h = rand(m23, 16, "hermitian")
         want = min(np.linalg.eigvalsh(b).min() for b in h.blocks)
         assert nc.min_eigenvalue(h) == pytest.approx(want)
+
+
+class TestSpectralMemo:
+    """Spectral data is computed once per element and never changes."""
+
+    SCALARS = (
+        lambda x: nc.lp_norm(x, 3.0),
+        lambda x: nc.lp_norm(x, 8.0),
+        lambda x: nc.lp_norm(x, math.inf),
+        lambda x: nc.lp_norm(x, 1.0),
+        nc.hermiticity_defect,
+        nc.min_eigenvalue,
+        lambda x: nc.loewner_psd(x, 1e-10),
+    )
+    ELEMENTS = (
+        nc.psd_sqrt,
+        lambda x: nc.hermitian_apply(x, np.exp),
+        lambda x: nc.spectral_projection(x, (0.5, math.inf)).element,
+    )
+
+    def test_cached_values_equal_a_fresh_element(self, m23):
+        x = rand(m23, 20, "positive")
+        for f in self.SCALARS:
+            first = f(x)
+            assert f(x) == first == f(m23.element(x.blocks))
+        for f in self.ELEMENTS:
+            first = f(x)
+            for again in (f(x), f(m23.element(x.blocks))):
+                assert all(np.array_equal(a, b) for a, b in zip(again.blocks, first.blocks))
+
+    def test_norms_share_one_svd_per_block(self, m23, monkeypatch):
+        x = rand(m23, 21)
+        counts = count_linalg(monkeypatch)
+        for p in (3.0, 8.0, math.inf, 3.0):
+            nc.lp_norm(x, p)
+        assert counts["svd"] == m23.nblocks
+
+    def test_one_eigh_and_one_gate_per_block(self, m23, monkeypatch):
+        h = rand(m23, 22, "positive")
+        counts = count_linalg(monkeypatch)
+        nc.min_eigenvalue(h)
+        nc.loewner_psd(h, 1e-10)
+        nc.psd_sqrt(h)
+        nc.psd_sqrt(h)
+        assert counts["svd"] == m23.nblocks  # the Hermiticity defect
+        nc.spectral_projection(h, (1.0, math.inf))
+        assert counts["eigh"] == m23.nblocks
+
+    def test_failed_gate_is_not_cached_as_success(self, m2):
+        x = single(m2, [[0, 1], [0, 0]])
+        for _ in range(2):
+            with pytest.raises(nc.DomainError):
+                nc.psd_sqrt(x)
+
+    def test_cached_arrays_are_read_only(self, m23):
+        h = rand(m23, 23, "hermitian")
+        want = nc.min_eigenvalue(h)
+
+        def overwrite(w):
+            w[0] = 1e6
+            return w
+
+        with pytest.raises(ValueError):
+            nc.hermitian_apply(h, overwrite)
+        assert nc.min_eigenvalue(h) == want
+        nc.lp_norm(h, 3.0)
+        memo = h._spectral
+        cached = list(memo["sv"]) + [a for pair in memo["eigh"] for a in pair]
+        assert not any(a.flags.writeable for a in cached)
+
+    def test_element_still_rejects_setattr(self, m23):
+        x = rand(m23, 24)
+        nc.lp_norm(x, 3.0)
+        for name in ("blocks", "algebra", "_spectral"):
+            with pytest.raises(AttributeError):
+                setattr(x, name, None)

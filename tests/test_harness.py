@@ -259,6 +259,7 @@ class TestContainment:
                                           "--instances", "3"])
         assert code == 1
         assert failing(report, "ratios_finite")
+        assert report["summary"]["all_finite"] is False
 
     def test_failed_precondition_in_refine_keeps_the_report(self, tmp_path):
         # entries of order 1e4 leave the integral process a martingale only to

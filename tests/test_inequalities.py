@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import ncmart as nc
-from conftest import centered_terminal, single
+from conftest import centered_terminal, count_linalg, single
 
 
 def random_martingale(filt, seed):
@@ -207,3 +207,62 @@ class TestSegalModulus:
         cert = nc.kolmogorov_projection(x, eps, "left")
         table = nc.segal_modulus(x, cert.projection, "left")
         assert table[0][1] <= 2.0 * eps + 1e-9
+
+
+class TestSquareSumMemo:
+    """Each square sum is built once per process and partition."""
+
+    def count_expects(self, monkeypatch):
+        calls = []
+        real = nc.SubalgebraLevel.expect
+
+        def counted(level, x):
+            calls.append(None)
+            return real(level, x)
+        monkeypatch.setattr(nc.SubalgebraLevel, "expect", counted)
+        return calls
+
+    def test_three_p_build_the_square_sums_once(self, pool, monkeypatch):
+        name, filt = pool[4]
+        x = random_martingale(filt, 30)
+        grid = nc.full_partition(x)
+        expects = self.count_expects(monkeypatch)
+        counts = count_linalg(monkeypatch)
+        for p in (3.0, 4.0, 8.0):
+            nc.bg_ratio(x, grid, p)
+            nc.dual_doob_ratio(x, grid, p)
+        nblocks = filt.algebra.nblocks
+        assert len(expects) == len(grid) - 1
+        assert counts["eigh"] == nblocks
+        # the terminal, the plain sum, its defect, its root and the conditioned sum
+        assert counts["svd"] == 5 * nblocks
+
+    def test_ratios_equal_those_of_a_fresh_process(self, pool):
+        name, filt = pool[5]
+        x = random_martingale(filt, 31)
+        grid = nc.full_partition(x)
+        for p in (3.0, 4.0, 8.0):
+            fresh = nc.AdaptedProcess(filt, x.values)
+            assert nc.bg_ratio(x, grid, p) == nc.bg_ratio(fresh, grid, p)
+            assert nc.dual_doob_ratio(x, grid, p) == nc.dual_doob_ratio(fresh, grid, p)
+
+    def test_plain_sum_is_the_quadratic_variation_bit_for_bit(self, pool):
+        name, filt = pool[3]
+        x = random_martingale(filt, 32)
+        part = (0, 2, 3)
+        plain, conditioned = x.square_sums(part)
+        assert x.square_sums(list(part)) == (plain, conditioned)
+        want = nc.quadratic_variation_sum(x, part)
+        assert all(np.array_equal(a, b) for a, b in zip(plain.blocks, want.blocks))
+        assert nc.trace(conditioned) == pytest.approx(nc.trace(plain), abs=1e-12)
+
+
+class TestChebyshevReuse:
+    def test_thresholds_of_one_element_share_one_eigh(self, monkeypatch):
+        alg = nc.TracialAlgebra([2, 3])
+        x = nc.random_element(alg, 33, "positive")
+        counts = count_linalg(monkeypatch)
+        top = nc.lp_norm(x, math.inf)
+        for eta in (0.3 * top, 0.7 * top):
+            nc.chebyshev_projection(x, eta)
+        assert counts["eigh"] == alg.nblocks
