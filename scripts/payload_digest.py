@@ -1,9 +1,12 @@
-"""Print one sha256 per command x preset of the ncmart CLI.
+"""Print two sha256 per command x preset of the ncmart CLI.
 
-Each digest covers the JSON numeric payload (the report without its
-timing) and the CSV output of one run at the preset's default seed and
-instance count.  Run it in two checkouts and diff the outputs to show
-that a change leaves every payload byte-identical:
+The first digest covers the JSON numeric payload (the report without its
+timing) and the CSV output of one direct command call at the preset's
+default seed and instance count.  The second runs the same preset through
+the command line, ``ncmart COMMAND --config FILE --out REPORT``, and
+covers the written report without its timing.  Run it in two checkouts
+and diff the outputs to show that a change leaves every payload
+byte-identical:
 
     python scripts/payload_digest.py > before.txt   # in the old checkout
     python scripts/payload_digest.py > after.txt    # in the new checkout
@@ -17,25 +20,53 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import sys
+import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from ncmart.harness.cli import main as cli_main  # noqa: E402
 from ncmart.harness.commands import COMMANDS  # noqa: E402
 from ncmart.harness.config import PRESETS, load_config, preset  # noqa: E402
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def digest(command: str, preset_name: str) -> str:
     report = COMMANDS[command](load_config(preset(preset_name)))
     payload = json.dumps(report.numeric_payload(), indent=2)
-    return hashlib.sha256((payload + "\n" + report.render_csv()).encode("utf-8")).hexdigest()
+    return sha256(payload + "\n" + report.render_csv())
+
+
+def cli_digest(command: str, preset_name: str) -> str:
+    """Run in a scratch working directory: the report's config holds the
+    relative output path, the same in every checkout."""
+    config, out = Path(f"{preset_name}.json"), Path("report.json")
+    config.write_text(json.dumps(preset(preset_name)), encoding="utf-8")
+    code = cli_main([command, "--config", str(config), "--out", str(out)])
+    report = json.loads(out.read_text(encoding="utf-8"))
+    report.pop("timing")
+    return sha256(f"exit {code}\n" + json.dumps(report, indent=2))
 
 
 def main() -> int:
     for command in COMMANDS:
         for preset_name in sorted(PRESETS):
             print(f"{digest(command, preset_name)}  {command} {preset_name}", flush=True)
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            for command in COMMANDS:
+                for preset_name in sorted(PRESETS):
+                    print(f"{cli_digest(command, preset_name)}  {command} --config "
+                          f"{preset_name}", flush=True)
+        finally:
+            os.chdir(cwd)
     return 0
 
 

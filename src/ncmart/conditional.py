@@ -10,6 +10,7 @@ Gram-system engine with a cached orthonormal basis.
 
 from __future__ import annotations
 
+import operator
 from typing import Sequence
 
 import numpy as np
@@ -23,14 +24,17 @@ LEVEL_KINDS = ("scalars", "block_scalar", "block_full", "general")
 
 def _normalize_groups(algebra: TracialAlgebra, groups) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """Validate a per-block coordinate partition and freeze it as tuples."""
+    try:
+        groups = [[tuple(operator.index(i) for i in g) for g in block] for block in groups]
+    except TypeError:
+        raise StructureError("groups must list, per block, lists of integer coordinates")
     if len(groups) != algebra.nblocks:
         raise StructureError(f"need one partition per block, got {len(groups)}")
     normalized = []
     for n, block_groups in zip(algebra.block_dims, groups):
         seen: set[int] = set()
         frozen = []
-        for g in block_groups:
-            idx = tuple(int(i) for i in g)
+        for idx in block_groups:
             if not idx:
                 raise StructureError("empty coordinate group")
             if any(i < 0 or i >= n for i in idx):

@@ -17,9 +17,8 @@ from .algebra import AlgElement, abs2, lp_norm, min_eigenvalue, trace
 from .errors import DomainError, StructureError
 from .integrals import left_sum, right_sum
 from .processes import (AdaptedProcess, as_partition, full_partition, increments,
-                        is_martingale)
-from .tolerances import (INITIAL_ZERO_TOL, LOEWNER_HERMITIAN_TOL, MARTINGALE_TOL,
-                         SELFADJOINT_TOL)
+                        require_martingale)
+from .tolerances import INITIAL_ZERO_TOL, LOEWNER_HERMITIAN_TOL, SELFADJOINT_TOL
 
 
 @dataclass(frozen=True)
@@ -59,9 +58,7 @@ def compensator(x: AdaptedProcess) -> AdaptedProcess:
     A(0) = 0, every increment is positive semidefinite, and A(t_j) lies in
     the level j-1 subalgebra (predictability).  Requires a martingale.
     """
-    ok, res = is_martingale(x, MARTINGALE_TOL)
-    if not ok:
-        raise DomainError(f"compensator needs a martingale (residual {res:.2e})")
+    require_martingale(x, "compensator")
     levels = x.filtration.levels
     values = [x.filtration.algebra.zero()]
     for k in range(1, len(x.values)):
@@ -83,9 +80,7 @@ def doob_meyer_decompose(x: AdaptedProcess, variant: str = "predictable") -> Dec
     """
     if variant not in DECOMPOSITION_VARIANTS:
         raise DomainError(f"variant must be one of {DECOMPOSITION_VARIANTS}, got {variant!r}")
-    ok, res = is_martingale(x, MARTINGALE_TOL)
-    if not ok:
-        raise DomainError(f"decomposition needs a martingale (residual {res:.2e})")
+    require_martingale(x, "decomposition")
     sq = [abs2(v) for v in x.values]
     if variant == "predictable":
         a = compensator(x)
@@ -168,9 +163,7 @@ def uniqueness_residual(m: AdaptedProcess) -> float:
     defect = max(lp_norm(v - v.adjoint(), 2) for v in m.values)
     if defect > SELFADJOINT_TOL:
         raise DomainError(f"process is not selfadjoint (defect {defect:.2e})")
-    ok, res = is_martingale(m, MARTINGALE_TOL)
-    if not ok:
-        raise DomainError(f"uniqueness residual needs a martingale (residual {res:.2e})")
+    require_martingale(m, "uniqueness residual")
     s = 0.0
     for dm in increments(m, full_partition(m)):
         s += trace(dm @ dm).real

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..algebra import AlgElement, abs2, lp_norm, min_eigenvalue, trace
-from ..doob_meyer import (bracket_via_integrals, compensator, cross_variation,
+from ..doob_meyer import (DECOMPOSITION_VARIANTS, bracket_via_integrals, cross_variation,
                           doob_meyer_decompose, naturality_gap, naturality_pairing,
                           quadratic_variation_sum, uniqueness_residual)
 from ..inequalities import ProjectionCertificate
@@ -198,7 +198,8 @@ def doob_meyer_checks(x: AdaptedProcess, y: AdaptedProcess, partner: AlgElement,
                       "|X_m|^2 - |X_0|^2 - S^l(dX*, X) - S^r(X*, dX) == sum_k |dX_k|^2",
                       lp_norm(bracket - qv, 2), CHECK_TOL, instance))
 
-    a = compensator(x)
+    decompositions = {v: doob_meyer_decompose(x, v) for v in DECOMPOSITION_VARIANTS}
+    a = decompositions["predictable"].increasing_part
     lhs, rhs = naturality_pairing(a, partner, grid)
     out.append(record("naturality_pairing",
                       "sum_k tau(E_{k-1}(y) dA_k) == tau(y A_m) for predictable A",
@@ -237,8 +238,7 @@ def doob_meyer_checks(x: AdaptedProcess, y: AdaptedProcess, partner: AlgElement,
                       "4 <X,Y> == <X+Y> - <X-Y> + i(<iX+Y> - <iX-Y>)",
                       lp_norm(direct - polar, 2), CHECK_TOL, instance))
 
-    for variant in ("predictable", "bracket"):
-        d = doob_meyer_decompose(x, variant)
+    for variant, d in decompositions.items():
         out.append(record(f"dm_reconstruction_{variant}", "|X_t|^2 == M_t + A_t",
                           d.residuals["reconstruction"], CHECK_TOL, instance))
         out.append(record(f"dm_martingale_part_{variant}", "M is a martingale",

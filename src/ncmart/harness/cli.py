@@ -12,7 +12,7 @@ import sys
 
 from ..errors import ConfigError
 from .commands import COMMANDS
-from .config import PRESETS, config_from_file, load_config, preset
+from .config import PRESETS, load_config, preset, read_config
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -40,10 +40,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def resolve_config(args: argparse.Namespace) -> dict:
+    """The raw config dict with the command-line overrides applied."""
     if args.config and args.preset:
         raise ConfigError("give either --config or --preset, not both")
     if args.config:
-        data = config_from_file(args.config).to_dict()
+        data = read_config(args.config)
     elif args.preset:
         data = preset(args.preset)
     else:
@@ -57,10 +58,11 @@ def resolve_config(args: argparse.Namespace) -> dict:
             data["p_values"] = [float(tok) for tok in args.p.split(",") if tok]
         except ValueError:
             raise ConfigError(f"cannot parse p list {args.p!r}", "p_values")
-    if args.fmt is not None:
-        data.setdefault("output", {})["format"] = args.fmt
-    if args.out is not None:
-        data.setdefault("output", {})["path"] = args.out
+    output = {key: value for key, value in (("format", args.fmt), ("path", args.out))
+              if value is not None}
+    current = data.get("output")
+    if output and (current is None or isinstance(current, dict)):  # else load_config rejects it
+        data["output"] = {**(current or {}), **output}
     return data
 
 

@@ -30,10 +30,10 @@ from .config import ExperimentConfig
 from .report import VerificationReport
 
 
-def _instance_terminals(config: ExperimentConfig, algebra):
+def _instance_terminals(config: ExperimentConfig):
     """Yield (instance, rng, terminal): the config's fixed terminal, or else
     the first draw from the instance's own stream."""
-    fixed = config.terminal_element(algebra)
+    fixed, algebra = config.fixed_terminal, config.filtration.algebra
     for i, rng in enumerate(spawn_generators(config.seed, config.instances)):
         yield i, rng, fixed if fixed is not None else random_element(algebra, rng, "general")
 
@@ -50,11 +50,10 @@ def _contained(report: VerificationReport, instance: int):
 def cmd_verify(config: ExperimentConfig) -> VerificationReport:
     """Run the full identity suite per instance."""
     t0 = time.perf_counter()
-    filtration = config.build_filtration()
     report = VerificationReport("verify", config.to_dict())
-    for i, rng, term in _instance_terminals(config, filtration.algebra):
+    for i, rng, term in _instance_terminals(config):
         with _contained(report, i):
-            report.records.extend(instance_checks(filtration, rng, i, terminal=term))
+            report.records.extend(instance_checks(config.filtration, rng, i, terminal=term))
     report.summarize()
     report.timing = {"seconds": time.perf_counter() - t0}
     return report
@@ -63,13 +62,12 @@ def cmd_verify(config: ExperimentConfig) -> VerificationReport:
 def cmd_ratios(config: ExperimentConfig) -> VerificationReport:
     """Sweep the square-function and dual Doob ratios over p_values."""
     t0 = time.perf_counter()
-    filtration = config.build_filtration()
     report = VerificationReport("ratios", config.to_dict())
     rows = []
-    grid = full_partition(filtration)
-    for i, rng, term in _instance_terminals(config, filtration.algebra):
+    grid = full_partition(config.filtration)
+    for i, rng, term in _instance_terminals(config):
         with _contained(report, i):
-            x = martingale_from_terminal(filtration, term, label="X")
+            x = martingale_from_terminal(config.filtration, term, label="X")
             for p in config.p_values:
                 try:
                     bg = bg_ratio(x, grid, p)
@@ -105,12 +103,11 @@ def cmd_ratios(config: ExperimentConfig) -> VerificationReport:
 def cmd_kolmogorov(config: ExperimentConfig) -> VerificationReport:
     """Emit uniform-bound projection certificates for both sides."""
     t0 = time.perf_counter()
-    filtration = config.build_filtration()
     report = VerificationReport("kolmogorov", config.to_dict())
     rows = []
-    for i, rng, term in _instance_terminals(config, filtration.algebra):
+    for i, rng, term in _instance_terminals(config):
         with _contained(report, i):
-            x = martingale_from_terminal(filtration, term, label="X")
+            x = martingale_from_terminal(config.filtration, term, label="X")
             if config.epsilon_mode == "fixed":
                 eps = config.epsilon_value
             else:
@@ -148,13 +145,12 @@ def cmd_kolmogorov(config: ExperimentConfig) -> VerificationReport:
 def cmd_refine(config: ExperimentConfig) -> VerificationReport:
     """Cauchy-decay tables along the partition chain plus gap diagnostics."""
     t0 = time.perf_counter()
-    filtration = config.build_filtration()
     report = VerificationReport("refine", config.to_dict())
-    chain = config.chain_indices(len(config.times))
+    chain = config.chain
     rows = []
-    for i, rng, term in _instance_terminals(config, filtration.algebra):
+    for i, rng, term in _instance_terminals(config):
         with _contained(report, i):
-            x = martingale_from_terminal(filtration, term, label="X")
+            x = martingale_from_terminal(config.filtration, term, label="X")
             decay = refinement_table(x, x, "left", chain)
             gaps = [naturality_gap(x, part) for part in chain]
             for lvl, (d, (g, _)) in enumerate(zip(decay, gaps)):

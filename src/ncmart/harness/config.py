@@ -10,37 +10,90 @@ from __future__ import annotations
 
 import copy
 import json
-from dataclasses import dataclass
+import math
+import numbers
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from ..algebra import AlgElement, TracialAlgebra
 from ..conditional import SubalgebraLevel
-from ..errors import ConfigError, IllConditionedBasisError, StructureError
+from ..errors import ConfigError
+from ..integrals import nested_chain
 from ..processes import Filtration, TimeGrid
 
 SPEC_VERSION = 1
 
 OUTPUT_FORMATS = ("json", "csv")
 EPSILON_MODES = ("fixed", "percentile")
+TERMINAL_KINDS = ("random", "fixed")
 
 
-def decode_matrix(obj, field_path: str) -> np.ndarray:
-    if not isinstance(obj, dict) or "real" not in obj:
-        raise ConfigError("matrix must be an object with a 'real' key", field_path)
+def _at(path: str, build, *args):
+    """``build(*args)``; a TypeError, ValueError or OverflowError it raises (the
+    library's StructureError, DomainError and IllConditionedBasisError are
+    ValueErrors) becomes a ConfigError naming ``path``."""
     try:
-        real = np.array(obj["real"], dtype=float)
-        imag = np.array(obj.get("imag", np.zeros_like(real)), dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad matrix data: {exc}", field_path)
+        return build(*args)
+    except ConfigError:
+        raise
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(str(exc), path)
+
+
+def _number(value) -> float:
+    """A finite JSON number; booleans are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"expected a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"{value!r} is not finite")
+    return float(value)
+
+
+def _integer(value, minimum: int | None = None) -> int:
+    """A whole number (an integer, or an integral float such as 25.0), at least ``minimum``."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        number = int(value)
+    elif _number(value).is_integer():
+        number = int(value)
+    else:
+        raise ValueError(f"{value!r} is not a whole number")
+    if minimum is not None and number < minimum:
+        raise ValueError(f"must be at least {minimum}, got {number}")
+    return number
+
+
+def _each(path: str, values, convert) -> tuple:
+    """Convert every entry of a JSON list; a bad entry is named by its index."""
+    if not isinstance(values, (list, tuple)):
+        raise ConfigError(f"expected a list, got {values!r}", path)
+    return tuple(_at(f"{path}[{i}]", convert, v) for i, v in enumerate(values))
+
+
+def decode_matrix(obj) -> np.ndarray:
+    """A complex matrix from ``{"real": [[...]], "imag": [[...]]}``."""
+    if not isinstance(obj, dict) or "real" not in obj:
+        raise ValueError("matrix must be an object with a 'real' key")
+    real = np.array(obj["real"], dtype=float)
+    imag = np.array(obj.get("imag", np.zeros_like(real)), dtype=float)
     if real.ndim != 2 or real.shape != imag.shape:
-        raise ConfigError(f"matrix parts must be equal-shape 2-d arrays", field_path)
+        raise ValueError("matrix parts must be equal-shape 2-d arrays")
+    if not (np.isfinite(real).all() and np.isfinite(imag).all()):
+        raise ValueError("matrix entries must be finite")
     return real + 1j * imag
+
+
+def _decode_element(algebra: TracialAlgebra, mats, path: str) -> AlgElement:
+    """An element from its list of encoded block matrices."""
+    return _at(path, AlgElement, algebra, _each(path, mats, decode_matrix))
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A validated config.  Construction builds the filtration once, decodes
+    the fixed terminal and resolves the partition chain; commands read these
+    three from the config and never rebuild them."""
     block_dims: tuple[int, ...]
     block_weights: tuple[float, ...] | None
     times: tuple[float, ...]
@@ -54,14 +107,25 @@ class ExperimentConfig:
     terminal: dict | None = None
     output_path: str | None = None
     output_format: str = "json"
-    spec_version: int = SPEC_VERSION
+    filtration: Filtration = field(init=False, compare=False, repr=False)
+    fixed_terminal: AlgElement | None = field(init=False, compare=False, repr=False)
+    chain: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        filtration = self.build_filtration()
+        n = len(filtration.grid)
+        chain = midpoint_chain(n) if self.partition_chain == "midpoint" else self.partition_chain
+        object.__setattr__(self, "filtration", filtration)
+        object.__setattr__(self, "fixed_terminal",
+                           _decode_terminal(filtration.algebra, self.terminal))
+        object.__setattr__(self, "chain", tuple(_at("partition_chain", nested_chain, n, chain)))
 
     def to_dict(self) -> dict:
         chain = self.partition_chain
         if not isinstance(chain, str):
             chain = [list(c) for c in chain]
         return {
-            "spec_version": self.spec_version,
+            "spec_version": SPEC_VERSION,
             "algebra": {
                 "block_dims": list(self.block_dims),
                 "block_weights": None if self.block_weights is None else list(self.block_weights),
@@ -77,61 +141,12 @@ class ExperimentConfig:
             "output": {"path": self.output_path, "format": self.output_format},
         }
 
-    # -- builders ---------------------------------------------------------
-
-    def build_algebra(self) -> TracialAlgebra:
-        try:
-            return TracialAlgebra(self.block_dims, self.block_weights)
-        except StructureError as exc:
-            raise ConfigError(str(exc), "algebra")
-
     def build_filtration(self) -> Filtration:
-        algebra = self.build_algebra()
-        levels = []
-        for k, desc in enumerate(self.levels):
-            levels.append(_build_level(algebra, desc, f"levels[{k}]"))
-        try:
-            grid = TimeGrid(self.times)
-        except StructureError as exc:
-            raise ConfigError(str(exc), "times")
-        try:
-            return Filtration(grid, levels)
-        except StructureError as exc:
-            raise ConfigError(str(exc), "levels")
-
-    def terminal_element(self, algebra: TracialAlgebra) -> AlgElement | None:
-        """The fixed terminal element, or None when instances are random."""
-        if self.terminal is None or self.terminal.get("kind", "random") == "random":
-            return None
-        mats = self.terminal.get("blocks")
-        if mats is None:
-            raise ConfigError("fixed terminal requires 'blocks'", "terminal")
-        blocks = [decode_matrix(m, f"terminal.blocks[{i}]") for i, m in enumerate(mats)]
-        try:
-            return AlgElement(algebra, blocks)
-        except StructureError as exc:
-            raise ConfigError(str(exc), "terminal.blocks")
-
-    def chain_indices(self, n_times: int) -> list[tuple[int, ...]]:
-        """The nested partition chain, resolving the 'midpoint' shorthand."""
-        if isinstance(self.partition_chain, str):
-            if self.partition_chain != "midpoint":
-                raise ConfigError(
-                    f"unknown partition_chain {self.partition_chain!r}", "partition_chain")
-            return midpoint_chain(n_times)
-        chain = [tuple(int(i) for i in c) for c in self.partition_chain]
-        for i, part in enumerate(chain):
-            bad = (len(part) < 2
-                   or any(k < 0 or k >= n_times for k in part)
-                   or any(b <= a for a, b in zip(part, part[1:])))
-            if bad:
-                raise ConfigError(f"chain level {i} is not a valid partition: {list(part)}",
-                                  "partition_chain")
-        for i, (a, b) in enumerate(zip(chain, chain[1:])):
-            if not set(a) <= set(b):
-                raise ConfigError(f"chain level {i} is not a subset of level {i + 1}",
-                                  "partition_chain")
-        return chain
+        """A new filtration from the algebra, level and time fields."""
+        algebra = _at("algebra", TracialAlgebra, self.block_dims, self.block_weights)
+        levels = [_at(f"levels[{k}]", _build_level, algebra, desc, f"levels[{k}]")
+                  for k, desc in enumerate(self.levels)]
+        return _at("levels", Filtration, _at("times", TimeGrid, self.times), levels)
 
 
 def midpoint_chain(n_times: int) -> list[tuple[int, ...]]:
@@ -150,122 +165,104 @@ def midpoint_chain(n_times: int) -> list[tuple[int, ...]]:
     return chain
 
 
-def _build_level(algebra: TracialAlgebra, desc, field_path: str) -> SubalgebraLevel:
+def _build_level(algebra: TracialAlgebra, desc, path: str) -> SubalgebraLevel:
+    """The level a descriptor names; SubalgebraLevel validates kind, groups and basis."""
     if not isinstance(desc, dict) or "kind" not in desc:
-        raise ConfigError("level descriptor must be an object with a 'kind'", field_path)
-    kind = desc["kind"]
-    try:
-        if kind == "scalars":
-            return SubalgebraLevel.scalars(algebra)
-        if kind in ("block_scalar", "block_full"):
-            groups = desc.get("groups")
-            if groups is None:
-                raise ConfigError(f"{kind} level requires 'groups'", field_path)
-            ctor = SubalgebraLevel.block_scalar if kind == "block_scalar" \
-                else SubalgebraLevel.block_full
-            return ctor(algebra, groups)
-        if kind == "general":
-            mats = desc.get("basis")
-            if not mats:
-                raise ConfigError("general level requires a nonempty 'basis'", field_path)
-            basis = []
-            for i, entry in enumerate(mats):
-                if not isinstance(entry, list):
-                    raise ConfigError("basis element must be a list of block matrices",
-                                      f"{field_path}.basis[{i}]")
-                blocks = [decode_matrix(m, f"{field_path}.basis[{i}][{b}]")
-                          for b, m in enumerate(entry)]
-                basis.append(AlgElement(algebra, blocks))
-            return SubalgebraLevel.general(algebra, basis)
-    except (StructureError, IllConditionedBasisError) as exc:
-        raise ConfigError(str(exc), field_path)
-    raise ConfigError(f"unknown level kind {kind!r}", field_path)
+        raise ValueError("level descriptor must be an object with a 'kind'")
+    basis = desc.get("basis")
+    if basis is not None:
+        basis = [_decode_element(algebra, m, f"{path}.basis[{i}]")
+                 for i, m in enumerate(_each(f"{path}.basis", basis, lambda m: m))]
+    return SubalgebraLevel(algebra, desc["kind"], desc.get("groups"), basis)
+
+
+def _decode_terminal(algebra: TracialAlgebra, terminal) -> AlgElement | None:
+    """The fixed terminal element, or None when instances draw random ones."""
+    if terminal is None:
+        return None
+    if not isinstance(terminal, dict):
+        raise ConfigError("terminal must be an object", "terminal")
+    kind = terminal.get("kind", "random")
+    if kind not in TERMINAL_KINDS:
+        raise ConfigError(f"kind must be one of {TERMINAL_KINDS}", "terminal.kind")
+    return None if kind == "random" else \
+        _decode_element(algebra, terminal.get("blocks"), "terminal.blocks")
 
 
 def load_config(data: dict) -> ExperimentConfig:
     """Parse and validate a raw config dict; errors carry the field path."""
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
-    version = data.get("spec_version", SPEC_VERSION)
-    if version != SPEC_VERSION:
-        raise ConfigError(f"unsupported spec_version {version}", "spec_version")
+    if _at("spec_version", _integer, data.get("spec_version", SPEC_VERSION)) != SPEC_VERSION:
+        raise ConfigError(f"unsupported spec_version {data['spec_version']!r}", "spec_version")
 
     alg = data.get("algebra")
     if not isinstance(alg, dict) or "block_dims" not in alg:
         raise ConfigError("missing algebra.block_dims", "algebra")
-    dims = tuple(int(n) for n in alg["block_dims"])
     weights = alg.get("block_weights")
-    weights = None if weights is None else tuple(float(w) for w in weights)
+    if weights is not None:
+        weights = _each("algebra.block_weights", weights, _number)
 
-    times = data.get("times")
-    if not isinstance(times, list) or len(times) < 2:
-        raise ConfigError("times must list at least two grid points", "times")
-
-    levels = data.get("levels")
-    if not isinstance(levels, list) or not levels:
-        raise ConfigError("levels must be a nonempty list", "levels")
-    if len(levels) != len(times):
-        raise ConfigError(f"{len(levels)} levels for {len(times)} times", "levels")
-
-    instances = int(data.get("instances", 25))
-    if instances < 1:
-        raise ConfigError("instances must be positive", "instances")
-
-    p_values = tuple(float(p) for p in data.get("p_values", [3.0, 4.0, 8.0]))
-    if not p_values:
-        raise ConfigError("p_values must not be empty", "p_values")
-    if any(p < 2 for p in p_values):
-        raise ConfigError("p_values must all be >= 2", "p_values")
+    p_values = _each("p_values", data.get("p_values", [3.0, 4.0, 8.0]), _number)
+    if not p_values or any(p < 2 for p in p_values):
+        raise ConfigError("p_values must be a nonempty list of numbers >= 2", "p_values")
 
     eps = data.get("epsilon", {"mode": "percentile", "value": 30.0})
     if not isinstance(eps, dict) or eps.get("mode") not in EPSILON_MODES:
         raise ConfigError(f"epsilon.mode must be one of {EPSILON_MODES}", "epsilon")
-    eps_value = float(eps.get("value", 30.0))
+    eps_value = _at("epsilon.value", _number, eps.get("value", 30.0))
     if eps["mode"] == "fixed" and eps_value <= 0:
         raise ConfigError("fixed epsilon must be positive", "epsilon.value")
     if eps["mode"] == "percentile" and not 0 <= eps_value <= 100:
         raise ConfigError("percentile must lie in [0, 100]", "epsilon.value")
 
     chain = data.get("partition_chain", "midpoint")
-    if not isinstance(chain, str):
-        chain = tuple(tuple(int(i) for i in c) for c in chain)
+    if chain != "midpoint":
+        if not isinstance(chain, (list, tuple)):
+            raise ConfigError("must be 'midpoint' or a list of index lists", "partition_chain")
+        chain = tuple(_each(f"partition_chain[{i}]", c, _integer) for i, c in enumerate(chain))
 
-    output = data.get("output", {}) or {}
-    out_format = output.get("format", "json")
-    if out_format not in OUTPUT_FORMATS:
+    output = {} if data.get("output") is None else data["output"]
+    if not isinstance(output, dict):
+        raise ConfigError("output must be an object", "output")
+    if not isinstance(output.get("path"), (str, type(None))):
+        raise ConfigError("path must be a string", "output.path")
+    if output.get("format", "json") not in OUTPUT_FORMATS:
         raise ConfigError(f"format must be one of {OUTPUT_FORMATS}", "output.format")
 
-    cfg = ExperimentConfig(
-        block_dims=dims,
+    return ExperimentConfig(
+        block_dims=_each("algebra.block_dims", alg["block_dims"], _integer),
         block_weights=weights,
-        times=tuple(float(t) for t in times),
-        levels=tuple(copy.deepcopy(lv) for lv in levels),
-        seed=int(data.get("seed", 0)),
-        instances=instances,
+        times=_each("times", data.get("times"), _number),
+        levels=_each("levels", data.get("levels"), copy.deepcopy),
+        seed=_at("seed", _integer, data.get("seed", 0), 0),
+        instances=_at("instances", _integer, data.get("instances", 25), 1),
         p_values=p_values,
         epsilon_mode=eps["mode"],
         epsilon_value=eps_value,
         partition_chain=chain,
         terminal=copy.deepcopy(data.get("terminal")),
         output_path=output.get("path"),
-        output_format=out_format,
+        output_format=output.get("format", "json"),
     )
-    # surface structural problems (bad groups, non-increasing levels) now
-    cfg.build_filtration()
-    cfg.terminal_element(cfg.build_algebra())
-    cfg.chain_indices(len(cfg.times))
-    return cfg
 
 
-def config_from_file(path: str | Path) -> ExperimentConfig:
+def read_config(path: str | Path) -> dict:
+    """The raw JSON object of a config file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}")
-    return load_config(data)
+    if not isinstance(data, dict):
+        raise ConfigError("config must be a JSON object")
+    return data
+
+
+def config_from_file(path: str | Path) -> ExperimentConfig:
+    return load_config(read_config(path))
 
 
 # -- presets ---------------------------------------------------------------

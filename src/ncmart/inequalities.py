@@ -22,8 +22,8 @@ from .algebra import (AlgElement, Projection, loewner_psd, lp_norm, proj_meet, p
                       spectral_projection, trace)
 from .errors import DomainError, UndefinedRatioError
 from .integrals import SIDES
-from .processes import AdaptedProcess, as_partition, is_martingale
-from .tolerances import DENOMINATOR_FLOOR, EPSILON_FLOOR, MARTINGALE_TOL, POSITIVITY_TOL
+from .processes import AdaptedProcess, as_partition, require_martingale
+from .tolerances import DENOMINATOR_FLOOR, EPSILON_FLOOR, POSITIVITY_TOL
 
 MODULUS_SIDES = ("left", "right", "weak")
 
@@ -118,9 +118,7 @@ def kolmogorov_projection(x: AdaptedProcess, epsilon: float, side: str) -> Proje
         raise DomainError(f"side must be one of {SIDES}, got {side!r}")
     if epsilon <= 0:
         raise DomainError(f"epsilon must be positive, got {epsilon}")
-    ok, res = is_martingale(x, MARTINGALE_TOL)
-    if not ok:
-        raise DomainError(f"certificate needs a martingale (residual {res:.2e})")
+    require_martingale(x, "certificate")
 
     steps = x.values[1:]
     if not steps:

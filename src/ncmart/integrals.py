@@ -15,8 +15,7 @@ from typing import Iterable, Sequence
 
 from .algebra import AlgElement, lp_norm
 from .errors import DomainError, StructureError
-from .processes import AdaptedProcess, as_partition, full_partition, is_martingale
-from .tolerances import MARTINGALE_TOL
+from .processes import AdaptedProcess, as_partition, full_partition, require_martingale
 
 SIDES = ("left", "right")
 
@@ -62,16 +61,13 @@ def integral_process(x: AdaptedProcess, f: AdaptedProcess, side: str,
                      label: str = "") -> AdaptedProcess:
     """Partial integral sums over the full grid, as an adapted process.
 
-    The integrator must pass the martingale check at ``MARTINGALE_TOL``;
-    the resulting process is then itself a martingale (a property the
-    tests verify).
+    The integrator must pass :func:`require_martingale`; the resulting
+    process is then itself a martingale (a property the tests verify).
     """
     _check_pair(x, f)
     if side not in SIDES:
         raise DomainError(f"side must be one of {SIDES}, got {side!r}")
-    ok, res = is_martingale(x, MARTINGALE_TOL)
-    if not ok:
-        raise DomainError(f"integrator fails the martingale check (residual {res:.2e})")
+    require_martingale(x, "integrator")
     values = [x.filtration.algebra.zero()]
     for k in range(1, len(x.values)):
         dx = x.values[k] - x.values[k - 1]
@@ -85,6 +81,17 @@ def integrand_bound(f: AdaptedProcess) -> float:
     return max(lp_norm(v, math.inf) for v in f.values)
 
 
+def nested_chain(n_times: int, chain: Sequence[Iterable[int]]) -> list[tuple[int, ...]]:
+    """Validate a nonempty chain of partitions, each contained in the next."""
+    parts = [as_partition(n_times, c) for c in chain]
+    if not parts:
+        raise DomainError("empty partition chain")
+    for a, b in zip(parts, parts[1:]):
+        if not set(a) <= set(b):
+            raise DomainError(f"partition chain is not nested: {a} is not a subset of {b}")
+    return parts
+
+
 def refinement_table(x: AdaptedProcess, f: AdaptedProcess, side: str,
                      chain: Sequence[Iterable[int]]) -> list[float]:
     """Cauchy-decay diagnostics along a nested partition chain.
@@ -94,13 +101,7 @@ def refinement_table(x: AdaptedProcess, f: AdaptedProcess, side: str,
     target, so the last entry measures the distance to the finest sum and
     vanishes once the chain reaches it.
     """
-    n = len(x.values)
-    parts = [as_partition(n, c) for c in chain]
-    if not parts:
-        raise DomainError("empty partition chain")
-    for a, b in zip(parts, parts[1:]):
-        if not set(a) <= set(b):
-            raise DomainError(f"partition chain is not nested: {a} is not a subset of {b}")
+    parts = nested_chain(len(x.values), chain)
     parts.append(full_partition(x))
     sums = [_sum(x, f, p, side).value for p in parts]
     return [lp_norm(b - a, 2) for a, b in zip(sums, sums[1:])]

@@ -14,7 +14,7 @@ import numpy as np
 from .algebra import AlgElement, TracialAlgebra, abs2, lp_norm, min_eigenvalue
 from .conditional import SubalgebraLevel
 from .errors import DomainError, StructureError
-from .tolerances import ADAPTED_TOL, LOEWNER_HERMITIAN_TOL
+from .tolerances import ADAPTED_TOL, LOEWNER_HERMITIAN_TOL, MARTINGALE_TOL
 
 
 class CheckResult(NamedTuple):
@@ -195,6 +195,13 @@ def is_martingale(p: AdaptedProcess, tol: float) -> CheckResult:
     """Whether E_s X(t) == X(s) holds for all s <= t, with the max residual."""
     res = p.martingale_residual()
     return CheckResult(res <= tol, res)
+
+
+def require_martingale(p: AdaptedProcess, what: str) -> None:
+    """Raise DomainError unless ``p`` is a martingale to within ``MARTINGALE_TOL``."""
+    ok, res = is_martingale(p, MARTINGALE_TOL)
+    if not ok:
+        raise DomainError(f"{what} needs a martingale (residual {res:.2e})")
 
 
 def submartingale_abs2_defect(p: AdaptedProcess) -> float:

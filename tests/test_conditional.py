@@ -179,6 +179,13 @@ class TestValidation:
         with pytest.raises(nc.StructureError):
             Level.block_full(m2, [[[0]]])  # not covering
 
+    @pytest.mark.parametrize("groups", [5, [[5]], [[["a"]]], [[[0.0], [1]]], "ab"])
+    def test_groups_that_are_not_integer_lists_rejected(self, m2, groups):
+        with pytest.raises(nc.StructureError):
+            Level.block_full(m2, groups)
+        with pytest.raises(nc.StructureError):
+            Level.block_scalar(m2, groups)
+
     def test_level_dim(self, m23):
         assert Level.scalars(m23).dim == 1
         assert Level.block_scalar(m23, [[[0, 1]], [[0, 1, 2]]]).dim == 2

@@ -8,10 +8,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ncmart as nc
-from ncmart.harness import (cmd_kolmogorov, cmd_ratios, cmd_refine, cmd_verify,
-                            load_config, midpoint_chain, preset)
+from ncmart.harness import (ExperimentConfig, cmd_kolmogorov, cmd_ratios, cmd_refine,
+                            cmd_verify, load_config, midpoint_chain, preset)
 from ncmart.harness import commands
 from ncmart.harness.cli import main
 
@@ -85,6 +87,111 @@ class TestConfigValidation:
             assert chain[-1] == tuple(range(n))
             for a, b in zip(chain, chain[1:]):
                 assert set(a) <= set(b)
+
+
+def with_value(path, value):
+    """The m2-worked-example preset with the entry at ``path`` set to ``value``."""
+    data = preset("m2-worked-example")
+    target = data
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return data
+
+
+# (path into the preset, malformed value, field the ConfigError must name)
+MALFORMED = [
+    (("algebra", "block_dims"), ["a"], "algebra.block_dims[0]"),
+    (("instances",), "x", "instances"),
+    (("instances",), 2.7, "instances"),
+    (("seed",), 1.5, "seed"),
+    (("seed",), -1, "seed"),
+    (("times",), ["a", 1.0, 2.0], "times[0]"),
+    (("algebra", "block_weights"), ["x"], "algebra.block_weights[0]"),
+    (("partition_chain",), [["a"]], "partition_chain[0][0]"),
+    (("levels", 1, "groups"), 5, "levels[1]"),
+    (("output",), "x", "output"),
+    (("terminal",), "x", "terminal"),
+    (("p_values",), [math.nan], "p_values[0]"),
+    (("epsilon", "value"), math.nan, "epsilon.value"),
+    (("terminal", "blocks", 0, "real", 0, 1), math.nan, "terminal.blocks[0]"),
+]
+
+JSON_KEYS = st.text(max_size=6) | st.sampled_from(
+    ["kind", "groups", "basis", "blocks", "real", "imag", "mode", "value", "path", "format",
+     "block_dims", "block_weights"])
+# small integers only, so that no draw asks for a huge algebra or sweep
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-16, 16) | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(JSON_KEYS, inner, max_size=4),
+    max_leaves=16)
+FUZZED_PATHS = ([(key,) for key in [*preset("m2-worked-example"), "output"]]
+                + [("algebra", "block_dims"), ("algebra", "block_weights"),
+                   ("epsilon", "value"), ("terminal", "blocks")])
+
+
+class TestMalformedConfig:
+    """Every malformed value is a ConfigError naming its field, and exit code 2."""
+
+    @pytest.mark.parametrize("path, value, field", MALFORMED,
+                             ids=[f"{'.'.join(map(str, p))}={v!r}" for p, v, _ in MALFORMED])
+    def test_config_error_names_the_field(self, tmp_path, capsys, path, value, field):
+        data = with_value(path, value)
+        with pytest.raises(nc.ConfigError) as err:
+            load_config(data)
+        assert err.value.field == field
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(data))
+        assert main(["verify", "--config", str(cfg)]) == 2
+        assert f"config error: {field}: " in capsys.readouterr().err
+
+    def test_negative_seed_override_is_exit_two(self, capsys):
+        assert main(["verify", "--preset", "m2-worked-example", "--seed", "-1"]) == 2
+        assert "seed" in capsys.readouterr().err
+
+    def test_integral_floats_load_as_integers(self):
+        cfg = load_config(m2_config(seed=5.0, instances=2.0, partition_chain=[[0.0, 2.0]]))
+        assert (cfg.seed, cfg.instances, cfg.chain) == (5, 2, ((0, 2),))
+        assert type(cfg.seed) is int and type(cfg.instances) is int
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(path=st.sampled_from(FUZZED_PATHS), value=JSON_VALUES)
+    def test_any_json_value_loads_or_names_its_field(self, path, value):
+        try:
+            load_config(with_value(path, value))
+        except nc.ConfigError as err:
+            assert err.field
+
+
+class TestParseOnce:
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+        real = ExperimentConfig.build_filtration
+
+        def counting(self):
+            calls.append(None)
+            return real(self)
+        monkeypatch.setattr(ExperimentConfig, "build_filtration", counting)
+        return calls
+
+    def test_config_file_run_builds_the_filtration_once(self, tmp_path, builds):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(preset("m2-worked-example")))
+        assert main(["refine", "--config", str(cfg), "--out", str(tmp_path / "r.json")]) == 0
+        assert len(builds) == 1
+
+    def test_preset_run_builds_the_filtration_once(self, tmp_path, builds):
+        assert main(["verify", "--preset", "m2-worked-example",
+                     "--out", str(tmp_path / "r.json")]) == 0
+        assert len(builds) == 1
+
+    def test_commands_read_the_built_fields(self):
+        cfg = load_config(m2_config(partition_chain=[[0, 2], [0, 1, 2]]))
+        assert cfg.chain == ((0, 2), (0, 1, 2))
+        assert cfg.fixed_terminal.blocks[0][0, 1] == 1.0
+        assert cfg.filtration.algebra.block_dims == (2,)
+        assert cfg == load_config(cfg.to_dict())  # derived fields take no part in equality
 
 
 class TestCommands:
