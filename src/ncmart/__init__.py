@@ -8,7 +8,7 @@ and the inequality constants estimated by seeded sweeps.
 
 from .algebra import (AlgElement, Projection, TracialAlgebra, abs2, hermitian_apply,
                       hermiticity_defect, loewner_psd, lp_norm, min_eigenvalue,
-                      proj_meet, psd_sqrt, spectral_projection, trace)
+                      proj_meet, psd_sqrt, spectral_projection, stack, trace)
 from .conditional import SubalgebraLevel, expect_chain
 from .doob_meyer import (Decomposition, bracket_via_integrals, compensator,
                          cross_variation, doob_meyer_decompose, naturality_gap,
@@ -19,7 +19,7 @@ from .errors import (ConfigError, DomainError, IdentityViolation,
 from .inequalities import (ChebyshevCertificate, ProjectionCertificate, bg_ratio,
                            chebyshev_projection, dual_doob_ratio,
                            epsilon_from_percentile, kolmogorov_projection,
-                           segal_modulus)
+                           segal_modulus, square_function_ratios)
 from .integrals import (IntegralSum, integral_process, integrand_bound, left_sum,
                         refinement_table, right_sum)
 from .processes import (AdaptedProcess, CheckResult, Filtration, TimeGrid,
@@ -44,5 +44,6 @@ __all__ = [
     "min_eigenvalue", "naturality_gap", "naturality_pairing", "proj_meet", "psd_sqrt",
     "quadratic_variation_sum", "random_element", "refine_times", "refined_filtration",
     "refinement_table", "right_sum", "segal_modulus", "spawn_generators",
-    "spectral_projection", "submartingale_abs2_defect", "trace", "uniqueness_residual",
+    "spectral_projection", "square_function_ratios", "stack", "submartingale_abs2_defect",
+    "trace", "uniqueness_residual",
 ]

@@ -10,10 +10,20 @@ is faithful whenever every weight is positive.  This module provides the
 element arithmetic, Schatten-type p-norms, Hermitian functional calculus,
 spectral projections and the projection-lattice meet that everything else
 is built on.
+
+An element may also be a *stack* of N elements: each block is then an
+array of shape ``(N, n_b, n_b)`` instead of ``(n_b, n_b)``.  Arithmetic,
+:func:`trace`, :func:`lp_norm`, :func:`hermiticity_defect`,
+:func:`hermitian_apply` and :func:`psd_sqrt` run the same code on both,
+acting on every element of a stack at once, so one element is the N = 1
+case of a stack and not a second implementation.  On a stack, the scalar
+results are arrays of shape ``(N,)``; a failed precondition of any stacked
+element raises for the whole stack.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from typing import Callable, Iterable, Sequence
@@ -91,22 +101,27 @@ class AlgElement:
 
     Immutable after construction; all arithmetic returns new elements.
     ``@`` is the algebra product, ``*`` is reserved for scalars.  Spectral
-    data (singular values, Hermiticity defect, eigendecomposition, square
-    root) is computed on first use and kept for the element's lifetime.
+    data (singular values, eigendecomposition, square root) is computed on
+    first use and kept for the element's lifetime.  Blocks of shape
+    ``(N, n_b, n_b)`` make a stack of N elements (see the module notes);
+    arithmetic between a stack and one element broadcasts.
     """
 
     __slots__ = ("algebra", "blocks", "_spectral")
 
     def __init__(self, algebra: TracialAlgebra, blocks: Iterable[np.ndarray]):
-        mats = []
+        dims = algebra.block_dims
         blocks = list(blocks)
-        if len(blocks) != algebra.nblocks:
-            raise StructureError(
-                f"expected {algebra.nblocks} blocks, got {len(blocks)}")
-        for n, b in zip(algebra.block_dims, blocks):
+        if len(blocks) != len(dims):
+            raise StructureError(f"expected {len(dims)} blocks, got {len(blocks)}")
+        mats = []
+        lead = None  # the stack shape, which every block shares
+        for n, b in zip(dims, blocks):
             m = np.array(b, dtype=complex, order="C")
-            if m.shape != (n, n):
-                raise StructureError(f"block of shape {m.shape} does not match size {n}")
+            if lead is None:
+                lead = m.shape[:-2]
+            if m.shape != (*lead, n, n):
+                raise StructureError(f"block of shape {m.shape} is not of shape {(*lead, n, n)}")
             m.setflags(write=False)
             mats.append(m)
         _set_algebra(self, algebra)
@@ -120,7 +135,7 @@ class AlgElement:
         return self.blocks[b]
 
     def adjoint(self) -> "AlgElement":
-        return AlgElement(self.algebra, [m.conj().T for m in self.blocks])
+        return AlgElement(self.algebra, [_adj(m) for m in self.blocks])
 
     def __add__(self, other: "AlgElement") -> "AlgElement":
         _check_same_algebra(self, other)
@@ -172,11 +187,13 @@ class Projection:
     __slots__ = ("element",)
 
     def __init__(self, element: AlgElement):
-        sym = hermiticity_defect(element)
-        idem = lp_norm(element @ element - element, math.inf)
-        if sym > PROJECTION_TOL or idem > PROJECTION_TOL:
-            raise DomainError(
-                f"not a projection: hermiticity defect {sym:.2e}, idempotency defect {idem:.2e}")
+        skew = _skew(element)
+        idem = [m @ m - m for m in element.blocks]
+        if not (_within(skew, PROJECTION_TOL) and _within(idem, PROJECTION_TOL)):
+            sym = hermiticity_defect(element)
+            idem_norm = lp_norm(AlgElement(element.algebra, idem), math.inf)
+            raise DomainError(f"not a projection: hermiticity defect {sym:.2e}, "
+                              f"idempotency defect {idem_norm:.2e}")
         object.__setattr__(self, "element", element)
 
     def __setattr__(self, name, value):
@@ -198,11 +215,66 @@ def _check_same_algebra(x: AlgElement, y: AlgElement) -> None:
         raise StructureError("elements belong to different algebras")
 
 
+# -- block kernels ------------------------------------------------------------
+# Each takes blocks of shape (..., n, n) and keeps the leading shape, so one
+# element and a stack run the same code.  Stacked matmul, svd and eigh agree
+# with per-matrix calls bit for bit; the comments mark where a vectorized form
+# would not.
+
+def _adj(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of every matrix of a block."""
+    return m.conj().swapaxes(-1, -2)
+
+
+def _skew(x: AlgElement) -> list[np.ndarray]:
+    """The blocks of x - x*."""
+    return [m - _adj(m) for m in x.blocks]
+
+
+def _each(a: np.ndarray, fn: Callable | None = None):
+    """A kernel's result with ``fn`` (a function of one Python number)
+    applied per element: a Python number for one element (``a`` of shape
+    ``()``), an array for a stack.  Per element, so a stacked element goes
+    through the very float operations it would go through alone."""
+    if a.ndim == 0:
+        v = a.item()
+        return v if fn is None else fn(v)
+    return a if fn is None else np.array([fn(v) for v in a.ravel().tolist()]).reshape(a.shape)
+
+
+def _within(mats: Sequence[np.ndarray], tol: float) -> bool:
+    """Whether every matrix of the blocks ``mats`` has operator norm <= tol.
+
+    A matrix whose Frobenius norm is at most tol/2 passes at once, since
+    ||d||_op <= ||d||_F; only the others need an SVD.  The verdict is that
+    of the exact operator norm: the half keeps the rounding of the two
+    norms from deciding.
+    """
+    for d in mats:
+        beyond = ~(_vdots(d) <= tol * tol / 4)  # NaN falls through to the SVD
+        if beyond.any() and np.linalg.svd(d[beyond], compute_uv=False)[:, 0].max() > tol:
+            return False
+    return True
+
+
+def _vdots(m: np.ndarray) -> np.ndarray:
+    """tr(a* a) of every matrix a of a block, by one np.vdot per matrix (a
+    stacked einsum rounds differently in the last bit)."""
+    if m.ndim == 2:  # a single matrix
+        return np.vdot(m, m).real
+    n = m.shape[-1]
+    return np.array([np.vdot(a, a).real for a in m.reshape(-1, n * n)]).reshape(m.shape[:-2])
+
+
+def _tau(x: AlgElement):
+    alg = x.algebra
+    return sum(w * np.trace(m, axis1=-2, axis2=-1) / n
+               for w, n, m in zip(alg.block_weights, alg.block_dims, x.blocks))
+
+
 def trace(x: AlgElement) -> complex:
     """Normalized trace tau(x) = sum_b w_b tr(x_b)/n_b."""
-    alg = x.algebra
-    return complex(sum(w * np.trace(m) / n
-                       for w, n, m in zip(alg.block_weights, alg.block_dims, x.blocks)))
+    return _each(_tau(x))
 
 
 def _spectral(x: AlgElement) -> dict:
@@ -233,17 +305,9 @@ def _singular_values(x: AlgElement) -> tuple[np.ndarray, ...]:
 
 
 def hermiticity_defect(x: AlgElement) -> float:
-    """Operator norm of x - x* (memoized)."""
-    memo = _spectral(x)
-    if "defect" not in memo:
-        memo["defect"] = max(_opnorm(m - m.conj().T) for m in x.blocks)
-    return memo["defect"]
-
-
-def _opnorm(m: np.ndarray) -> float:
-    if m.size == 0:
-        return 0.0
-    return float(np.linalg.svd(m, compute_uv=False)[0])
+    """Operator norm of x - x*."""
+    return _each(functools.reduce(
+        np.maximum, [np.linalg.svd(d, compute_uv=False)[..., 0] for d in _skew(x)]))
 
 
 def lp_norm(x: AlgElement, p: float) -> float:
@@ -255,17 +319,21 @@ def lp_norm(x: AlgElement, p: float) -> float:
     if p != math.inf and p < 1:
         raise DomainError(f"p must be >= 1 or inf, got {p}")
     if p == math.inf:
-        return max(float(s[0]) for s in _singular_values(x))
+        return _each(functools.reduce(np.maximum, [s[..., 0] for s in _singular_values(x)]))
     alg = x.algebra
     if p == 2:
         # tau(x* x) as a weighted Frobenius mean; same value, no SVD needed
-        val = sum(w * np.vdot(m, m).real / n
+        val = sum(w * _vdots(m) / n
                   for w, n, m in zip(alg.block_weights, alg.block_dims, x.blocks))
-        return math.sqrt(max(val, 0.0))
-    total = 0.0
-    for w, n, s in zip(alg.block_weights, alg.block_dims, _singular_values(x)):
-        total += w * float(np.sum(s ** p)) / n
-    return total ** (1.0 / p)
+        return _each(val, _sqrt)
+    total = sum(w * np.sum(s ** p, axis=-1) / n
+                for w, n, s in zip(alg.block_weights, alg.block_dims, _singular_values(x)))
+    # a Python float power: NumPy's array power can differ from libm's by one ulp
+    return _each(total, lambda t: t ** (1.0 / p))
+
+
+def _sqrt(v: float) -> float:
+    return math.sqrt(max(v, 0.0))
 
 
 def abs2(x: AlgElement) -> AlgElement:
@@ -274,10 +342,13 @@ def abs2(x: AlgElement) -> AlgElement:
 
 
 def _hermitian_eigh(x: AlgElement, tol: float):
-    defect = hermiticity_defect(x)
-    if defect > tol:
-        raise DomainError(f"element is not Hermitian within {tol:g} (defect {defect:.2e})")
     memo = _spectral(x)
+    gate = ("gate", tol)
+    if gate not in memo:
+        if not _within(_skew(x), tol):
+            raise DomainError(f"element is not Hermitian within {tol:g} "
+                              f"(defect {np.max(hermiticity_defect(x)):.2e})")
+        memo[gate] = True
     if "eigh" not in memo:
         memo["eigh"] = tuple([(_frozen(w), _frozen(v))
                               for w, v in map(np.linalg.eigh, x.blocks)])
@@ -287,13 +358,14 @@ def _hermitian_eigh(x: AlgElement, tol: float):
 def hermitian_apply(x: AlgElement, fn: Callable[[np.ndarray], np.ndarray]) -> AlgElement:
     """Functional calculus f(x) for Hermitian x via eigendecomposition.
 
-    ``fn`` receives the eigenvalue vector of each block, which is
-    read-only, and must return a real vector of the same length.
+    ``fn`` receives the eigenvalue vector of each block (an array of them
+    for a stack), which is read-only, and must return a real array of the
+    same shape.
     """
     out = []
     for w, v in _hermitian_eigh(x, HERMITIAN_TOL):
         fw = np.asarray(fn(w), dtype=float)
-        out.append((v * fw) @ v.conj().T)
+        out.append((v * fw[..., None, :]) @ _adj(v))
     return AlgElement(x.algebra, out)
 
 
@@ -303,6 +375,14 @@ def psd_sqrt(x: AlgElement) -> AlgElement:
     if "sqrt" not in memo:
         memo["sqrt"] = hermitian_apply(x, lambda w: np.sqrt(np.maximum(w, 0.0)))
     return memo["sqrt"]
+
+
+def stack(elements: Sequence[AlgElement]) -> AlgElement:
+    """The stack of one or more elements of one algebra, in order."""
+    first = elements[0]
+    for e in elements:
+        _check_same_algebra(first, e)
+    return AlgElement(first.algebra, [np.stack(bs) for bs in zip(*(e.blocks for e in elements))])
 
 
 def min_eigenvalue(x: AlgElement, tol: float = HERMITIAN_TOL) -> float:

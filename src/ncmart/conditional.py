@@ -22,10 +22,16 @@ from .tolerances import COND_LIMIT, INCLUSION_TOL
 LEVEL_KINDS = ("scalars", "block_scalar", "block_full", "general")
 
 
+def _coordinate(i) -> int:
+    if isinstance(i, bool):  # an int to operator.index, but no coordinate
+        raise TypeError("a boolean is not a coordinate")
+    return operator.index(i)
+
+
 def _normalize_groups(algebra: TracialAlgebra, groups) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """Validate a per-block coordinate partition and freeze it as tuples."""
     try:
-        groups = [[tuple(operator.index(i) for i in g) for g in block] for block in groups]
+        groups = [[tuple(_coordinate(i) for i in g) for g in block] for block in groups]
     except TypeError:
         raise StructureError("groups must list, per block, lists of integer coordinates")
     if len(groups) != algebra.nblocks:
@@ -64,7 +70,11 @@ class SubalgebraLevel:
         self.groups = None
         self.basis: tuple[AlgElement, ...] | None = None
         self._masks = None       # block_full: boolean same-group masks per block
+        self._index = None       # block_scalar: (flat diagonal positions, size) per group
         self._onb = None         # general: orthonormal rows in scaled-vec space
+        self._onb_conj = None
+        self._scales = [np.sqrt(w / n)
+                        for w, n in zip(algebra.block_weights, algebra.block_dims)]
         self.condition = 1.0
         self._span_cache: tuple[AlgElement, ...] | None = None
         self._general_cache: SubalgebraLevel | None = None
@@ -73,7 +83,10 @@ class SubalgebraLevel:
             if groups is None:
                 raise StructureError(f"{kind} level requires a coordinate partition")
             self.groups = _normalize_groups(algebra, groups)
-            if kind == "block_full":
+            if kind == "block_scalar":
+                self._index = [[(np.array(g) * (n + 1), len(g)) for g in block_groups]
+                               for n, block_groups in zip(algebra.block_dims, self.groups)]
+            else:
                 self._masks = []
                 for n, block_groups in zip(algebra.block_dims, self.groups):
                     mask = np.zeros((n, n), dtype=bool)
@@ -115,19 +128,16 @@ class SubalgebraLevel:
 
     # -- Gram engine ------------------------------------------------------
 
-    def _scales(self) -> list[float]:
-        alg = self.algebra
-        return [np.sqrt(w / n) for w, n in zip(alg.block_weights, alg.block_dims)]
-
     def _uvec(self, x: AlgElement) -> np.ndarray:
-        """Flatten to a vector in which the trace inner product is standard."""
-        return np.concatenate([s * m.ravel() for s, m in zip(self._scales(), x.blocks)])
+        """Flatten to vectors in which the trace inner product is standard."""
+        return np.concatenate([s * m.reshape(m.shape[:-2] + (-1,))
+                               for s, m in zip(self._scales, x.blocks)], axis=-1)
 
     def _unvec(self, v: np.ndarray) -> AlgElement:
         alg = self.algebra
         out, pos = [], 0
-        for s, n in zip(self._scales(), alg.block_dims):
-            out.append(v[pos:pos + n * n].reshape(n, n) / s)
+        for s, n in zip(self._scales, alg.block_dims):
+            out.append(v[..., pos:pos + n * n].reshape(v.shape[:-1] + (n, n)) / s)
             pos += n * n
         return AlgElement(alg, out)
 
@@ -142,6 +152,7 @@ class SubalgebraLevel:
             raise IllConditionedBasisError("linearly dependent subalgebra basis", cond)
         self.condition = cond
         self._onb = (v.conj().T @ rows) / np.sqrt(w)[:, None]
+        self._onb_conj = self._onb.conj()
 
     def _validate_general(self) -> None:
         one = self.algebra.identity()
@@ -165,21 +176,25 @@ class SubalgebraLevel:
         if x.algebra is not self.algebra and x.algebra != self.algebra:
             raise StructureError("element from a different algebra")
         if self.kind == "scalars":
-            return trace(x) * self.algebra.identity()
+            t = np.asarray(trace(x))[..., None, None]
+            return AlgElement(self.algebra, [t * one for one in self.algebra.identity().blocks])
         if self.kind == "block_full":
             return AlgElement(self.algebra,
                               [np.where(mask, m, 0.0) for mask, m in zip(self._masks, x.blocks)])
         if self.kind == "block_scalar":
             out = []
-            for n, block_groups, m in zip(self.algebra.block_dims, self.groups, x.blocks):
-                r = np.zeros((n, n), dtype=complex)
-                for g in block_groups:
-                    ix = np.array(g)
-                    r[ix, ix] = m[ix, ix].sum() / len(g)
-                out.append(r)
+            for n, index, m in zip(self.algebra.block_dims, self._index, x.blocks):
+                flat = m.reshape(m.shape[:-2] + (n * n,))
+                r = np.zeros(flat.shape, dtype=complex)
+                for pos, size in index:
+                    # take() keeps each group's diagonal contiguous, so it is
+                    # summed in the same order for one element and for a stack
+                    r[..., pos] = flat.take(pos, axis=-1).sum(axis=-1, keepdims=True) / size
+                out.append(r.reshape(m.shape))
             return AlgElement(self.algebra, out)
-        coeff = self._onb.conj() @ self._uvec(x)
-        return self._unvec(self._onb.T @ coeff)
+        # matrix times a column per element; v @ onb.T would round differently
+        coeff = self._onb_conj @ self._uvec(x)[..., None]
+        return self._unvec((self._onb.T @ coeff)[..., 0])
 
     def contains(self, x: AlgElement) -> bool:
         return lp_norm(self.expect(x) - x, 2) <= INCLUSION_TOL

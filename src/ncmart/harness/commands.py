@@ -16,11 +16,11 @@ import time
 
 import numpy as np
 
-from ..algebra import trace
+from ..algebra import stack, trace
 from ..doob_meyer import naturality_gap
-from ..errors import DomainError, UndefinedRatioError
-from ..inequalities import (bg_ratio, dual_doob_ratio, epsilon_from_percentile,
-                            kolmogorov_projection, segal_modulus)
+from ..errors import DomainError
+from ..inequalities import (epsilon_from_percentile, kolmogorov_projection, segal_modulus,
+                            square_function_ratios)
 from ..integrals import integral_process, integrand_bound, refinement_table
 from ..processes import (full_partition, martingale_from_terminal, random_element,
                          spawn_generators)
@@ -59,23 +59,35 @@ def cmd_verify(config: ExperimentConfig) -> VerificationReport:
     return report
 
 
+def _ratio_rows(config: ExperimentConfig, batch: list) -> list[dict]:
+    """The ratio rows of the (instance, terminal) pairs of ``batch``, in
+    instance order, from one stacked martingale."""
+    x = martingale_from_terminal(config.filtration, stack([t for _, t in batch]), label="X")
+    grid = full_partition(config.filtration)
+    table = [(p, *square_function_ratios(x, grid, p)) for p in config.p_values]
+    return [{"p": p, "instance": i, "bg_ratio": float(bg[k]),
+             "dual_doob_ratio": float(dd[k]), "seed": config.seed}
+            for k, (i, _) in enumerate(batch) for p, bg, dd, defined in table if defined[k]]
+
+
 def cmd_ratios(config: ExperimentConfig) -> VerificationReport:
-    """Sweep the square-function and dual Doob ratios over p_values."""
+    """Sweep the square-function and dual Doob ratios over p_values, all
+    instances as one stack."""
     t0 = time.perf_counter()
     report = VerificationReport("ratios", config.to_dict())
-    rows = []
-    grid = full_partition(config.filtration)
-    for i, rng, term in _instance_terminals(config):
-        with _contained(report, i):
-            x = martingale_from_terminal(config.filtration, term, label="X")
-            for p in config.p_values:
-                try:
-                    bg = bg_ratio(x, grid, p)
-                    dd = dual_doob_ratio(x, grid, p)
-                except UndefinedRatioError:
-                    continue
-                rows.append({"p": p, "instance": i, "bg_ratio": bg,
-                             "dual_doob_ratio": dd, "seed": config.seed})
+    batch = [(i, term) for i, _, term in _instance_terminals(config)]
+    try:
+        rows = _ratio_rows(config, batch)
+    except (DomainError, np.linalg.LinAlgError) as exc:
+        # An error of the stack is the error of some instance: run each
+        # instance alone to find it and keep the rows of the others.  One
+        # that no instance repeats is still recorded, against the first.
+        rows = []
+        for i, term in batch:
+            with _contained(report, i):
+                rows += _ratio_rows(config, [(i, term)])
+        if not report.records:
+            report.records += error_checks(exc, batch[0][0])
     report.tables["ratios"] = rows
     report.tables["csv_table"] = "ratios"
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -47,7 +48,14 @@ class VerificationReport:
         return out
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        """The report as strict JSON: a non-finite float (the ``inf`` residual
+        of a contained instance, a NaN ratio) is written as the string
+        ``"inf"``, ``"-inf"`` or ``"nan"``."""
+        data = self.to_dict()
+        try:
+            return json.dumps(data, indent=2, allow_nan=False)
+        except ValueError:
+            return json.dumps(_strict(data), indent=2, allow_nan=False)
 
     def summarize(self) -> None:
         """Aggregate per-check worst residuals and pass counts."""
@@ -91,3 +99,14 @@ class VerificationReport:
         text = self.to_json() if fmt == "json" else self.render_csv()
         Path(path).write_text(text + "\n" if not text.endswith("\n") else text,
                               encoding="utf-8")
+
+
+def _strict(obj):
+    """obj with each non-finite float replaced by its string name."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return "nan" if math.isnan(obj) else ("inf" if obj > 0 else "-inf")
+    if isinstance(obj, dict):
+        return {key: _strict(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict(value) for value in obj]
+    return obj

@@ -54,21 +54,42 @@ class ProjectionCertificate:
     meets: tuple[Projection, ...] = field(repr=False, default=())
 
 
+def _ratio(x: AdaptedProcess, idx: tuple[int, ...], p: float, dual: bool):
+    """One ratio of x at p, per element of a stack: (ratio, defined, denominator).
+
+    The square-function ratio ||(sum_k |dX_k|^2)^(1/2)||_p / ||X(t_m)||_p,
+    or with ``dual`` the dual Doob ratio
+    ||sum_k E_{k-1}|dX_k|^2||_{p/2} / ||sum_k |dX_k|^2||_{p/2}.  A ratio is
+    defined where its denominator exceeds ``DENOMINATOR_FLOOR``; elsewhere
+    it is NaN and undefined, not estimated.
+    """
+    plain, conditioned = x.square_sums(idx)
+    if dual:
+        numerator, denominator = lp_norm(conditioned, p / 2), lp_norm(plain, p / 2)
+    else:
+        numerator, denominator = lp_norm(psd_sqrt(plain), p), lp_norm(x.values[idx[-1]], p)
+    defined = ~(np.asarray(denominator) <= DENOMINATOR_FLOOR)
+    ratio = np.divide(numerator, denominator, out=np.full(defined.shape, np.nan), where=defined)
+    return ratio, defined, denominator
+
+
+def _require_p2(p: float, what: str) -> None:
+    if p < 2:
+        raise DomainError(f"{what} needs p >= 2, got {p}")
+
+
 def bg_ratio(x: AdaptedProcess, partition: Iterable[int], p: float) -> float:
     """||(sum_k |dX_k|^2)^(1/2)||_p / ||X(t_m)||_p for a martingale X.
 
     Requires p >= 2.  At p = 2 the ratio never exceeds 1 for X(0) = 0
     (the square sum then reproduces ||X_m||_2^2 - ||X_0||_2^2 exactly).
     """
-    if p < 2:
-        raise DomainError(f"square-function ratio needs p >= 2, got {p}")
+    _require_p2(p, "square-function ratio")
     idx = as_partition(len(x.values), partition)
-    plain, _ = x.square_sums(idx)
-    numerator = lp_norm(psd_sqrt(plain), p)
-    denominator = lp_norm(x.values[idx[-1]], p)
-    if denominator <= DENOMINATOR_FLOOR:
+    ratio, defined, denominator = _ratio(x, idx, p, dual=False)
+    if not defined:
         raise UndefinedRatioError(f"terminal p-norm {denominator:.2e} too small")
-    return numerator / denominator
+    return float(ratio)
 
 
 def dual_doob_ratio(x: AdaptedProcess, partition: Iterable[int], p: float) -> float:
@@ -76,13 +97,27 @@ def dual_doob_ratio(x: AdaptedProcess, partition: Iterable[int], p: float) -> fl
 
     At p = 2 both p/2-norms are traces and agree exactly.
     """
-    if p < 2:
-        raise DomainError(f"dual Doob ratio needs p >= 2, got {p}")
-    plain, conditioned = x.square_sums(partition)
-    denominator = lp_norm(plain, p / 2)
-    if denominator <= DENOMINATOR_FLOOR:
+    _require_p2(p, "dual Doob ratio")
+    idx = as_partition(len(x.values), partition)
+    ratio, defined, denominator = _ratio(x, idx, p, dual=True)
+    if not defined:
         raise UndefinedRatioError(f"square-sum {p / 2}-norm {denominator:.2e} too small")
-    return lp_norm(conditioned, p / 2) / denominator
+    return float(ratio)
+
+
+def square_function_ratios(x: AdaptedProcess, partition: Iterable[int],
+                           p: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`bg_ratio` and :func:`dual_doob_ratio` of every martingale of a
+    stack at once: ``(bg, dual_doob, defined)``, arrays over the stack.
+
+    ``defined`` marks the elements where both ratios are defined; the
+    others would raise :class:`UndefinedRatioError` one by one.
+    """
+    _require_p2(p, "square-function ratio")
+    idx = as_partition(len(x.values), partition)
+    bg, bg_defined, _ = _ratio(x, idx, p, dual=False)
+    dd, dd_defined, _ = _ratio(x, idx, p, dual=True)
+    return bg, dd, bg_defined & dd_defined
 
 
 def chebyshev_projection(x: AlgElement, eta: float) -> ChebyshevCertificate:

@@ -186,6 +186,13 @@ class TestValidation:
         with pytest.raises(nc.StructureError):
             Level.block_scalar(m2, groups)
 
+    def test_boolean_coordinates_rejected(self, m2):
+        # operator.index(True) is 1, so a JSON true would pass for coordinate 1
+        with pytest.raises(nc.StructureError):
+            Level.block_full(nc.TracialAlgebra([2]), [[[True], [0]]])
+        with pytest.raises(nc.StructureError):
+            Level.block_scalar(m2, [[[0], [False, 1]]])
+
     def test_level_dim(self, m23):
         assert Level.scalars(m23).dim == 1
         assert Level.block_scalar(m23, [[[0, 1]], [[0, 1, 2]]]).dim == 2

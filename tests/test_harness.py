@@ -309,11 +309,28 @@ class TestCli:
         assert outs[0] == outs[1]
 
 
+def strict_json(text):
+    """Parse JSON that must be standard (no NaN or Infinity literals); the
+    report's names of non-finite floats, "inf", "-inf" and "nan", come back
+    as those floats."""
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    def decode(obj):
+        if isinstance(obj, dict):
+            return {key: decode(value) for key, value in obj.items()}
+        if isinstance(obj, list):
+            return [decode(value) for value in obj]
+        return float(obj) if obj in ("inf", "-inf", "nan") else obj
+    return decode(json.loads(text, parse_constant=reject))
+
+
 def run_cli(tmp_path, argv):
-    """Run the CLI into a report file; return the exit code and the parsed report."""
+    """Run the CLI into a report file; return the exit code and the report,
+    parsed as strict JSON."""
     out = tmp_path / "report.json"
     code = main(argv + ["--out", str(out)])
-    return code, json.loads(out.read_text())
+    return code, strict_json(out.read_text())
 
 
 def failing(report, check):
@@ -336,6 +353,12 @@ def first_call_returns(monkeypatch, name, value):
     monkeypatch.setattr(commands, name, patched)
 
 
+def ratios_of_three(bg):
+    """What ``square_function_ratios`` returns for a stack of three instances
+    whose bg ratios are all ``bg``: (bg, dual Doob, defined)."""
+    return np.full(3, bg), np.ones(3), np.ones(3, dtype=bool)
+
+
 class TestContainment:
     """An identity that fails mid-sweep is a failing record in a written report."""
 
@@ -354,14 +377,14 @@ class TestContainment:
         assert report["summary"]["all_passed"] is False
 
     def test_nan_ratio_keeps_the_report(self, tmp_path, monkeypatch):
-        first_call_returns(monkeypatch, "bg_ratio", math.nan)
+        first_call_returns(monkeypatch, "square_function_ratios", ratios_of_three(math.nan))
         code, report = run_cli(tmp_path, ["ratios", "--preset", "m4-random",
                                           "--instances", "3"])
         assert code == 1
         assert failing(report, "ratios_finite")
 
     def test_negative_ratio_fails_ratios_finite(self, tmp_path, monkeypatch):
-        first_call_returns(monkeypatch, "bg_ratio", -1.0)
+        first_call_returns(monkeypatch, "square_function_ratios", ratios_of_three(-1.0))
         code, report = run_cli(tmp_path, ["ratios", "--preset", "m4-random",
                                           "--instances", "3"])
         assert code == 1
@@ -383,8 +406,26 @@ class TestContainment:
         assert rec["instance"] == 0 and "DomainError" in rec["formula"]
         assert rec["residual"] == math.inf and rec["tolerance"] == 0.0
 
+    def test_non_finite_floats_are_written_as_strict_json(self, tmp_path):
+        data = preset("m4-random")
+        data["instances"] = 1
+        terminal = np.random.default_rng(0).standard_normal((4, 4)) * 1e4
+        data["terminal"] = {"kind": "fixed", "blocks": [{"real": terminal.tolist()}]}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(data))
+        out = tmp_path / "report.json"
+        assert main(["refine", "--config", str(cfg), "--out", str(out)]) == 1
+        text = out.read_text()
+        assert "Infinity" not in text and "NaN" not in text
+        [rec] = [r for r in json.loads(text)["records"] if not r["passed"]]
+        assert rec["residual"] == "inf"
+
+    def test_finite_report_keeps_its_bytes(self):
+        report = cmd_ratios(load_config(preset("m2-worked-example")))
+        assert report.to_json() == json.dumps(report.to_dict(), indent=2)
+
     @pytest.mark.parametrize("command, name", [
-        ("verify", "instance_checks"), ("ratios", "bg_ratio"),
+        ("verify", "instance_checks"), ("ratios", "square_function_ratios"),
         ("kolmogorov", "kolmogorov_projection"), ("refine", "refinement_table")])
     def test_lapack_failure_is_one_failing_record(self, tmp_path, monkeypatch,
                                                   command, name):

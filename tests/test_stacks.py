@@ -1,0 +1,198 @@
+"""Stacks of elements: the kernels give each stacked element exactly the
+bits they give it alone, and the stacked ratio sweep keeps every
+per-instance outcome."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import ncmart as nc
+from ncmart import inequalities
+from ncmart.harness import cmd_ratios, commands, load_config, preset
+from ncmart.harness.checks import error_checks
+from conftest import conjugated_levels
+
+P_NORMS = (1.5, 2.0, 3.0, 4.0, 8.0, math.inf)
+P_RATIOS = [2.0, 3.0, 4.0, 8.0]
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def same_element(stacked: nc.AlgElement, k: int, single: nc.AlgElement) -> bool:
+    return all(same_bits(s[k], m) for s, m in zip(stacked.blocks, single.blocks))
+
+
+def _partition(draw, n):
+    """A coarse partition of range(n) and a refinement of it, as group lists."""
+    fine = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    labels = sorted(set(fine))
+    merge = draw(st.lists(st.integers(0, len(labels) - 1),
+                          min_size=len(labels), max_size=len(labels)))
+    coarse = [merge[labels.index(f)] for f in fine]
+
+    def groups(lab):
+        return [[i for i in range(n) if lab[i] == v] for v in sorted(set(lab))]
+    return groups(coarse), groups(fine)
+
+
+def _encode(element):
+    return [{"real": m.real.tolist(), "imag": m.imag.tolist()} for m in element.blocks]
+
+
+@st.composite
+def structures(draw):
+    """A config on 1-3 blocks of size <= 4 with random weights whose chain is
+    scalars < block_scalar(P1) < block_full(P2) < full with P2 refining P1,
+    every level conjugated by one unitary (so `general`) with probability 1/3."""
+    dims = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    raw = draw(st.lists(st.floats(0.1, 1.0), min_size=len(dims), max_size=len(dims)))
+    weights = [w / sum(raw) for w in raw]
+    parts = [_partition(draw, n) for n in dims]
+    levels = [{"kind": "scalars"},
+              {"kind": "block_scalar", "groups": [coarse for coarse, _ in parts]},
+              {"kind": "block_full", "groups": [fine for _, fine in parts]},
+              {"kind": "block_full", "groups": [[list(range(n))] for n in dims]}]
+    if draw(st.integers(0, 2)) == 0:
+        algebra = nc.TracialAlgebra(dims, weights)
+        built = [nc.SubalgebraLevel(algebra, lv["kind"], lv.get("groups"))
+                 for lv in levels]
+        conj = conjugated_levels(algebra, built, draw(st.integers(0, 2**16)))
+        levels = [{"kind": "general", "basis": [_encode(b) for b in lv.basis]} for lv in conj]
+    instances = draw(st.sampled_from([1, 3]))
+    return load_config({
+        "algebra": {"block_dims": dims, "block_weights": weights},
+        "times": [0.0, 1.0, 2.0, 3.0], "levels": levels,
+        "seed": draw(st.integers(0, 2**16)), "instances": instances, "p_values": P_RATIOS,
+    })
+
+
+def terminals(config):
+    return [term for _, _, term in commands._instance_terminals(config)]
+
+
+def per_instance_report(config):
+    """Rows and failing records of the ratio sweep run one instance at a time
+    through the single-element API."""
+    rows, records = [], []
+    grid = nc.full_partition(config.filtration)
+    for i, _, term in commands._instance_terminals(config):
+        try:
+            x = nc.martingale_from_terminal(config.filtration, term, label="X")
+            for p in config.p_values:
+                try:
+                    bg = nc.bg_ratio(x, grid, p)
+                    dd = nc.dual_doob_ratio(x, grid, p)
+                except nc.UndefinedRatioError:
+                    continue
+                rows.append({"p": p, "instance": i, "bg_ratio": bg,
+                             "dual_doob_ratio": dd, "seed": config.seed})
+        except (nc.DomainError, np.linalg.LinAlgError) as exc:
+            records += [vars(r) for r in error_checks(exc, i)]
+    return rows, records
+
+
+def assert_sweep_matches_per_instance(config):
+    rows, records = per_instance_report(config)
+    report = cmd_ratios(config)
+    assert report.tables["ratios"] == rows
+    assert [vars(r) for r in report.records if not r.passed and r.check != "ratios_finite"] \
+        == records
+    return report
+
+
+class TestStackedKernels:
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(config=structures())
+    def test_stacked_kernels_equal_single_elements_bit_for_bit(self, config):
+        filt, singles = config.filtration, terminals(config)
+        xs = nc.stack(singles)
+        grid = nc.full_partition(filt)
+        for level in filt.levels:
+            out = level.expect(xs)
+            assert all(same_element(out, k, level.expect(t)) for k, t in enumerate(singles))
+        stacked = nc.martingale_from_terminal(filt, xs).square_sums(grid)
+        for k, t in enumerate(singles):
+            alone = nc.martingale_from_terminal(filt, t).square_sums(grid)
+            for s_el, a_el in zip(stacked, alone):
+                assert same_element(s_el, k, a_el)
+                for p in P_NORMS:
+                    assert same_bits(nc.lp_norm(s_el, p)[k], nc.lp_norm(a_el, p))
+            assert same_element(nc.psd_sqrt(stacked[0]), k, nc.psd_sqrt(alone[0]))
+            for p in P_NORMS:
+                assert same_bits(nc.lp_norm(xs, p)[k], nc.lp_norm(t, p))
+        assert_sweep_matches_per_instance(config)
+
+    def test_stack_keeps_its_shape_through_the_api(self, m2):
+        xs = nc.stack([m2.identity(), 2.0 * m2.identity()])
+        assert xs.blocks[0].shape == (2, 2, 2)
+        assert (xs + m2.identity()).blocks[0].shape == (2, 2, 2)
+        assert list(nc.trace(xs)) == [1.0, 2.0]
+        assert list(nc.lp_norm(xs, 3.0)) == [1.0, 2.0]
+
+    def test_blocks_of_one_element_share_the_stack_shape(self):
+        alg = nc.TracialAlgebra([1, 2])
+        with pytest.raises(nc.StructureError):
+            alg.element([np.ones((2, 1, 1)), np.ones((3, 2, 2))])
+        with pytest.raises(nc.StructureError):
+            nc.stack([alg.identity(), nc.TracialAlgebra([2, 1]).identity()])
+
+
+def replace_terminal(monkeypatch, config, k, make):
+    """Make the draw of instance k return make(drawn); every stream is still
+    drawn in order."""
+    real = commands.random_element
+    calls = []
+
+    def patched(algebra, rng, kind):
+        term = real(algebra, rng, kind)
+        calls.append(None)
+        return make(term) if (len(calls) - 1) % config.instances == k else term
+    monkeypatch.setattr(commands, "random_element", patched)
+
+
+class TestContainmentInAStack:
+    """One instance of a stacked sweep that fails, or whose ratio is
+    undefined, gets the outcome it gets alone; the others keep their rows."""
+
+    @pytest.fixture
+    def config(self):
+        data = preset("m4-random")
+        data["instances"] = 4
+        return load_config(data)
+
+    def test_failed_gate_is_that_instance_s_domain_error(self, config, monkeypatch):
+        real = inequalities.psd_sqrt
+
+        def skew_the_large(plain):  # breaks the Hermiticity of the scaled instance only
+            large = (np.abs(np.asarray(nc.trace(plain))) > 1e3)[..., None, None]
+            skew = np.zeros((4, 4), dtype=complex)
+            skew[0, 3] = 1e-6
+            return real(nc.AlgElement(plain.algebra, [plain.blocks[0] + np.where(large, skew, 0)]))
+        monkeypatch.setattr(inequalities, "psd_sqrt", skew_the_large)
+        replace_terminal(monkeypatch, config, 2, lambda t: 1e3 * t)
+        report = assert_sweep_matches_per_instance(config)
+        [rec] = [r for r in report.records if not r.passed]
+        assert (rec.check, rec.instance) == ("instance_completed", 2)
+        assert "DomainError: element is not Hermitian" in rec.formula
+        assert {r["instance"] for r in report.tables["ratios"]} == {0, 1, 3}
+
+    def test_undefined_ratio_skips_that_instance_s_rows(self, config, monkeypatch):
+        # a constant martingale: its square sums vanish, so the dual ratio is undefined
+        replace_terminal(monkeypatch, config, 1, lambda t: 1.5 * t.algebra.identity())
+        report = assert_sweep_matches_per_instance(config)
+        assert report.all_passed
+        assert {r["instance"] for r in report.tables["ratios"]} == {0, 2, 3}
+
+    def test_lapack_failure_is_that_instance_s_record(self, config, monkeypatch):
+        replace_terminal(monkeypatch, config, 3, lambda t: t * math.nan)
+        report = assert_sweep_matches_per_instance(config)
+        [rec] = [r for r in report.records if not r.passed]
+        assert (rec.check, rec.instance) == ("instance_completed", 3)
+        assert "LinAlgError" in rec.formula
+        assert {r["instance"] for r in report.tables["ratios"]} == {0, 1, 2}
