@@ -131,9 +131,6 @@ class AlgElement:
     def __setattr__(self, name, value):  # immutability guard
         raise AttributeError("AlgElement is immutable")
 
-    def block(self, b: int) -> np.ndarray:
-        return self.blocks[b]
-
     def adjoint(self) -> "AlgElement":
         return AlgElement(self.algebra, [_adj(m) for m in self.blocks])
 
@@ -388,11 +385,6 @@ def stack(elements: Sequence[AlgElement]) -> AlgElement:
 def min_eigenvalue(x: AlgElement, tol: float = HERMITIAN_TOL) -> float:
     """Smallest eigenvalue over all blocks of a Hermitian element."""
     return min(float(w[0]) for w, _ in _hermitian_eigh(x, tol))
-
-
-def loewner_psd(h: AlgElement, tol: float) -> bool:
-    """True iff h is Hermitian within tol and its spectrum is >= -tol."""
-    return min_eigenvalue(h, tol) >= -tol
 
 
 def spectral_projection(h: AlgElement, interval: tuple[float, float]) -> Projection:

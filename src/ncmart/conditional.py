@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .algebra import AlgElement, TracialAlgebra, lp_norm, trace
-from .errors import DomainError, IdentityViolation, IllConditionedBasisError, StructureError
+from .errors import IllConditionedBasisError, StructureError
 from .tolerances import COND_LIMIT, INCLUSION_TOL
 
 LEVEL_KINDS = ("scalars", "block_scalar", "block_full", "general")
@@ -75,7 +75,6 @@ class SubalgebraLevel:
         self._onb_conj = None
         self._scales = [np.sqrt(w / n)
                         for w, n in zip(algebra.block_weights, algebra.block_dims)]
-        self.condition = 1.0
         self._span_cache: tuple[AlgElement, ...] | None = None
         self._general_cache: SubalgebraLevel | None = None
 
@@ -150,7 +149,6 @@ class SubalgebraLevel:
         cond = np.inf if wmin <= 0 else wmax / wmin
         if not np.isfinite(cond) or cond > COND_LIMIT:
             raise IllConditionedBasisError("linearly dependent subalgebra basis", cond)
-        self.condition = cond
         self._onb = (v.conj().T @ rows) / np.sqrt(w)[:, None]
         self._onb_conj = self._onb.conj()
 
@@ -251,22 +249,3 @@ class SubalgebraLevel:
     def __repr__(self) -> str:
         return f"SubalgebraLevel(kind={self.kind!r}, dim={self.dim})"
 
-
-def expect_chain(levels: Sequence[SubalgebraLevel], x: AlgElement,
-                 s_index: int, t_index: int) -> AlgElement:
-    """Iterated expectation E_s(E_t(x)) with the tower identity verified.
-
-    Returns the level-s expectation of x; raises IdentityViolation if the
-    chained and direct projections disagree beyond ``INCLUSION_TOL``
-    (which would mean the levels are not nested).
-    """
-    if not (0 <= s_index < len(levels) and 0 <= t_index < len(levels)):
-        raise DomainError("level index out of range")
-    if s_index > t_index:
-        raise DomainError("s_index must not exceed t_index")
-    chained = levels[s_index].expect(levels[t_index].expect(x))
-    direct = levels[s_index].expect(x)
-    gap = lp_norm(chained - direct, 2)
-    if gap > INCLUSION_TOL:
-        raise IdentityViolation(f"tower identity violated by {gap:.2e}")
-    return direct

@@ -46,8 +46,8 @@ def bracket_via_integrals(x: AdaptedProcess, partition: Iterable[int]) -> AlgEle
     """
     idx = as_partition(len(x.values), partition)
     xs = x.adjoint()
-    sl = left_sum(xs, x, idx).value
-    sr = right_sum(x, xs, idx).value
+    sl = left_sum(xs, x, idx)
+    sr = right_sum(x, xs, idx)
     first, last = x.values[idx[0]], x.values[idx[-1]]
     return abs2(last) - abs2(first) - sl - sr
 
@@ -64,7 +64,7 @@ def compensator(x: AdaptedProcess) -> AdaptedProcess:
     for k in range(1, len(x.values)):
         step = levels[k - 1].expect(abs2(x.values[k]) - abs2(x.values[k - 1]))
         values.append(values[-1] + step)
-    return AdaptedProcess(x.filtration, values, label="compensator")
+    return AdaptedProcess(x.filtration, values)
 
 
 DECOMPOSITION_VARIANTS = ("predictable", "bracket")
@@ -88,9 +88,8 @@ def doob_meyer_decompose(x: AdaptedProcess, variant: str = "predictable") -> Dec
         vals = [x.filtration.algebra.zero()]
         for dx in increments(x, full_partition(x)):
             vals.append(vals[-1] + abs2(dx))
-        a = AdaptedProcess(x.filtration, vals, label="quadratic_variation")
-    m = AdaptedProcess(x.filtration, [s - av for s, av in zip(sq, a.values)],
-                       label=f"{variant}_martingale_part", validate=False)
+        a = AdaptedProcess(x.filtration, vals)
+    m = AdaptedProcess(x.filtration, [s - av for s, av in zip(sq, a.values)], validate=False)
 
     residuals = {
         "reconstruction": max(lp_norm(s - mv - av, 2)

@@ -24,10 +24,9 @@ class UndefinedRatioError(ArithmeticError):
 class IdentityViolation(ArithmeticError):
     """An algebraically guaranteed identity failed beyond tolerance.
 
-    Raised only by :func:`ncmart.conditional.expect_chain`, whose tower
-    check guards its return value; every other identity is judged by the
-    harness as a check record.  Indicates an upstream bug or a corrupted
-    filtration, never a legitimate numerical outcome.
+    No library function raises it: every identity is judged by the harness
+    as a check record.  It stays exported because the benchmark's tests
+    raise it to stand for an identity failure inside a call.
     """
 
 

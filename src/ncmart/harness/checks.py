@@ -127,8 +127,8 @@ def integral_checks(x: AdaptedProcess, f: AdaptedProcess, instance: int) -> list
     ortho = 0.0
     for side in ("left", "right"):
         sum_fn = left_sum if side == "left" else right_sum
-        coarse = sum_fn(xf, ff, orig_in_fine).value
-        finest = sum_fn(xf, ff, full_partition(xf)).value
+        coarse = sum_fn(xf, ff, orig_in_fine)
+        finest = sum_fn(xf, ff, full_partition(xf))
         invariance = max(invariance, lp_norm(finest - coarse, 2))
 
     # cross terms of a genuine refinement difference vanish in the trace
@@ -228,7 +228,7 @@ def doob_meyer_checks(x: AdaptedProcess, y: AdaptedProcess, partner: AlgElement,
     direct = cross_variation(x, y, grid)
     xs = x.adjoint()
     expansion = (xs.values[-1] @ y.values[-1] - xs.values[0] @ y.values[0]
-                 - left_sum(xs, y, grid).value - right_sum(y, xs, grid).value)
+                 - left_sum(xs, y, grid) - right_sum(y, xs, grid))
     out.append(record("cross_expansion",
                       "sum_k dX_k* dY_k == X*Y|_0^m - S^l(dX*, Y) - S^r(X*, dY)",
                       lp_norm(direct - expansion, 2), CHECK_TOL, instance))
@@ -261,8 +261,8 @@ def instance_checks(filtration: Filtration, rng: np.random.Generator, instance: 
     partner = random_element(algebra, rng, "general")
     y_term = random_element(algebra, rng, "general")
 
-    x = martingale_from_terminal(filtration, x_term, label="X")
-    y = martingale_from_terminal(filtration, y_term, label="Y")
+    x = martingale_from_terminal(filtration, x_term)
+    y = martingale_from_terminal(filtration, y_term)
 
     records = conditional_expectation_checks(filtration, x_term, partner, instance)
     records += martingale_checks(x, instance)

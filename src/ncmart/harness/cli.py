@@ -1,7 +1,8 @@
 """Command-line runner.
 
 Subcommands: verify | ratios | kolmogorov | refine.  Exit codes: 0 when
-every check passes, 1 on a check failure, 2 on a configuration error.
+every check passes, 1 on a check failure, 2 on a configuration error,
+an output path that cannot be written included.
 """
 
 from __future__ import annotations
@@ -75,7 +76,11 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     if config.output_path:
-        report.write(config.output_path, config.output_format)
+        try:
+            report.write(config.output_path, config.output_format)
+        except OSError as exc:
+            print(f"config error: output.path: {exc}", file=sys.stderr)
+            return 2
     else:
         text = report.to_json() if config.output_format == "json" else report.render_csv()
         print(text)

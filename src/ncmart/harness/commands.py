@@ -62,7 +62,7 @@ def cmd_verify(config: ExperimentConfig) -> VerificationReport:
 def _ratio_rows(config: ExperimentConfig, batch: list) -> list[dict]:
     """The ratio rows of the (instance, terminal) pairs of ``batch``, in
     instance order, from one stacked martingale."""
-    x = martingale_from_terminal(config.filtration, stack([t for _, t in batch]), label="X")
+    x = martingale_from_terminal(config.filtration, stack([t for _, t in batch]))
     grid = full_partition(config.filtration)
     table = [(p, *square_function_ratios(x, grid, p)) for p in config.p_values]
     return [{"p": p, "instance": i, "bg_ratio": float(bg[k]),
@@ -119,7 +119,7 @@ def cmd_kolmogorov(config: ExperimentConfig) -> VerificationReport:
     rows = []
     for i, rng, term in _instance_terminals(config):
         with _contained(report, i):
-            x = martingale_from_terminal(config.filtration, term, label="X")
+            x = martingale_from_terminal(config.filtration, term)
             if config.epsilon_mode == "fixed":
                 eps = config.epsilon_value
             else:
@@ -162,7 +162,7 @@ def cmd_refine(config: ExperimentConfig) -> VerificationReport:
     rows = []
     for i, rng, term in _instance_terminals(config):
         with _contained(report, i):
-            x = martingale_from_terminal(config.filtration, term, label="X")
+            x = martingale_from_terminal(config.filtration, term)
             decay = refinement_table(x, x, "left", chain)
             gaps = [naturality_gap(x, part) for part in chain]
             for lvl, (d, (g, _)) in enumerate(zip(decay, gaps)):

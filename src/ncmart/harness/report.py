@@ -48,14 +48,14 @@ class VerificationReport:
         return out
 
     def to_json(self) -> str:
-        """The report as strict JSON: a non-finite float (the ``inf`` residual
-        of a contained instance, a NaN ratio) is written as the string
-        ``"inf"``, ``"-inf"`` or ``"nan"``."""
+        """The report as compact, strict JSON: a non-finite float (the
+        ``inf`` residual of a contained instance, a NaN ratio) is written as
+        the string ``"inf"``, ``"-inf"`` or ``"nan"``."""
         data = self.to_dict()
         try:
-            return json.dumps(data, indent=2, allow_nan=False)
+            return json.dumps(data, separators=(",", ":"), allow_nan=False)
         except ValueError:
-            return json.dumps(_strict(data), indent=2, allow_nan=False)
+            return json.dumps(_strict(data), separators=(",", ":"), allow_nan=False)
 
     def summarize(self) -> None:
         """Aggregate per-check worst residuals and pass counts."""

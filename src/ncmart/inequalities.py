@@ -18,7 +18,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .algebra import (AlgElement, Projection, loewner_psd, lp_norm, proj_meet, psd_sqrt,
+from .algebra import (AlgElement, Projection, lp_norm, min_eigenvalue, proj_meet, psd_sqrt,
                       spectral_projection, trace)
 from .errors import DomainError, UndefinedRatioError
 from .integrals import SIDES
@@ -129,7 +129,7 @@ def chebyshev_projection(x: AlgElement, eta: float) -> ChebyshevCertificate:
     """
     if eta <= 0:
         raise DomainError(f"eta must be positive, got {eta}")
-    if not loewner_psd(x, POSITIVITY_TOL):
+    if not min_eigenvalue(x, POSITIVITY_TOL) >= -POSITIVITY_TOL:
         raise DomainError("chebyshev projection needs a positive semidefinite element")
     e = spectral_projection(x, (eta, math.inf))
     trace_value = trace(e.element).real

@@ -10,7 +10,6 @@ measures.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .algebra import AlgElement, lp_norm
@@ -20,22 +19,12 @@ from .processes import AdaptedProcess, as_partition, full_partition, require_mar
 SIDES = ("left", "right")
 
 
-@dataclass(frozen=True)
-class IntegralSum:
-    """One evaluated integral sum over a partition."""
-    side: str
-    value: AlgElement
-    partition: tuple[int, ...]
-    integrator_id: str
-    integrand_id: str
-
-
 def _check_pair(x: AdaptedProcess, f: AdaptedProcess) -> None:
     if x.filtration is not f.filtration:
         raise StructureError("integrator and integrand live on different filtrations")
 
 
-def _sum(x: AdaptedProcess, f: AdaptedProcess, partition: Iterable[int], side: str) -> IntegralSum:
+def _sum(x: AdaptedProcess, f: AdaptedProcess, partition: Iterable[int], side: str) -> AlgElement:
     _check_pair(x, f)
     if side not in SIDES:
         raise DomainError(f"side must be one of {SIDES}, got {side!r}")
@@ -44,21 +33,20 @@ def _sum(x: AdaptedProcess, f: AdaptedProcess, partition: Iterable[int], side: s
     for a, b in zip(idx, idx[1:]):
         dx = x.values[b] - x.values[a]
         total = total + (dx @ f.values[a] if side == "left" else f.values[a] @ dx)
-    return IntegralSum(side, total, idx, x.label, f.label)
+    return total
 
 
-def left_sum(x: AdaptedProcess, f: AdaptedProcess, partition: Iterable[int]) -> IntegralSum:
+def left_sum(x: AdaptedProcess, f: AdaptedProcess, partition: Iterable[int]) -> AlgElement:
     """sum_k [X(t_k) - X(t_{k-1})] f(t_{k-1}) over consecutive partition points."""
     return _sum(x, f, partition, "left")
 
 
-def right_sum(x: AdaptedProcess, f: AdaptedProcess, partition: Iterable[int]) -> IntegralSum:
+def right_sum(x: AdaptedProcess, f: AdaptedProcess, partition: Iterable[int]) -> AlgElement:
     """sum_k f(t_{k-1}) [X(t_k) - X(t_{k-1})] over consecutive partition points."""
     return _sum(x, f, partition, "right")
 
 
-def integral_process(x: AdaptedProcess, f: AdaptedProcess, side: str,
-                     label: str = "") -> AdaptedProcess:
+def integral_process(x: AdaptedProcess, f: AdaptedProcess, side: str) -> AdaptedProcess:
     """Partial integral sums over the full grid, as an adapted process.
 
     The integrator must pass :func:`require_martingale`; the resulting
@@ -73,7 +61,7 @@ def integral_process(x: AdaptedProcess, f: AdaptedProcess, side: str,
         dx = x.values[k] - x.values[k - 1]
         term = dx @ f.values[k - 1] if side == "left" else f.values[k - 1] @ dx
         values.append(values[-1] + term)
-    return AdaptedProcess(x.filtration, values, label=label or f"{side}_integral")
+    return AdaptedProcess(x.filtration, values)
 
 
 def integrand_bound(f: AdaptedProcess) -> float:
@@ -103,5 +91,5 @@ def refinement_table(x: AdaptedProcess, f: AdaptedProcess, side: str,
     """
     parts = nested_chain(len(x.values), chain)
     parts.append(full_partition(x))
-    sums = [_sum(x, f, p, side).value for p in parts]
+    sums = [_sum(x, f, p, side) for p in parts]
     return [lp_norm(b - a, 2) for a, b in zip(sums, sums[1:])]

@@ -7,7 +7,7 @@ the package become exact once a partition contains all grid indices.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -15,11 +15,6 @@ from .algebra import AlgElement, TracialAlgebra, abs2, lp_norm, min_eigenvalue
 from .conditional import SubalgebraLevel
 from .errors import DomainError, StructureError
 from .tolerances import ADAPTED_TOL, LOEWNER_HERMITIAN_TOL, MARTINGALE_TOL
-
-
-class CheckResult(NamedTuple):
-    ok: bool
-    residual: float
 
 
 class TimeGrid:
@@ -35,10 +30,6 @@ class TimeGrid:
 
     def __len__(self) -> int:
         return len(self.times)
-
-    @property
-    def last_index(self) -> int:
-        return len(self.times) - 1
 
     def __repr__(self) -> str:
         return f"TimeGrid({list(self.times)})"
@@ -99,7 +90,7 @@ class AdaptedProcess:
     """
 
     def __init__(self, filtration: Filtration, values: Sequence[AlgElement],
-                 label: str = "", validate: bool = True):
+                 validate: bool = True):
         values = tuple(values)
         if len(values) != len(filtration):
             raise StructureError("need exactly one value per grid time")
@@ -114,16 +105,8 @@ class AdaptedProcess:
                         f"value {k} is not adapted (residual {gap:.2e} > {ADAPTED_TOL:g})")
         self.filtration = filtration
         self.values = values
-        self.label = label
         self._mart_residual: float | None = None
         self._square_sums: dict[tuple[int, ...], tuple[AlgElement, AlgElement]] = {}
-
-    def value(self, k: int) -> AlgElement:
-        return self.values[k]
-
-    @property
-    def terminal(self) -> AlgElement:
-        return self.values[-1]
 
     def _combine(self, other: "AdaptedProcess", op) -> "AdaptedProcess":
         if not isinstance(other, AdaptedProcess):
@@ -150,7 +133,7 @@ class AdaptedProcess:
 
     def adjoint(self) -> "AdaptedProcess":
         return AdaptedProcess(self.filtration, [v.adjoint() for v in self.values],
-                              label=self.label + "*" if self.label else "", validate=False)
+                              validate=False)
 
     def martingale_residual(self) -> float:
         """max over s < t of ||E_s X(t) - X(s)||_2 (cached)."""
@@ -180,27 +163,19 @@ class AdaptedProcess:
         return self._square_sums[idx]
 
     def __repr__(self) -> str:
-        name = f" {self.label!r}" if self.label else ""
-        return f"AdaptedProcess({len(self.values)} values{name})"
+        return f"AdaptedProcess({len(self.values)} values)"
 
 
-def martingale_from_terminal(filtration: Filtration, x_terminal: AlgElement,
-                             label: str = "") -> AdaptedProcess:
+def martingale_from_terminal(filtration: Filtration, x_terminal: AlgElement) -> AdaptedProcess:
     """Closed martingale X(t_k) = E_k(x); a martingale by the tower property."""
     values = [lv.expect(x_terminal) for lv in filtration.levels]
-    return AdaptedProcess(filtration, values, label=label, validate=False)
-
-
-def is_martingale(p: AdaptedProcess, tol: float) -> CheckResult:
-    """Whether E_s X(t) == X(s) holds for all s <= t, with the max residual."""
-    res = p.martingale_residual()
-    return CheckResult(res <= tol, res)
+    return AdaptedProcess(filtration, values, validate=False)
 
 
 def require_martingale(p: AdaptedProcess, what: str) -> None:
     """Raise DomainError unless ``p`` is a martingale to within ``MARTINGALE_TOL``."""
-    ok, res = is_martingale(p, MARTINGALE_TOL)
-    if not ok:
+    res = p.martingale_residual()
+    if not res <= MARTINGALE_TOL:  # a NaN residual fails too
         raise DomainError(f"{what} needs a martingale (residual {res:.2e})")
 
 
@@ -214,11 +189,6 @@ def submartingale_abs2_defect(p: AdaptedProcess) -> float:
             lam = min_eigenvalue(levels[s].expect(sq[t]) - sq[s], tol=LOEWNER_HERMITIAN_TOL)
             worst = max(worst, -lam)
     return worst
-
-
-def is_submartingale_abs2(p: AdaptedProcess, tol: float) -> bool:
-    """Loewner submartingale check for (|X(t)|^2); p should be a martingale."""
-    return submartingale_abs2_defect(p) <= tol
 
 
 def as_partition(n_times: int, partition: Iterable[int]) -> tuple[int, ...]:
@@ -320,4 +290,4 @@ def refined_filtration(filtration: Filtration,
 def lift_process(p: AdaptedProcess, refined: Filtration,
                  src: Sequence[int]) -> AdaptedProcess:
     """Constant-in-between embedding of a process onto a refined filtration."""
-    return AdaptedProcess(refined, [p.values[k] for k in src], label=p.label, validate=False)
+    return AdaptedProcess(refined, [p.values[k] for k in src], validate=False)

@@ -1,4 +1,5 @@
-"""Shared fixtures: the worked M_2 chain and a pool of algebra/filtration combos."""
+"""Shared fixtures: the worked M_2 chain, a pool of algebra/filtration combos
+and a Hypothesis strategy for configs on random nested chains."""
 
 from __future__ import annotations
 
@@ -6,8 +7,10 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 import ncmart as nc
+from ncmart.harness import load_config
 
 
 @pytest.fixture
@@ -34,7 +37,7 @@ def m2_terminal(m2):
 @pytest.fixture
 def m2_martingale(m2_chain, m2_terminal):
     """The worked example: X = (0, diag(1,-1), [[1,1],[1,-1]])."""
-    return nc.martingale_from_terminal(m2_chain, m2_terminal, label="X")
+    return nc.martingale_from_terminal(m2_chain, m2_terminal)
 
 
 def mat(m):
@@ -57,6 +60,51 @@ def conjugated_levels(algebra, levels, seed):
     ua = u.adjoint()
     return [nc.SubalgebraLevel.general(algebra, [u @ b @ ua for b in lv.spanning_basis()])
             for lv in levels]
+
+
+def _partition(draw, n):
+    """A coarse partition of range(n) and a refinement of it, as group lists."""
+    fine = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    labels = sorted(set(fine))
+    merge = draw(st.lists(st.integers(0, len(labels) - 1),
+                          min_size=len(labels), max_size=len(labels)))
+    coarse = [merge[labels.index(f)] for f in fine]
+
+    def groups(lab):
+        return [[i for i in range(n) if lab[i] == v] for v in sorted(set(lab))]
+    return groups(coarse), groups(fine)
+
+
+def _encode(element):
+    return [{"real": m.real.tolist(), "imag": m.imag.tolist()} for m in element.blocks]
+
+
+@st.composite
+def structures(draw):
+    """A config on 1-3 blocks of size <= 4 with random weights whose chain is
+    scalars < block_scalar(P1) < block_full(P2) < full with P2 refining P1,
+    every level conjugated by one unitary (so `general`) with probability 1/3."""
+    dims = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    raw = draw(st.lists(st.floats(0.1, 1.0), min_size=len(dims), max_size=len(dims)))
+    weights = [w / sum(raw) for w in raw]
+    parts = [_partition(draw, n) for n in dims]
+    levels = [{"kind": "scalars"},
+              {"kind": "block_scalar", "groups": [coarse for coarse, _ in parts]},
+              {"kind": "block_full", "groups": [fine for _, fine in parts]},
+              {"kind": "block_full", "groups": [[list(range(n))] for n in dims]}]
+    if draw(st.integers(0, 2)) == 0:
+        algebra = nc.TracialAlgebra(dims, weights)
+        built = [nc.SubalgebraLevel(algebra, lv["kind"], lv.get("groups"))
+                 for lv in levels]
+        conj = conjugated_levels(algebra, built, draw(st.integers(0, 2**16)))
+        levels = [{"kind": "general", "basis": [_encode(b) for b in lv.basis]} for lv in conj]
+    instances = draw(st.sampled_from([1, 3]))
+    return load_config({
+        "algebra": {"block_dims": dims, "block_weights": weights},
+        "times": [0.0, 1.0, 2.0, 3.0], "levels": levels,
+        "seed": draw(st.integers(0, 2**16)), "instances": instances,
+        "p_values": [2.0, 3.0, 4.0, 8.0],
+    })
 
 
 def build_pool():

@@ -16,6 +16,7 @@ from ncmart.harness import (ExperimentConfig, cmd_kolmogorov, cmd_ratios, cmd_re
                             cmd_verify, load_config, midpoint_chain, preset)
 from ncmart.harness import commands
 from ncmart.harness.cli import main
+from conftest import structures
 
 PINS = Path(__file__).parent / "data" / "payload_pins.json"
 PIN_INSTANCES = {"m2-worked-example": 1, "m4-random": 3, "m2m3-random": 3}
@@ -194,6 +195,20 @@ class TestParseOnce:
         assert cfg == load_config(cfg.to_dict())  # derived fields take no part in equality
 
 
+class TestRandomStructures:
+    """The identity checks of verify, kolmogorov and refine hold on random
+    nested chains, beyond the fixed structures of the presets and the pool."""
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(config=structures())
+    def test_every_record_passes(self, config):
+        for command in (cmd_verify, cmd_kolmogorov, cmd_refine):
+            report = command(config)
+            assert report.records
+            failed = [vars(r) for r in report.records if not r.passed]
+            assert not failed, (command.__name__, failed[:3])
+
+
 class TestCommands:
     def test_verify_m2_preset_all_pass_tightly(self):
         report = cmd_verify(load_config(preset("m2-worked-example")))
@@ -273,6 +288,12 @@ class TestCli:
         path.write_text(json.dumps(cfg))
         assert main(["ratios", "--config", str(path)]) == 2
         assert "p_values" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("target", ["missing/r.json", "."])
+    def test_unwritable_output_path_is_exit_two(self, tmp_path, capsys, target):
+        out = tmp_path / target
+        assert main(["ratios", "--preset", "m2-worked-example", "--out", str(out)]) == 2
+        assert "config error: output.path: " in capsys.readouterr().err
 
     def test_ratio_csv_columns(self, tmp_path):
         out = tmp_path / "ratios.csv"
@@ -422,7 +443,7 @@ class TestContainment:
 
     def test_finite_report_keeps_its_bytes(self):
         report = cmd_ratios(load_config(preset("m2-worked-example")))
-        assert report.to_json() == json.dumps(report.to_dict(), indent=2)
+        assert report.to_json() == json.dumps(report.to_dict(), separators=(",", ":"))
 
     @pytest.mark.parametrize("command, name", [
         ("verify", "instance_checks"), ("ratios", "square_function_ratios"),

@@ -77,21 +77,28 @@ class TestMartingaleGeneration:
             assert nc.lp_norm(v - 2.5 * m2.identity(), 2) < 1e-14
 
     def test_generated_martingale_passes(self, m2_martingale):
-        ok, res = nc.is_martingale(m2_martingale, 1e-10)
-        assert ok and res <= 1e-10
+        assert m2_martingale.martingale_residual() <= 1e-10
 
 
 class TestMartingaleCheck:
     def test_non_martingale_detected(self, m2_chain, m2):
         values = [m2.zero(), single(m2, [[1, 0], [0, -1]]), m2.identity()]
         p = nc.AdaptedProcess(m2_chain, values)
-        ok, res = nc.is_martingale(p, 1e-9)
         # worst pair is (s=1, t=2): ||E_1(I) - diag(1,-1)||_2 = ||diag(0,2)||_2 = sqrt(2)
-        assert not ok and res == pytest.approx(np.sqrt(2))
+        assert p.martingale_residual() == pytest.approx(np.sqrt(2))
 
     def test_constant_process(self, m2_chain, m2):
         p = nc.AdaptedProcess(m2_chain, [m2.identity()] * 3)
-        assert nc.is_martingale(p, 1e-12).ok
+        assert p.martingale_residual() <= 1e-12
+
+    def test_require_martingale_rejects(self, m2_chain, m2, monkeypatch):
+        from ncmart.processes import require_martingale
+        p = nc.AdaptedProcess(m2_chain, [m2.identity()] * 3)
+        require_martingale(p, "test")
+        for res in (1.0, np.nan):
+            monkeypatch.setattr(p, "martingale_residual", lambda: res)
+            with pytest.raises(nc.DomainError, match="needs a martingale"):
+                require_martingale(p, "test")
 
 
 class TestSubmartingale:
@@ -99,11 +106,11 @@ class TestSubmartingale:
         for name, filt in pool[:4]:
             x = nc.martingale_from_terminal(
                 filt, nc.random_element(filt.algebra, 5, "general"))
-            assert nc.is_submartingale_abs2(x, 1e-9), name
+            assert nc.submartingale_abs2_defect(x) <= 1e-9, name
 
     def test_constant_process(self, m2_chain, m2):
         p = nc.AdaptedProcess(m2_chain, [m2.identity()] * 3)
-        assert nc.is_submartingale_abs2(p, 1e-12)
+        assert nc.submartingale_abs2_defect(p) <= 1e-12
 
     def test_unitary_process_saturates(self, m2_chain, m2):
         u0 = m2.identity()
@@ -153,7 +160,7 @@ class TestRandomElements:
 
     def test_positive_kind(self, m2):
         x = nc.random_element(m2, 1, "positive")
-        assert nc.loewner_psd(x, 0.0)
+        assert nc.min_eigenvalue(x, 0.0) >= 0.0
 
     def test_hermitian_kind(self, m2):
         x = nc.random_element(m2, 2, "hermitian")
@@ -215,7 +222,7 @@ class TestRefinement:
         filt = m2_martingale.filtration
         fine, src = nc.refined_filtration(filt, nc.refine_times(filt.grid.times, 2))
         lifted = nc.lift_process(m2_martingale, fine, src)
-        assert nc.is_martingale(lifted, 1e-10).ok
+        assert lifted.martingale_residual() <= 1e-10
         for t_old, v_old in zip(filt.grid.times, m2_martingale.values):
             k = fine.grid.times.index(t_old)
             assert nc.lp_norm(lifted.values[k] - v_old, 2) == 0.0

@@ -7,16 +7,14 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import ncmart as nc
 from ncmart import inequalities
 from ncmart.harness import cmd_ratios, commands, load_config, preset
 from ncmart.harness.checks import error_checks
-from conftest import conjugated_levels
+from conftest import structures
 
 P_NORMS = (1.5, 2.0, 3.0, 4.0, 8.0, math.inf)
-P_RATIOS = [2.0, 3.0, 4.0, 8.0]
 
 
 def same_bits(a, b) -> bool:
@@ -26,50 +24,6 @@ def same_bits(a, b) -> bool:
 
 def same_element(stacked: nc.AlgElement, k: int, single: nc.AlgElement) -> bool:
     return all(same_bits(s[k], m) for s, m in zip(stacked.blocks, single.blocks))
-
-
-def _partition(draw, n):
-    """A coarse partition of range(n) and a refinement of it, as group lists."""
-    fine = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
-    labels = sorted(set(fine))
-    merge = draw(st.lists(st.integers(0, len(labels) - 1),
-                          min_size=len(labels), max_size=len(labels)))
-    coarse = [merge[labels.index(f)] for f in fine]
-
-    def groups(lab):
-        return [[i for i in range(n) if lab[i] == v] for v in sorted(set(lab))]
-    return groups(coarse), groups(fine)
-
-
-def _encode(element):
-    return [{"real": m.real.tolist(), "imag": m.imag.tolist()} for m in element.blocks]
-
-
-@st.composite
-def structures(draw):
-    """A config on 1-3 blocks of size <= 4 with random weights whose chain is
-    scalars < block_scalar(P1) < block_full(P2) < full with P2 refining P1,
-    every level conjugated by one unitary (so `general`) with probability 1/3."""
-    dims = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
-    raw = draw(st.lists(st.floats(0.1, 1.0), min_size=len(dims), max_size=len(dims)))
-    weights = [w / sum(raw) for w in raw]
-    parts = [_partition(draw, n) for n in dims]
-    levels = [{"kind": "scalars"},
-              {"kind": "block_scalar", "groups": [coarse for coarse, _ in parts]},
-              {"kind": "block_full", "groups": [fine for _, fine in parts]},
-              {"kind": "block_full", "groups": [[list(range(n))] for n in dims]}]
-    if draw(st.integers(0, 2)) == 0:
-        algebra = nc.TracialAlgebra(dims, weights)
-        built = [nc.SubalgebraLevel(algebra, lv["kind"], lv.get("groups"))
-                 for lv in levels]
-        conj = conjugated_levels(algebra, built, draw(st.integers(0, 2**16)))
-        levels = [{"kind": "general", "basis": [_encode(b) for b in lv.basis]} for lv in conj]
-    instances = draw(st.sampled_from([1, 3]))
-    return load_config({
-        "algebra": {"block_dims": dims, "block_weights": weights},
-        "times": [0.0, 1.0, 2.0, 3.0], "levels": levels,
-        "seed": draw(st.integers(0, 2**16)), "instances": instances, "p_values": P_RATIOS,
-    })
 
 
 def terminals(config):
@@ -83,7 +37,7 @@ def per_instance_report(config):
     grid = nc.full_partition(config.filtration)
     for i, _, term in commands._instance_terminals(config):
         try:
-            x = nc.martingale_from_terminal(config.filtration, term, label="X")
+            x = nc.martingale_from_terminal(config.filtration, term)
             for p in config.p_values:
                 try:
                     bg = nc.bg_ratio(x, grid, p)
