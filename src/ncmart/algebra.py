@@ -56,9 +56,9 @@ class TracialAlgebra:
             weights = tuple(float(w) for w in block_weights)
         if len(weights) != len(dims):
             raise StructureError("block_weights length must match block_dims")
-        if any(w <= 0 for w in weights):
+        if not all(w > 0 for w in weights):
             raise StructureError("block_weights must be positive (trace faithfulness)")
-        if abs(sum(weights) - 1.0) > WEIGHT_SUM_TOL:
+        if not abs(sum(weights) - 1.0) <= WEIGHT_SUM_TOL:
             raise StructureError(f"block_weights must sum to 1, got {sum(weights)!r}")
         self.block_dims = dims
         self.block_weights = weights

@@ -154,11 +154,11 @@ class SubalgebraLevel:
 
     def _validate_general(self) -> None:
         one = self.algebra.identity()
-        if lp_norm(self.expect(one) - one, 2) > INCLUSION_TOL:
+        if not lp_norm(self.expect(one) - one, 2) <= INCLUSION_TOL:
             raise StructureError("identity is not in the span of the basis")
         for b in self.basis:
             adj = b.adjoint()
-            if lp_norm(self.expect(adj) - adj, 2) > INCLUSION_TOL:
+            if not lp_norm(self.expect(adj) - adj, 2) <= INCLUSION_TOL:
                 raise StructureError("basis is not *-closed within tolerance")
 
     # -- expectation ------------------------------------------------------

@@ -18,7 +18,7 @@ from .errors import DomainError, StructureError
 from .integrals import left_sum, right_sum
 from .processes import (AdaptedProcess, as_partition, full_partition, increments,
                         require_martingale)
-from .tolerances import INITIAL_ZERO_TOL, LOEWNER_HERMITIAN_TOL, SELFADJOINT_TOL
+from .tolerances import INITIAL_ZERO_TOL, LOEWNER_HERMITIAN_TOL, SELFADJOINT_TOL, worst
 
 
 @dataclass(frozen=True)
@@ -92,17 +92,16 @@ def doob_meyer_decompose(x: AdaptedProcess, variant: str = "predictable") -> Dec
     m = AdaptedProcess(x.filtration, [s - av for s, av in zip(sq, a.values)], validate=False)
 
     residuals = {
-        "reconstruction": max(lp_norm(s - mv - av, 2)
-                              for s, mv, av in zip(sq, m.values, a.values)),
+        "reconstruction": worst(lp_norm(s - mv - av, 2)
+                                for s, mv, av in zip(sq, m.values, a.values)),
         "martingale_part": m.martingale_residual(),
         "initial": lp_norm(a.values[0], 2),
-        "increment_psd_defect": max(
-            0.0, -min(min_eigenvalue(b - c, tol=LOEWNER_HERMITIAN_TOL)
-                      for b, c in zip(a.values[1:], a.values[:-1]))),
+        "increment_psd_defect": worst(-min_eigenvalue(b - c, tol=LOEWNER_HERMITIAN_TOL)
+                                      for b, c in zip(a.values[1:], a.values[:-1])),
     }
     if variant == "predictable":
         levels = x.filtration.levels
-        residuals["predictability"] = max(
+        residuals["predictability"] = worst(
             lp_norm(levels[j - 1].expect(a.values[j]) - a.values[j], 2)
             for j in range(1, len(a.values)))
     return Decomposition(m, a, residuals)
@@ -115,7 +114,7 @@ def naturality_pairing(a: AdaptedProcess, y: AlgElement,
     Returns ``(sum_k tau(E_{k-1}(y) dA_k), tau(y A(t_m)))``; the two agree
     for a predictable A evaluated on the full grid.  Requires A(0) = 0.
     """
-    if lp_norm(a.values[0], 2) > INITIAL_ZERO_TOL:
+    if not lp_norm(a.values[0], 2) <= INITIAL_ZERO_TOL:
         raise DomainError("naturality pairing requires A(0) = 0")
     idx = as_partition(len(a.values), partition)
     levels = a.filtration.levels
@@ -147,7 +146,7 @@ def naturality_gap(x: AdaptedProcess, partition: Iterable[int]) -> tuple[float, 
     g = lp_norm(total, 2)
     residuals = {
         "orthogonality": abs(g ** 2 - sum(lp_norm(d, 2) ** 2 for d in terms)),
-        "fourth_moment": max(0.0, g ** 2 - 4.0 * fourth),
+        "fourth_moment": worst([g ** 2 - 4.0 * fourth]),
     }
     return g, residuals
 
@@ -159,8 +158,8 @@ def uniqueness_residual(m: AdaptedProcess) -> float:
     square increments to be constant; it holds for every selfadjoint
     martingale, so the returned residual should sit at rounding level.
     """
-    defect = max(lp_norm(v - v.adjoint(), 2) for v in m.values)
-    if defect > SELFADJOINT_TOL:
+    defect = worst(lp_norm(v - v.adjoint(), 2) for v in m.values)
+    if not defect <= SELFADJOINT_TOL:
         raise DomainError(f"process is not selfadjoint (defect {defect:.2e})")
     require_martingale(m, "uniqueness residual")
     s = 0.0

@@ -31,7 +31,7 @@ from ..processes import (AdaptedProcess, Filtration, full_partition, increments,
                          lift_process, martingale_from_terminal, random_element,
                          refine_times, refined_filtration, submartingale_abs2_defect)
 from ..tolerances import (CHECK_TOL, CHECK_TOL_DERIVED, CHECK_TOL_PREDICATE,
-                          CHECK_TOL_REFINEMENT, LOEWNER_HERMITIAN_TOL)
+                          CHECK_TOL_REFINEMENT, LOEWNER_HERMITIAN_TOL, worst)
 
 
 @dataclass(frozen=True)
@@ -54,22 +54,21 @@ def conditional_expectation_checks(filtration: Filtration, x: AlgElement, y: Alg
                                    instance: int) -> list[CheckRecord]:
     """Trace duality/preservation, tower, module, Schwarz, contraction, engines."""
     levels = filtration.levels
-    duality = preserve = tower = module = schwarz = contraction = engines = 0.0
+    rows = []  # per level: the worst term of each of the seven checks below
     for k, level in enumerate(levels):
         ex = level.expect(x)
-        duality = max(duality, abs(trace(ex @ y) - trace(x @ level.expect(y))))
-        preserve = max(preserve, abs(trace(ex) - trace(x)))
         a = level.expect(y)
         b = level.expect(x @ y)
-        module = max(module, lp_norm(level.expect(a @ x @ b) - a @ ex @ b, 2))
-        schwarz = max(schwarz, -min_eigenvalue(level.expect(abs2(x)) - abs2(ex),
-                                               tol=LOEWNER_HERMITIAN_TOL))
-        for p in (1.0, 2.0, 4.0, math.inf):
-            contraction = max(contraction, lp_norm(ex, p) - lp_norm(x, p))
-        if level.kind != "general":
-            engines = max(engines, lp_norm(ex - level.as_general().expect(x), 2))
-        for s in range(k):
-            tower = max(tower, lp_norm(levels[s].expect(ex) - levels[s].expect(x), 2))
+        rows.append((
+            abs(trace(ex @ y) - trace(x @ a)),
+            abs(trace(ex) - trace(x)),
+            worst(lp_norm(levels[s].expect(ex) - levels[s].expect(x), 2) for s in range(k)),
+            lp_norm(level.expect(a @ x @ b) - a @ ex @ b, 2),
+            -min_eigenvalue(level.expect(abs2(x)) - abs2(ex), tol=LOEWNER_HERMITIAN_TOL),
+            worst(lp_norm(ex, p) - lp_norm(x, p) for p in (1.0, 2.0, 4.0, math.inf)),
+            lp_norm(ex - level.as_general().expect(x), 2) if level.kind != "general" else 0.0,
+        ))
+    duality, preserve, tower, module, schwarz, contraction, engines = map(worst, zip(*rows))
     return [
         record("trace_duality", "tau((E_t x) y) == tau(x E_t y)", duality, CHECK_TOL, instance),
         record("trace_preservation", "tau(E_t x) == tau(x)", preserve, CHECK_TOL, instance),
@@ -77,9 +76,9 @@ def conditional_expectation_checks(filtration: Filtration, x: AlgElement, y: Alg
         record("module_property", "E_t(a x b) == a (E_t x) b for a, b in level t",
                module, CHECK_TOL_DERIVED, instance),
         record("schwarz_positivity", "E_t|x|^2 >= |E_t x|^2 (Loewner)",
-               max(schwarz, 0.0), CHECK_TOL_DERIVED, instance),
+               schwarz, CHECK_TOL_DERIVED, instance),
         record("norm_contraction", "||E_t x||_p <= ||x||_p for p in {1,2,4,inf}",
-               max(contraction, 0.0), CHECK_TOL_DERIVED, instance),
+               contraction, CHECK_TOL_DERIVED, instance),
         record("engine_agreement", "closed-form E_t == Gram-engine E_t",
                engines, CHECK_TOL, instance),
     ]
@@ -91,16 +90,14 @@ def martingale_checks(x: AdaptedProcess, instance: int) -> list[CheckRecord]:
     dxs = increments(x, grid)
     sq = [abs2(v) for v in x.values]
 
-    null_inc = max(lp_norm(levels[k - 1].expect(dx), 2) for k, dx in enumerate(dxs, 1))
-    proj_id = max(
+    null_inc = worst(lp_norm(levels[k - 1].expect(dx), 2) for k, dx in enumerate(dxs, 1))
+    proj_id = worst(
         lp_norm(levels[k - 1].expect(abs2(dx)) - levels[k - 1].expect(sq[k] - sq[k - 1]), 2)
         for k, dx in enumerate(dxs, 1))
     energy = abs(sum(trace(abs2(dx)).real for dx in dxs)
                  - (trace(sq[-1]).real - trace(sq[0]).real))
-    monotone = 0.0
-    for p in (2.0, 4.0):
-        norms = [lp_norm(v, p) for v in x.values]
-        monotone = max(monotone, max(a - b for a, b in zip(norms, norms[1:])))
+    norms = [[lp_norm(v, p) for v in x.values] for p in (2.0, 4.0)]
+    monotone = worst(a - b for ns in norms for a, b in zip(ns, ns[1:]))
     return [
         record("martingale_residual", "E_s X(t) == X(s)",
                x.martingale_residual(), CHECK_TOL, instance),
@@ -110,7 +107,7 @@ def martingale_checks(x: AdaptedProcess, instance: int) -> list[CheckRecord]:
         record("increment_energy",
                "sum_k tau|dX_k|^2 == tau|X_m|^2 - tau|X_0|^2", energy, CHECK_TOL, instance),
         record("norm_monotonicity", "||X(s)||_p <= ||X(t)||_p for p in {2,4}",
-               max(monotone, 0.0), CHECK_TOL_DERIVED, instance),
+               monotone, CHECK_TOL_DERIVED, instance),
         record("submartingale_loewner", "E_s|X(t)|^2 >= |X(s)|^2 (Loewner)",
                submartingale_abs2_defect(x), CHECK_TOL_DERIVED, instance),
     ]
@@ -123,16 +120,13 @@ def integral_checks(x: AdaptedProcess, f: AdaptedProcess, instance: int) -> list
     fine, src = refined_filtration(x.filtration, refine_times(x.filtration.grid.times))
     xf, ff = lift_process(x, fine, src), lift_process(f, fine, src)
     orig_in_fine = [k for k, s in enumerate(src) if k == 0 or s != src[k - 1]]
-    invariance = 0.0
-    ortho = 0.0
-    for side in ("left", "right"):
-        sum_fn = left_sum if side == "left" else right_sum
-        coarse = sum_fn(xf, ff, orig_in_fine)
-        finest = sum_fn(xf, ff, full_partition(xf))
-        invariance = max(invariance, lp_norm(finest - coarse, 2))
+    finest = full_partition(xf)
+    invariance = worst(lp_norm(sum_fn(xf, ff, finest) - sum_fn(xf, ff, orig_in_fine), 2)
+                       for sum_fn in (left_sum, right_sum))
 
     # cross terms of a genuine refinement difference vanish in the trace
     half = grid[::2] if grid[-1] in grid[::2] else tuple(grid[::2]) + (grid[-1],)
+    ortho = 0.0
     if len(half) >= 2 and len(half) < len(grid):
         diff_terms = []
         for a, b in zip(half, half[1:]):
@@ -170,9 +164,9 @@ def gap_checks(residuals: list[dict], instance: int) -> list[CheckRecord]:
     """
     return [
         record("gap_orthogonality", "g^2 == sum_k || |dX_k|^2 - E_{k-1}|dX_k|^2 ||_2^2",
-               max(r["orthogonality"] for r in residuals), CHECK_TOL_DERIVED, instance),
+               worst(r["orthogonality"] for r in residuals), CHECK_TOL_DERIVED, instance),
         record("gap_fourth_moment", "g^2 <= 4 tau(sum_k |dX_k|^4)",
-               max(r["fourth_moment"] for r in residuals), CHECK_TOL_DERIVED, instance),
+               worst(r["fourth_moment"] for r in residuals), CHECK_TOL_DERIVED, instance),
     ]
 
 
@@ -180,9 +174,9 @@ def certificate_checks(cert: ProjectionCertificate, instance: int) -> list[Check
     """The trace and sup-norm bounds a Kolmogorov certificate must meet."""
     return [
         record("kolmogorov_trace_bound", "tau(1 - e) <= ||X_m||_2^2 / eps^2",
-               max(0.0, cert.trace_defect - cert.trace_bound), CHECK_TOL, instance),
+               worst([cert.trace_defect - cert.trace_bound]), CHECK_TOL, instance),
         record("kolmogorov_sup_norm", "||e X_n||_inf <= eps for every n",
-               max(0.0, max(cert.sup_norms) - cert.epsilon), CHECK_TOL_DERIVED, instance),
+               worst(s - cert.epsilon for s in cert.sup_norms), CHECK_TOL_DERIVED, instance),
     ]
 
 
@@ -208,16 +202,17 @@ def doob_meyer_checks(x: AdaptedProcess, y: AdaptedProcess, partner: AlgElement,
     g, gap_residuals = naturality_gap(x, grid)
     out += gap_checks([gap_residuals], instance)
 
-    comp_inc = max(lp_norm(levels[j - 1].expect(a.values[j] - a.values[j - 1])
-                           - (levels[j - 1].expect(abs2(x.values[j])) - abs2(x.values[j - 1])), 2)
-                   for j in range(1, len(a.values)))
+    comp_inc = worst(
+        lp_norm(levels[j - 1].expect(a.values[j] - a.values[j - 1])
+                - (levels[j - 1].expect(abs2(x.values[j])) - abs2(x.values[j - 1])), 2)
+        for j in range(1, len(a.values)))
     out.append(record("compensator_increment",
                       "E_{j-1} dA_j == E_{j-1}|X_j|^2 - |X_{j-1}|^2", comp_inc,
                       CHECK_TOL, instance))
 
     pair_gap = abs(trace(partner @ (a.values[-1] - qv)))
     out.append(record("pairing_gap_bound", "|tau(y (A_m - <X>_m))| <= ||y||_2 g",
-                      max(0.0, pair_gap - lp_norm(partner, 2) * g), CHECK_TOL, instance))
+                      worst([pair_gap - lp_norm(partner, 2) * g]), CHECK_TOL, instance))
 
     herm = 0.5 * (x + x.adjoint())
     out.append(record("uniqueness_residual",
@@ -293,14 +288,12 @@ def kolmogorov_checks(cert: ProjectionCertificate,
     Also returns the least eigenvalue of f_n - f_{n+1} along the meet
     chain (0 for a single step), which the certificate row reports.
     """
-    chain_min = 0.0
-    for a, b in zip(cert.meets, cert.meets[1:]):
-        chain_min = min(chain_min,
-                        min_eigenvalue(a.element - b.element, tol=LOEWNER_HERMITIAN_TOL))
+    defect = worst(-min_eigenvalue(a.element - b.element, tol=LOEWNER_HERMITIAN_TOL)
+                   for a, b in zip(cert.meets, cert.meets[1:]))
     records = certificate_checks(cert, instance) + [
         record("kolmogorov_chain_monotone", "f_1 >= f_2 >= ... >= f_m (Loewner)",
-               max(0.0, -chain_min), CHECK_TOL_DERIVED, instance)]
-    return records, chain_min
+               defect, CHECK_TOL_DERIVED, instance)]
+    return records, 0.0 - defect  # 0.0, not -0.0, for a monotone chain
 
 
 def refine_checks(decay: list[float], gap_residuals: list[dict],

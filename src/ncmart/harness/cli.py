@@ -2,7 +2,9 @@
 
 Subcommands: verify | ratios | kolmogorov | refine.  Exit codes: 0 when
 every check passes, 1 on a check failure, 2 on a configuration error,
-an output path that cannot be written included.
+an output path that cannot be written included.  An output path whose
+directory is missing, or that is a directory, is rejected before the
+command runs.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 from ..errors import ConfigError
 from .commands import COMMANDS
@@ -67,10 +70,23 @@ def resolve_config(args: argparse.Namespace) -> dict:
     return data
 
 
+def check_output_path(path: str | None) -> None:
+    """Raise the ConfigError of an output path that cannot be written, as
+    far as that can be told without writing it."""
+    if not path:
+        return
+    target = Path(path)
+    if target.is_dir():
+        raise ConfigError(f"{path!r} is a directory", "output.path")
+    if not target.parent.is_dir():
+        raise ConfigError(f"directory {str(target.parent)!r} does not exist", "output.path")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = load_config(resolve_config(args))
+        check_output_path(config.output_path)
         report = COMMANDS[args.command](config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

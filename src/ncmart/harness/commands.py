@@ -6,7 +6,8 @@ with per-instance counter-based random streams, and returns a
 are assembled in instance order so reports are deterministic.  Commands
 only compute; every pass/fail record comes from :mod:`.checks`.  A
 numerical error inside one instance (a failed precondition or a LAPACK
-failure) becomes that instance's failing record, and the sweep goes on.
+failure) becomes that instance's failing record, and the sweep goes on;
+a computed process that fails its adaptedness check counts as one.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from ..algebra import stack, trace
 from ..doob_meyer import naturality_gap
-from ..errors import DomainError
+from ..errors import DomainError, StructureError
 from ..inequalities import (epsilon_from_percentile, kolmogorov_projection, segal_modulus,
                             square_function_ratios)
 from ..integrals import integral_process, integrand_bound, refinement_table
@@ -28,6 +29,8 @@ from .checks import (error_checks, instance_checks, kolmogorov_checks, ratio_che
                      refine_checks)
 from .config import ExperimentConfig
 from .report import VerificationReport
+
+NUMERICAL_ERRORS = (DomainError, StructureError, np.linalg.LinAlgError)
 
 
 def _instance_terminals(config: ExperimentConfig):
@@ -43,7 +46,7 @@ def _contained(report: VerificationReport, instance: int):
     """Record a numerical error raised in the block as the instance's failure."""
     try:
         yield
-    except (DomainError, np.linalg.LinAlgError) as exc:
+    except NUMERICAL_ERRORS as exc:
         report.records += error_checks(exc, instance)
 
 
@@ -78,7 +81,7 @@ def cmd_ratios(config: ExperimentConfig) -> VerificationReport:
     batch = [(i, term) for i, _, term in _instance_terminals(config)]
     try:
         rows = _ratio_rows(config, batch)
-    except (DomainError, np.linalg.LinAlgError) as exc:
+    except NUMERICAL_ERRORS as exc:
         # An error of the stack is the error of some instance: run each
         # instance alone to find it and keep the rows of the others.  One
         # that no instance repeats is still recorded, against the first.

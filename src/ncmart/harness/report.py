@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from ..tolerances import worst
 from .checks import CheckRecord
 
 
@@ -59,16 +60,14 @@ class VerificationReport:
 
     def summarize(self) -> None:
         """Aggregate per-check worst residuals and pass counts."""
-        per_check: dict[str, dict] = {}
+        by_check: dict[str, list[CheckRecord]] = {}
         for r in self.records:
-            agg = per_check.setdefault(r.check, {
-                "formula": r.formula, "tolerance": r.tolerance,
-                "max_residual": 0.0, "count": 0, "failures": 0,
-            })
-            agg["max_residual"] = max(agg["max_residual"], r.residual)
-            agg["count"] += 1
-            agg["failures"] += 0 if r.passed else 1
-        self.summary["checks"] = per_check
+            by_check.setdefault(r.check, []).append(r)
+        self.summary["checks"] = {check: {
+            "formula": rs[0].formula, "tolerance": rs[0].tolerance,
+            "max_residual": worst(r.residual for r in rs), "count": len(rs),
+            "failures": sum(not r.passed for r in rs),
+        } for check, rs in by_check.items()}
         self.summary["all_passed"] = self.all_passed
 
     # -- output -----------------------------------------------------------

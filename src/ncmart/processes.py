@@ -14,7 +14,7 @@ import numpy as np
 from .algebra import AlgElement, TracialAlgebra, abs2, lp_norm, min_eigenvalue
 from .conditional import SubalgebraLevel
 from .errors import DomainError, StructureError
-from .tolerances import ADAPTED_TOL, LOEWNER_HERMITIAN_TOL, MARTINGALE_TOL
+from .tolerances import ADAPTED_TOL, LOEWNER_HERMITIAN_TOL, MARTINGALE_TOL, worst
 
 
 class TimeGrid:
@@ -100,7 +100,7 @@ class AdaptedProcess:
         if validate:
             for k, v in enumerate(values):
                 gap = lp_norm(filtration.levels[k].expect(v) - v, 2)
-                if gap > ADAPTED_TOL:
+                if not gap <= ADAPTED_TOL:
                     raise StructureError(
                         f"value {k} is not adapted (residual {gap:.2e} > {ADAPTED_TOL:g})")
         self.filtration = filtration
@@ -138,12 +138,9 @@ class AdaptedProcess:
     def martingale_residual(self) -> float:
         """max over s < t of ||E_s X(t) - X(s)||_2 (cached)."""
         if self._mart_residual is None:
-            worst = 0.0
             levels, values = self.filtration.levels, self.values
-            for t in range(1, len(values)):
-                for s in range(t):
-                    worst = max(worst, lp_norm(levels[s].expect(values[t]) - values[s], 2))
-            self._mart_residual = worst
+            self._mart_residual = worst(lp_norm(levels[s].expect(values[t]) - values[s], 2)
+                                        for t in range(1, len(values)) for s in range(t))
         return self._mart_residual
 
     def square_sums(self, partition: Iterable[int]) -> tuple[AlgElement, AlgElement]:
@@ -181,14 +178,10 @@ def require_martingale(p: AdaptedProcess, what: str) -> None:
 
 def submartingale_abs2_defect(p: AdaptedProcess) -> float:
     """Worst negative-eigenvalue margin of E_s|X(t)|^2 - |X(s)|^2 over s <= t."""
-    worst = 0.0
     levels, values = p.filtration.levels, p.values
     sq = [abs2(v) for v in values]
-    for t in range(1, len(values)):
-        for s in range(t):
-            lam = min_eigenvalue(levels[s].expect(sq[t]) - sq[s], tol=LOEWNER_HERMITIAN_TOL)
-            worst = max(worst, -lam)
-    return worst
+    return worst(-min_eigenvalue(levels[s].expect(sq[t]) - sq[s], tol=LOEWNER_HERMITIAN_TOL)
+                 for t in range(1, len(values)) for s in range(t))
 
 
 def as_partition(n_times: int, partition: Iterable[int]) -> tuple[int, ...]:

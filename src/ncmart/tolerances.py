@@ -7,7 +7,9 @@ inequalities are trace or Loewner inequalities with explicit constants.
 In floating point both hold only up to rounding, so each is judged
 against one of the values below.  Residuals are measured on the
 normalized trace scale (``tau(1) == 1``) with data of order one, as the
-seeded sweeps draw it.  No other module defines a tolerance.
+seeded sweeps draw it.  No other module defines a tolerance.  Residual
+terms fold into one residual through :func:`worst`, the package's only such
+fold; a NaN term makes the residual NaN, and a NaN residual fails its check.
 """
 
 # -- check tolerances: what a harness CheckRecord compares its residual with --
@@ -56,3 +58,14 @@ SELFADJOINT_TOL = 1e-9
 DENOMINATOR_FLOOR = 1e-12
 # Least percentile epsilon, so certificate thresholds stay positive for a zero process.
 EPSILON_FLOOR = 1e-8
+
+
+def worst(terms) -> float:
+    """The largest of 0 and ``terms``; NaN as soon as any term is NaN."""
+    out = 0.0
+    for t in terms:
+        if t > out:
+            out = t
+        elif t != t:  # NaN
+            return t
+    return out

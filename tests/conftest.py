@@ -3,6 +3,7 @@ and a Hypothesis strategy for configs on random nested chains."""
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 
 import numpy as np
@@ -206,3 +207,37 @@ def count_linalg(monkeypatch):
             return _real(*args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counted)
     return counts
+
+
+def nan_element(algebra):
+    """An element of ``algebra`` whose first diagonal entry is NaN, the rest 0."""
+    blocks = [np.zeros((n, n), dtype=complex) for n in algebra.block_dims]
+    blocks[0][0, 0] = np.nan
+    return algebra.element(blocks)
+
+
+def nan_on_call(monkeypatch, owner, name, call):
+    """Patch ``owner.<name>`` so that its ``call``-th call (from 1) returns NaN.
+
+    For a residual term that NaN data cannot reach: such data stops at an
+    earlier precondition gate or LAPACK error first.
+    """
+    real = getattr(owner, name)
+    calls = []
+
+    def patched(*args, **kwargs):
+        calls.append(None)
+        return math.nan if len(calls) == call else real(*args, **kwargs)
+    monkeypatch.setattr(owner, name, patched)
+
+
+def nan_tolerant(monkeypatch, owner, name):
+    """Patch the spectral function ``owner.<name>`` to return NaN for an
+    element with a NaN entry, where the real one raises LinAlgError."""
+    real = getattr(owner, name)
+
+    def patched(x, *args, **kwargs):
+        if any(np.isnan(b).any() for b in x.blocks):
+            return math.nan
+        return real(x, *args, **kwargs)
+    monkeypatch.setattr(owner, name, patched)

@@ -18,6 +18,15 @@ def rand(algebra, seed, kind="general"):
     return nc.random_element(algebra, seed, kind)
 
 
+class TestWeights:
+    @pytest.mark.parametrize("dims, weights", [
+        ([2, 2], [0.0, 1.0]), ([2, 2], [-0.5, 1.5]), ([2, 2], [0.3, 0.3]),
+        ([2], [math.nan]), ([2, 2], [math.nan, 1.0])])
+    def test_rejected(self, dims, weights):
+        with pytest.raises(nc.StructureError, match="block_weights"):
+            nc.TracialAlgebra(dims, weights)
+
+
 class TestTrace:
     def test_identity_is_unital(self, m2):
         assert nc.trace(m2.identity()) == pytest.approx(1.0)

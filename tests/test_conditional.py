@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import ncmart as nc
-from conftest import single
+from ncmart import conditional
+from conftest import nan_on_call, single
 
 Level = nc.SubalgebraLevel
 
@@ -173,6 +174,13 @@ class TestValidation:
     def test_non_star_closed_basis_rejected(self, m2):
         with pytest.raises(nc.StructureError):
             Level.general(m2, [m2.identity(), single(m2, [[0, 1], [0, 0]])])
+
+    @pytest.mark.parametrize("call, message", [(1, "identity"), (2, "closed")])
+    def test_nan_inclusion_defect_rejected(self, m2, monkeypatch, call, message):
+        # NaN basis data stops at the condition estimate, so stand in a NaN defect
+        nan_on_call(monkeypatch, conditional, "lp_norm", call)
+        with pytest.raises(nc.StructureError, match=message):
+            Level.general(m2, [m2.identity(), single(m2, [[1, 0], [0, 0]])])
 
     def test_bad_partition_rejected(self, m2):
         with pytest.raises(nc.StructureError):

@@ -1,10 +1,12 @@
 """Quadratic variation, compensator, decompositions, naturality, uniqueness."""
 
+import math
+
 import numpy as np
 import pytest
 
 import ncmart as nc
-from conftest import single
+from conftest import nan_element, single
 
 
 @pytest.fixture
@@ -175,6 +177,12 @@ class TestNaturalityPairing:
         with pytest.raises(nc.DomainError):
             nc.naturality_pairing(sq, worked.filtration.algebra.identity(), [0, 1, 2])
 
+    def test_rejects_nan_start(self, m2_chain, m2):
+        a = nc.AdaptedProcess(m2_chain, [nan_element(m2), m2.zero(), m2.zero()],
+                              validate=False)
+        with pytest.raises(nc.DomainError, match="A\\(0\\) = 0"):
+            nc.naturality_pairing(a, m2.identity(), [0, 1, 2])
+
 
 class TestNaturalityGap:
     def test_worked_gap_vanishes(self, worked):
@@ -219,6 +227,14 @@ class TestNaturalityGap:
         g, residuals = nc.naturality_gap(x, grid)
         assert lhs <= nc.lp_norm(y, 2) * g + 1e-10
 
+    def test_overflow_makes_the_fourth_moment_nan(self, pool):
+        # g^2 and 4 tau(sum_k |dX_k|^4) both overflow, and inf - inf is NaN
+        name, filt = pool[2]
+        x = 1e100 * random_martingale(filt, 51)
+        with np.errstate(over="ignore", invalid="ignore"):
+            g, residuals = nc.naturality_gap(x, nc.full_partition(x))
+        assert math.isnan(residuals["fourth_moment"])
+
 
 class TestUniqueness:
     def test_zero_process(self, m2_chain, m2):
@@ -244,6 +260,11 @@ class TestUniqueness:
             filt, nc.random_element(filt.algebra, 61, "general"))
         with pytest.raises(nc.DomainError):
             nc.uniqueness_residual(x)
+
+    def test_rejects_nan_defect(self, m2_chain, m2):
+        m = nc.AdaptedProcess(m2_chain, [nan_element(m2)] * 3, validate=False)
+        with pytest.raises(nc.DomainError, match="not selfadjoint"):
+            nc.uniqueness_residual(m)
 
 
 class TestCrossVariation:

@@ -16,6 +16,7 @@ from ncmart.harness import (ExperimentConfig, cmd_kolmogorov, cmd_ratios, cmd_re
                             cmd_verify, load_config, midpoint_chain, preset)
 from ncmart.harness import commands
 from ncmart.harness.cli import main
+from ncmart.harness.report import VerificationReport
 from conftest import structures
 
 PINS = Path(__file__).parent / "data" / "payload_pins.json"
@@ -290,10 +291,23 @@ class TestCli:
         assert "p_values" in capsys.readouterr().err
 
     @pytest.mark.parametrize("target", ["missing/r.json", "."])
-    def test_unwritable_output_path_is_exit_two(self, tmp_path, capsys, target):
+    def test_unwritable_output_path_is_exit_two(self, tmp_path, capsys, monkeypatch, target):
+        calls = []
+        monkeypatch.setitem(commands.COMMANDS, "ratios", lambda config: calls.append(config))
         out = tmp_path / target
         assert main(["ratios", "--preset", "m2-worked-example", "--out", str(out)]) == 2
         assert "config error: output.path: " in capsys.readouterr().err
+        assert calls == []  # rejected before the sweep
+
+    def test_output_write_failure_after_the_sweep_is_exit_two(self, tmp_path, capsys,
+                                                              monkeypatch):
+        def refuse(*args, **kwargs):
+            raise PermissionError("read-only")
+        monkeypatch.setattr(VerificationReport, "write", refuse)
+        code = main(["ratios", "--preset", "m2-worked-example", "--out",
+                     str(tmp_path / "r.json")])
+        assert code == 2
+        assert "config error: output.path: read-only" in capsys.readouterr().err
 
     def test_ratio_csv_columns(self, tmp_path):
         out = tmp_path / "ratios.csv"
@@ -459,6 +473,40 @@ class TestContainment:
         assert "LinAlgError: SVD did not converge" in rec["formula"]
         if command != "ratios":  # ratios records once per sweep, not per instance
             assert {r["instance"] for r in report["records"]} == {0, 1, 2}
+
+    @staticmethod
+    def huge_terminal_config(tmp_path, name):
+        """A one-instance config of preset ``name`` whose fixed terminal has
+        entries of order 1e100: finite, so the config accepts it, but its
+        p = 4 norms and fourth moments overflow."""
+        data = preset(name)
+        data["instances"] = 1
+        rng = np.random.default_rng(0)
+        data["terminal"] = {"kind": "fixed", "blocks": [
+            {"real": (rng.standard_normal((n, n)) * 1e100).tolist()}
+            for n in data["algebra"]["block_dims"]]}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(data))
+        return cfg
+
+    def test_overflowed_norms_fail_with_nan(self, tmp_path):
+        cfg = self.huge_terminal_config(tmp_path, "m4-random")
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, report = run_cli(tmp_path, ["verify", "--config", str(cfg)])
+        assert code == 1
+        for check in ("norm_contraction", "norm_monotonicity", "gap_fourth_moment"):
+            [rec] = failing(report, check)
+            assert math.isnan(rec["residual"])
+            assert math.isnan(report["summary"]["checks"][check]["max_residual"])
+
+    def test_unadapted_computed_process_is_one_failing_record(self, tmp_path):
+        # rounding at 1e100 leaves the compensator unadapted by ~1e83
+        cfg = self.huge_terminal_config(tmp_path, "m2m3-random")
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, report = run_cli(tmp_path, ["verify", "--config", str(cfg)])
+        assert code == 1
+        [rec] = failing(report, "instance_completed")
+        assert "StructureError" in rec["formula"] and "not adapted" in rec["formula"]
 
 
 def pinned_payload(command, name):

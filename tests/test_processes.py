@@ -1,10 +1,13 @@
 """Grids, filtrations, adapted processes, martingale generation and checks."""
 
+import math
+
 import numpy as np
 import pytest
 
 import ncmart as nc
-from conftest import centered_terminal, single
+from ncmart import processes
+from conftest import centered_terminal, nan_element, nan_tolerant, single
 
 
 class TestTimeGrid:
@@ -50,6 +53,10 @@ class TestAdaptedProcess:
         with pytest.raises(nc.StructureError, match="not adapted"):
             nc.AdaptedProcess(m2_chain, values)
 
+    def test_rejects_nan_values(self, m2_chain, m2):
+        with pytest.raises(nc.StructureError, match="not adapted"):
+            nc.AdaptedProcess(m2_chain, [nan_element(m2)] * 3)
+
     def test_arithmetic_and_adjoint(self, m2_chain, m2_terminal):
         x = nc.martingale_from_terminal(m2_chain, m2_terminal)
         y = 2.0 * x - (1j * x)
@@ -91,14 +98,21 @@ class TestMartingaleCheck:
         p = nc.AdaptedProcess(m2_chain, [m2.identity()] * 3)
         assert p.martingale_residual() <= 1e-12
 
-    def test_require_martingale_rejects(self, m2_chain, m2, monkeypatch):
+    def test_require_martingale_rejects(self, m2_chain, m2):
         from ncmart.processes import require_martingale
         p = nc.AdaptedProcess(m2_chain, [m2.identity()] * 3)
         require_martingale(p, "test")
-        for res in (1.0, np.nan):
-            monkeypatch.setattr(p, "martingale_residual", lambda: res)
+        for values in ([m2.zero(), m2.zero(), m2.identity()], [nan_element(m2)] * 3):
+            p = nc.AdaptedProcess(m2_chain, values, validate=False)
             with pytest.raises(nc.DomainError, match="needs a martingale"):
                 require_martingale(p, "test")
+
+    def test_nan_value_makes_the_residual_nan(self, m2_chain, m2_martingale):
+        values = m2_martingale.values[:-1] + (nan_element(m2_chain.algebra),)
+        p = nc.AdaptedProcess(m2_chain, values, validate=False)
+        assert math.isnan(p.martingale_residual())
+        assert math.isnan(nc.AdaptedProcess(m2_chain, [nan_element(m2_chain.algebra)] * 3,
+                                            validate=False).martingale_residual())
 
 
 class TestSubmartingale:
@@ -111,6 +125,13 @@ class TestSubmartingale:
     def test_constant_process(self, m2_chain, m2):
         p = nc.AdaptedProcess(m2_chain, [m2.identity()] * 3)
         assert nc.submartingale_abs2_defect(p) <= 1e-12
+
+    def test_nan_value_makes_the_defect_nan(self, m2_chain, m2_martingale, monkeypatch):
+        # the eigenvalues of a NaN element are a LinAlgError, so stand in NaN for them
+        nan_tolerant(monkeypatch, processes, "min_eigenvalue")
+        values = m2_martingale.values[:-1] + (nan_element(m2_chain.algebra),)
+        p = nc.AdaptedProcess(m2_chain, values, validate=False)
+        assert math.isnan(nc.submartingale_abs2_defect(p))
 
     def test_unitary_process_saturates(self, m2_chain, m2):
         u0 = m2.identity()

@@ -1,9 +1,15 @@
-"""Every tolerance of the package is defined in ``ncmart/tolerances.py``."""
+"""Every tolerance of the package is defined in ``ncmart/tolerances.py``,
+and every residual fold goes through its ``worst``."""
 
 import ast
+import math
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import ncmart
+from ncmart.tolerances import worst
 
 PACKAGE = Path(ncmart.__file__).parent
 
@@ -28,3 +34,59 @@ def test_no_tolerance_literal_outside_the_table():
 
 def test_the_table_holds_tolerances():
     assert tolerance_literals(PACKAGE / "tolerances.py")
+
+
+# The modules that fold residual terms into one residual per record.
+FOLDING_MODULES = ("harness/checks.py", "processes.py", "doob_meyer.py", "harness/report.py")
+
+
+def builtin_max_min_calls(path):
+    """(line, name) of every call of the builtin ``max`` or ``min`` in a module."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return [(node.lineno, node.func.id) for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in ("max", "min")]
+
+
+def test_no_hand_written_fold_in_the_folding_modules():
+    # max(0.0, nan) is 0.0, so a builtin fold drops NaN terms; worst() does not
+    hits = [f"{name}:{line}: {func}("
+            for name in FOLDING_MODULES
+            for line, func in builtin_max_min_calls(PACKAGE / name)]
+    assert not hits, "builtin max/min outside tolerances.worst:\n" + "\n".join(hits)
+
+
+class TestWorst:
+    def test_empty_is_zero(self):
+        assert worst([]) == 0.0
+        assert worst(iter(())) == 0.0
+
+    def test_negatives_clamp_to_zero(self):
+        assert worst([-3.0, -1e-300]) == 0.0
+        assert math.copysign(1.0, worst([-0.0])) == 1.0
+
+    def test_largest_term(self):
+        assert worst([1e-12, 3.0, 2.0]) == 3.0
+        assert worst(x for x in (0.5, -1.0)) == 0.5
+        assert worst([np.float64(2.5), 1.0]) == 2.5
+
+    def test_infinities(self):
+        assert worst([1.0, math.inf, 2.0]) == math.inf
+        assert worst([-math.inf]) == 0.0
+        assert worst([-math.inf, 1.0]) == 1.0
+
+    @pytest.mark.parametrize("terms", [
+        [math.nan, 1.0, 2.0], [1.0, math.nan, 2.0], [1.0, 2.0, math.nan],
+        [math.inf, math.nan], [-1.0, np.float64("nan")]])
+    def test_nan_anywhere_is_nan(self, terms):
+        assert math.isnan(worst(terms))
+
+    def test_stops_at_the_first_nan(self):
+        seen = []
+
+        def terms():
+            for t in (1.0, math.nan, 2.0):
+                seen.append(t)
+                yield t
+        assert math.isnan(worst(terms()))
+        assert seen == [1.0, math.nan]
