@@ -1,18 +1,18 @@
 """The four experiment commands: verify, ratios, kolmogorov, refine.
 
-Each command takes a validated :class:`ExperimentConfig`, runs its sweep
-with per-instance counter-based random streams, and returns a
-:class:`VerificationReport`.  Instance-level work is independent; results
-are assembled in instance order so reports are deterministic.  Commands
-only compute; every pass/fail record comes from :mod:`.checks`.  A
-numerical error inside one instance (a failed precondition or a LAPACK
-failure) becomes that instance's failing record, and the sweep goes on;
-a computed process that fails its adaptedness check counts as one.
+Each command is a batch function and a summary, run by one runner that
+draws every instance from its own counter-based stream, calls the batch
+function once on all of them and keeps rows and records in instance order,
+so reports are deterministic.  Commands only compute; every pass/fail
+record comes from :mod:`.checks`.  On a numerical error (a failed
+precondition, an unadapted computed process, a LAPACK failure) the runner
+reruns each instance alone: one that fails alone reports only its failing
+``instance_completed`` record, and every other instance reports whole.
+Floating-point warnings are silenced; the report carries the inf and NaN.
 """
 
 from __future__ import annotations
 
-import contextlib
 import time
 
 import numpy as np
@@ -33,165 +33,166 @@ from .report import VerificationReport
 NUMERICAL_ERRORS = (DomainError, StructureError, np.linalg.LinAlgError)
 
 
-def _instance_terminals(config: ExperimentConfig):
-    """Yield (instance, rng, terminal): the config's fixed terminal, or else
-    the first draw from the instance's own stream."""
+def _instance_terminals(config: ExperimentConfig) -> list:
+    """(instance, rng, terminal) of every instance, from new streams on each call:
+    the config's fixed terminal, or else the first draw from the instance's stream."""
     fixed, algebra = config.fixed_terminal, config.filtration.algebra
-    for i, rng in enumerate(spawn_generators(config.seed, config.instances)):
-        yield i, rng, fixed if fixed is not None else random_element(algebra, rng, "general")
+    return [(i, rng, fixed if fixed is not None else random_element(algebra, rng, "general"))
+            for i, rng in enumerate(spawn_generators(config.seed, config.instances))]
 
 
-@contextlib.contextmanager
-def _contained(report: VerificationReport, instance: int):
-    """Record a numerical error raised in the block as the instance's failure."""
+def _attempt(batch, config: ExperimentConfig, drawn: list) -> tuple[list, list, bool]:
+    """(rows, records, failed) of ``batch``; a numerical error is the first drawn's record."""
     try:
-        yield
+        return (*batch(config, drawn), False)
     except NUMERICAL_ERRORS as exc:
-        report.records += error_checks(exc, instance)
+        return [], error_checks(exc, drawn[0][0]), True
 
 
-def cmd_verify(config: ExperimentConfig) -> VerificationReport:
-    """Run the full identity suite per instance."""
+def _sweep(command: str, config: ExperimentConfig, batch,
+           summary=lambda report, config, rows: None) -> VerificationReport:
+    """The report of ``batch(config, drawn)``, which returns the rows and records
+    of the drawn instances in instance order; ``summary(report, config, rows)``
+    fills the command's tables and summary entries."""
     t0 = time.perf_counter()
-    report = VerificationReport("verify", config.to_dict())
-    for i, rng, term in _instance_terminals(config):
-        with _contained(report, i):
-            report.records.extend(instance_checks(config.filtration, rng, i, terminal=term))
+    report = VerificationReport(command, config.to_dict())
+    with np.errstate(all="ignore"):
+        drawn = _instance_terminals(config)
+        rows, records, failed = _attempt(batch, config, drawn)
+        if failed and len(drawn) > 1:
+            # An error of the batch is some instance's: run each alone to find it.  One
+            # that no instance repeats stays recorded against the first, ahead of all.
+            alone = [_attempt(batch, config, [one]) for one in _instance_terminals(config)]
+            if any(f for _, _, f in alone):
+                records = []
+            rows = [row for part, _, _ in alone for row in part]
+            records += [r for _, part, _ in alone for r in part]
+        report.records = records
+        summary(report, config, rows)
     report.summarize()
     report.timing = {"seconds": time.perf_counter() - t0}
     return report
 
 
-def _ratio_rows(config: ExperimentConfig, batch: list) -> list[dict]:
-    """The ratio rows of the (instance, terminal) pairs of ``batch``, in
-    instance order, from one stacked martingale."""
-    x = martingale_from_terminal(config.filtration, stack([t for _, t in batch]))
+def _identities(config: ExperimentConfig, drawn: list) -> tuple[list, list]:
+    """The identity-suite records of each instance."""
+    return [], [r for i, rng, term in drawn
+                for r in instance_checks(config.filtration, rng, i, terminal=term)]
+
+
+def cmd_verify(config: ExperimentConfig) -> VerificationReport:
+    """Run the full identity suite per instance."""
+    return _sweep("verify", config, _identities)
+
+
+def _ratio_rows(config: ExperimentConfig, drawn: list) -> tuple[list, list]:
+    """The ratio rows of the drawn instances, in instance order, from one
+    stacked martingale; the sweep's one record comes from its summary."""
+    x = martingale_from_terminal(config.filtration, stack([t for _, _, t in drawn]))
     grid = full_partition(config.filtration)
     table = [(p, *square_function_ratios(x, grid, p)) for p in config.p_values]
     return [{"p": p, "instance": i, "bg_ratio": float(bg[k]),
              "dual_doob_ratio": float(dd[k]), "seed": config.seed}
-            for k, (i, _) in enumerate(batch) for p, bg, dd, defined in table if defined[k]]
+            for k, (i, _, _) in enumerate(drawn)
+            for p, bg, dd, defined in table if defined[k]], []
 
 
-def cmd_ratios(config: ExperimentConfig) -> VerificationReport:
-    """Sweep the square-function and dual Doob ratios over p_values, all
-    instances as one stack."""
-    t0 = time.perf_counter()
-    report = VerificationReport("ratios", config.to_dict())
-    batch = [(i, term) for i, _, term in _instance_terminals(config)]
-    try:
-        rows = _ratio_rows(config, batch)
-    except NUMERICAL_ERRORS as exc:
-        # An error of the stack is the error of some instance: run each
-        # instance alone to find it and keep the rows of the others.  One
-        # that no instance repeats is still recorded, against the first.
-        rows = []
-        for i, term in batch:
-            with _contained(report, i):
-                rows += _ratio_rows(config, [(i, term)])
-        if not report.records:
-            report.records += error_checks(exc, batch[0][0])
+def _ratio_summary(report: VerificationReport, config: ExperimentConfig, rows) -> None:
     report.tables["ratios"] = rows
     report.tables["csv_table"] = "ratios"
-
-    summary = []
+    statistics = []
     for p in config.p_values:
         for key in ("bg_ratio", "dual_doob_ratio"):
             vals = [r[key] for r in rows if r["p"] == p]
             if not vals:
                 continue
             arr = np.array(vals)
-            summary.append({
+            statistics.append({
                 "p": p, "ratio_kind": key, "instance_count": len(vals),
                 "mean": float(arr.mean()), "max": float(arr.max()),
                 "q50": float(np.quantile(arr, 0.5)), "q90": float(np.quantile(arr, 0.9)),
             })
-    report.summary["ratio_statistics"] = summary
+    report.summary["ratio_statistics"] = statistics
     [finite] = ratio_checks(rows)
     report.summary["all_finite"] = finite.passed
     report.records.append(finite)
-    report.summarize()
-    report.timing = {"seconds": time.perf_counter() - t0}
-    return report
+
+
+def cmd_ratios(config: ExperimentConfig) -> VerificationReport:
+    """Sweep the square-function and dual Doob ratios over p_values, all
+    instances as one stack."""
+    return _sweep("ratios", config, _ratio_rows, _ratio_summary)
+
+
+def _certificates(config: ExperimentConfig, drawn: list) -> tuple[list, list]:
+    """The left and right certificate rows and records of each instance."""
+    rows, records = [], []
+    for i, _, term in drawn:
+        x = martingale_from_terminal(config.filtration, term)
+        eps = config.epsilon_value if config.epsilon_mode == "fixed" else \
+            epsilon_from_percentile(x, config.epsilon_value)
+        for side in ("left", "right"):
+            cert = kolmogorov_projection(x, eps, side)
+            side_records, chain_min = kolmogorov_checks(cert, i)
+            rows.append({
+                "instance": i, "side": side, "epsilon": eps,
+                "trace_defect": cert.trace_defect, "trace_bound": cert.trace_bound,
+                "trace_slack": cert.trace_bound - cert.trace_defect,
+                "max_sup_norm": max(cert.sup_norms), "sup_slack": eps - max(cert.sup_norms),
+                "projection_trace": trace(cert.projection.element).real,
+                "chain_min_eigenvalue": chain_min, "seed": config.seed,
+            })
+            records += side_records
+    return rows, records
+
+
+def _slack_summary(report: VerificationReport, config: ExperimentConfig, rows) -> None:
+    report.certificates = rows
+    report.tables["csv_table"] = "certificates"
+    slacks = np.array([r["trace_slack"] for r in rows])
+    report.summary["bound_slack"] = {"count": len(rows),
+                                     "min": float(slacks.min()) if rows else 0.0,
+                                     "mean": float(slacks.mean()) if rows else 0.0}
 
 
 def cmd_kolmogorov(config: ExperimentConfig) -> VerificationReport:
     """Emit uniform-bound projection certificates for both sides."""
-    t0 = time.perf_counter()
-    report = VerificationReport("kolmogorov", config.to_dict())
-    rows = []
-    for i, rng, term in _instance_terminals(config):
-        with _contained(report, i):
-            x = martingale_from_terminal(config.filtration, term)
-            if config.epsilon_mode == "fixed":
-                eps = config.epsilon_value
-            else:
-                eps = epsilon_from_percentile(x, config.epsilon_value)
-            for side in ("left", "right"):
-                cert = kolmogorov_projection(x, eps, side)
-                records, chain_min = kolmogorov_checks(cert, i)
-                rows.append({
-                    "instance": i,
-                    "side": side,
-                    "epsilon": eps,
-                    "trace_defect": cert.trace_defect,
-                    "trace_bound": cert.trace_bound,
-                    "trace_slack": cert.trace_bound - cert.trace_defect,
-                    "max_sup_norm": max(cert.sup_norms),
-                    "sup_slack": eps - max(cert.sup_norms),
-                    "projection_trace": trace(cert.projection.element).real,
-                    "chain_min_eigenvalue": chain_min,
-                    "seed": config.seed,
-                })
-                report.records += records
-    report.certificates = rows
-    report.tables["csv_table"] = "certificates"
-    slacks = np.array([r["trace_slack"] for r in rows]) if rows else np.zeros(0)
-    report.summary["bound_slack"] = {
-        "count": len(rows),
-        "min": float(slacks.min()) if rows else 0.0,
-        "mean": float(slacks.mean()) if rows else 0.0,
-    }
-    report.summarize()
-    report.timing = {"seconds": time.perf_counter() - t0}
-    return report
+    return _sweep("kolmogorov", config, _certificates, _slack_summary)
+
+
+def _refinements(config: ExperimentConfig, drawn: list) -> tuple[list, list]:
+    """Per instance, a row (instance, decay rows, integrand bound, Segal
+    modulus), and its records."""
+    chain, rows, records = config.chain, [], []
+    for i, _, term in drawn:
+        x = martingale_from_terminal(config.filtration, term)
+        decay = refinement_table(x, x, "left", chain)
+        gaps = [naturality_gap(x, part) for part in chain]
+        table = [{"instance": i, "chain_level": lvl, "partition_size": len(chain[lvl]),
+                  "decay": d, "naturality_gap": g, "seed": config.seed}
+                 for lvl, (d, (g, _)) in enumerate(zip(decay, gaps))]
+        # continuity diagnostics of the integral process; the modulus has no threshold
+        proc = integral_process(x, x, "left")
+        eps = epsilon_from_percentile(proc, 50.0)
+        cert = kolmogorov_projection(proc, eps, "left")
+        modulus = [[g, m] for g, m in segal_modulus(proc, cert.projection, "left")]
+        rows.append((i, table, integrand_bound(x), modulus))
+        records += refine_checks(decay, [res for _, res in gaps], cert, i)
+    return rows, records
+
+
+def _refine_summary(report: VerificationReport, config: ExperimentConfig, rows) -> None:
+    report.tables["refinement"] = [row for _, table, _, _ in rows for row in table]
+    report.tables["csv_table"] = "refinement"
+    if rows:
+        report.summary["integrand_bound"] = {str(i): bound for i, _, bound, _ in rows}
+        report.summary["segal_modulus"] = {str(i): modulus for i, _, _, modulus in rows}
 
 
 def cmd_refine(config: ExperimentConfig) -> VerificationReport:
     """Cauchy-decay tables along the partition chain plus gap diagnostics."""
-    t0 = time.perf_counter()
-    report = VerificationReport("refine", config.to_dict())
-    chain = config.chain
-    rows = []
-    for i, rng, term in _instance_terminals(config):
-        with _contained(report, i):
-            x = martingale_from_terminal(config.filtration, term)
-            decay = refinement_table(x, x, "left", chain)
-            gaps = [naturality_gap(x, part) for part in chain]
-            for lvl, (d, (g, _)) in enumerate(zip(decay, gaps)):
-                rows.append({
-                    "instance": i, "chain_level": lvl, "partition_size": len(chain[lvl]),
-                    "decay": d, "naturality_gap": g, "seed": config.seed,
-                })
-            report.summary.setdefault("integrand_bound", {})[str(i)] = integrand_bound(x)
-
-            # continuity diagnostics of the integral process; the modulus has no threshold
-            proc = integral_process(x, x, "left")
-            eps = epsilon_from_percentile(proc, 50.0)
-            cert = kolmogorov_projection(proc, eps, "left")
-            report.summary.setdefault("segal_modulus", {})[str(i)] = [
-                [g, m] for g, m in segal_modulus(proc, cert.projection, "left")]
-            report.records += refine_checks(decay, [res for _, res in gaps], cert, i)
-    report.tables["refinement"] = rows
-    report.tables["csv_table"] = "refinement"
-    report.summarize()
-    report.timing = {"seconds": time.perf_counter() - t0}
-    return report
+    return _sweep("refine", config, _refinements, _refine_summary)
 
 
-COMMANDS = {
-    "verify": cmd_verify,
-    "ratios": cmd_ratios,
-    "kolmogorov": cmd_kolmogorov,
-    "refine": cmd_refine,
-}
+COMMANDS = {"verify": cmd_verify, "ratios": cmd_ratios, "kolmogorov": cmd_kolmogorov,
+            "refine": cmd_refine}

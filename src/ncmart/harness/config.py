@@ -29,6 +29,11 @@ OUTPUT_FORMATS = ("json", "csv")
 EPSILON_MODES = ("fixed", "percentile")
 TERMINAL_KINDS = ("random", "fixed")
 
+# Size caps: a sweep draws every instance's stream and terminal before any work,
+# so a larger count or algebra would run out of memory rather than fail.
+MAX_INSTANCES = 10_000
+MAX_ALGEBRA_DIM = 256  # the complex dimension sum(n_b^2): M_16, or sixteen M_4 blocks
+
 
 def _at(path: str, build, *args):
     """``build(*args)``; a TypeError, ValueError or OverflowError it raises (the
@@ -51,8 +56,9 @@ def _number(value) -> float:
     return float(value)
 
 
-def _integer(value, minimum: int | None = None) -> int:
-    """A whole number (an integer, or an integral float such as 25.0), at least ``minimum``."""
+def _integer(value, minimum: int | None = None, maximum: int | None = None) -> int:
+    """A whole number (an integer, or an integral float such as 25.0), at least
+    ``minimum`` and at most ``maximum``."""
     if isinstance(value, numbers.Integral) and not isinstance(value, bool):
         number = int(value)
     elif _number(value).is_integer():
@@ -61,6 +67,8 @@ def _integer(value, minimum: int | None = None) -> int:
         raise ValueError(f"{value!r} is not a whole number")
     if minimum is not None and number < minimum:
         raise ValueError(f"must be at least {minimum}, got {number}")
+    if maximum is not None and number > maximum:
+        raise ValueError(f"must be at most {maximum}, got {number}")
     return number
 
 
@@ -199,6 +207,10 @@ def load_config(data: dict) -> ExperimentConfig:
     alg = data.get("algebra")
     if not isinstance(alg, dict) or "block_dims" not in alg:
         raise ConfigError("missing algebra.block_dims", "algebra")
+    dims = _each("algebra.block_dims", alg["block_dims"], _integer)
+    if sum(n * n for n in dims if n > 0) > MAX_ALGEBRA_DIM:
+        raise ConfigError(f"the algebra's dimension sum(n^2) must be at most {MAX_ALGEBRA_DIM}",
+                          "algebra.block_dims")
     weights = alg.get("block_weights")
     if weights is not None:
         weights = _each("algebra.block_weights", weights, _number)
@@ -231,12 +243,12 @@ def load_config(data: dict) -> ExperimentConfig:
         raise ConfigError(f"format must be one of {OUTPUT_FORMATS}", "output.format")
 
     return ExperimentConfig(
-        block_dims=_each("algebra.block_dims", alg["block_dims"], _integer),
+        block_dims=dims,
         block_weights=weights,
         times=_each("times", data.get("times"), _number),
         levels=_each("levels", data.get("levels"), copy.deepcopy),
         seed=_at("seed", _integer, data.get("seed", 0), 0),
-        instances=_at("instances", _integer, data.get("instances", 25), 1),
+        instances=_at("instances", _integer, data.get("instances", 25), 1, MAX_INSTANCES),
         p_values=p_values,
         epsilon_mode=eps["mode"],
         epsilon_value=eps_value,

@@ -4,6 +4,7 @@ and pinned payloads."""
 import dataclasses
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from ncmart.harness import (ExperimentConfig, cmd_kolmogorov, cmd_ratios, cmd_re
                             cmd_verify, load_config, midpoint_chain, preset)
 from ncmart.harness import commands
 from ncmart.harness.cli import main
+from ncmart.harness.config import MAX_ALGEBRA_DIM, MAX_INSTANCES
 from ncmart.harness.report import VerificationReport
 from conftest import structures
 
@@ -155,6 +157,31 @@ class TestMalformedConfig:
         cfg = load_config(m2_config(seed=5.0, instances=2.0, partition_chain=[[0.0, 2.0]]))
         assert (cfg.seed, cfg.instances, cfg.chain) == (5, 2, ((0, 2),))
         assert type(cfg.seed) is int and type(cfg.instances) is int
+
+    @pytest.fixture
+    def nothing_allocated(self, monkeypatch):
+        """Fail the test if a filtration is built or an instance stream drawn."""
+        def allocates(*args, **kwargs):
+            raise AssertionError("a capped config allocated before it was rejected")
+        monkeypatch.setattr(ExperimentConfig, "build_filtration", allocates)
+        monkeypatch.setattr(commands, "spawn_generators", allocates)
+
+    def test_instance_count_above_the_cap_is_exit_two(self, capsys, nothing_allocated):
+        assert main(["ratios", "--preset", "m4-random",
+                     "--instances", str(MAX_INSTANCES + 1)]) == 2
+        assert f"config error: instances: must be at most {MAX_INSTANCES}" \
+            in capsys.readouterr().err
+
+    def test_algebra_above_the_cap_is_exit_two(self, tmp_path, capsys, nothing_allocated):
+        data = preset("m4-random")
+        data["algebra"] = {"block_dims": [1] * (MAX_ALGEBRA_DIM + 1)}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(data))
+        assert main(["verify", "--config", str(cfg)]) == 2
+        assert "config error: algebra.block_dims: " in capsys.readouterr().err
+
+    def test_the_instance_cap_admits_itself(self):
+        assert load_config(m2_config(instances=MAX_INSTANCES)).instances == MAX_INSTANCES
 
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(path=st.sampled_from(FUZZED_PATHS), value=JSON_VALUES)
@@ -490,8 +517,10 @@ class TestContainment:
         return cfg
 
     def test_overflowed_norms_fail_with_nan(self, tmp_path):
+        # the report carries the NaN, so no floating-point warning repeats it
         cfg = self.huge_terminal_config(tmp_path, "m4-random")
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
             code, report = run_cli(tmp_path, ["verify", "--config", str(cfg)])
         assert code == 1
         for check in ("norm_contraction", "norm_monotonicity", "gap_fourth_moment"):
@@ -502,7 +531,8 @@ class TestContainment:
     def test_unadapted_computed_process_is_one_failing_record(self, tmp_path):
         # rounding at 1e100 leaves the compensator unadapted by ~1e83
         cfg = self.huge_terminal_config(tmp_path, "m2m3-random")
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
             code, report = run_cli(tmp_path, ["verify", "--config", str(cfg)])
         assert code == 1
         [rec] = failing(report, "instance_completed")

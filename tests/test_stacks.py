@@ -1,8 +1,11 @@
 """Stacks of elements: the kernels give each stacked element exactly the
-bits they give it alone, and the stacked ratio sweep keeps every
-per-instance outcome."""
+bits they give it alone, the stacked ratio sweep keeps every
+per-instance outcome, and every command reports each instance whole or
+not at all."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -110,15 +113,16 @@ def replace_terminal(monkeypatch, config, k, make):
     monkeypatch.setattr(commands, "random_element", patched)
 
 
+@pytest.fixture
+def config():
+    data = preset("m4-random")
+    data["instances"] = 4
+    return load_config(data)
+
+
 class TestContainmentInAStack:
     """One instance of a stacked sweep that fails, or whose ratio is
     undefined, gets the outcome it gets alone; the others keep their rows."""
-
-    @pytest.fixture
-    def config(self):
-        data = preset("m4-random")
-        data["instances"] = 4
-        return load_config(data)
 
     def test_failed_gate_is_that_instance_s_domain_error(self, config, monkeypatch):
         real = inequalities.psd_sqrt
@@ -150,3 +154,99 @@ class TestContainmentInAStack:
         assert (rec.check, rec.instance) == ("instance_completed", 3)
         assert "LinAlgError" in rec.formula
         assert {r["instance"] for r in report.tables["ratios"]} == {0, 1, 2}
+
+
+# The rows of each command's report, in report order.
+ROWS = {"verify": lambda report: [],
+        "ratios": lambda report: report.tables["ratios"],
+        "kolmogorov": lambda report: report.certificates,
+        "refine": lambda report: report.tables["refinement"]}
+# Summary entries keyed by instance.
+PER_INSTANCE_SUMMARY = ("integrand_bound", "segal_modulus")
+
+
+def instance_records(report):
+    """The records of the instances, without the sweep's own (instance -1)."""
+    return [vars(r) for r in report.records if r.instance >= 0]
+
+
+def raise_for_instance(monkeypatch, name, k, when):
+    """Make ``commands.<name>(*args, instance)`` raise a LinAlgError for instance
+    k when ``when(args)``; the work before the call has then already succeeded."""
+    real = getattr(commands, name)
+
+    def patched(*args):
+        if args[-1] == k and when(args):
+            raise np.linalg.LinAlgError("eigenvalues did not converge")
+        return real(*args)
+    monkeypatch.setattr(commands, name, patched)
+
+
+class TestEachInstanceWholeOrNotAtAll:
+    """A sweep with a numerical error reruns its instances alone: a failing
+    instance keeps only its ``instance_completed`` record, and the report
+    equals the command's per-instance runs."""
+
+    @pytest.mark.parametrize("command, name, when", [
+        # the left certificate's row and records come before the right one fails
+        ("kolmogorov", "kolmogorov_checks", lambda args: args[0].side == "right"),
+        # decay rows, integrand bound and Segal modulus come before the records
+        ("refine", "refine_checks", lambda args: True)])
+    def test_partial_work_of_a_failing_instance_is_dropped(self, config, monkeypatch,
+                                                           command, name, when):
+        k = 2
+        raise_for_instance(monkeypatch, name, k, when)
+        report = commands.COMMANDS[command](config)
+        [rec] = [r for r in report.records if r.instance == k]
+        assert (rec.check, rec.passed) == ("instance_completed", False)
+        assert "LinAlgError: eigenvalues did not converge" in rec.formula
+        assert [r for r in report.records if not r.passed] == [rec]
+        rows = ROWS[command](report)
+        assert rows and k not in {row["instance"] for row in rows}
+        for key in PER_INSTANCE_SUMMARY:
+            assert str(k) not in report.summary.get(key, {})
+        if command == "kolmogorov":
+            assert report.summary["bound_slack"]["count"] == 2 * (config.instances - 1)
+
+    @pytest.mark.parametrize("k", [0, 3])
+    @pytest.mark.parametrize("command", list(commands.COMMANDS))
+    def test_sweep_equals_its_per_instance_runs(self, config, monkeypatch, command, k):
+        replace_terminal(monkeypatch, config, k, lambda t: t * math.nan)
+        report = commands.COMMANDS[command](config)
+        real = commands._instance_terminals
+        alone = []
+        for j in range(config.instances):
+            monkeypatch.setattr(commands, "_instance_terminals", lambda c, j=j: [real(c)[j]])
+            alone.append(commands.COMMANDS[command](config))
+
+        records = instance_records(report)
+        assert records == [r for one in alone for r in instance_records(one)]
+        rows = ROWS[command](report)
+        assert rows == [row for one in alone for row in ROWS[command](one)]
+        for key in PER_INSTANCE_SUMMARY:
+            assert report.summary.get(key, {}) == \
+                {i: v for one in alone for i, v in one.summary.get(key, {}).items()}
+        for items in (records, rows):
+            order = [item["instance"] for item in items]
+            assert order == sorted(order)
+        assert [(r["check"], r["instance"]) for r in records if not r["passed"]] \
+            == [("instance_completed", k)]
+
+
+def excepts_catching(name):
+    """(module, line) of every ``except`` clause in the package that names ``name``."""
+    package = Path(nc.__file__).parent
+    return [(path.name, node.lineno) for path in sorted(package.rglob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.ExceptHandler) and node.type is not None
+            and any(isinstance(n, ast.Name) and n.id == name for n in ast.walk(node.type))]
+
+
+def test_one_containment_path():
+    # every command contains numerical errors through the one runner
+    assert len(excepts_catching("NUMERICAL_ERRORS")) == 1, excepts_catching("NUMERICAL_ERRORS")
+    tree = ast.parse(Path(commands.__file__).read_text(encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names}
+    imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert "contextlib" not in imported
