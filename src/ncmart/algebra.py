@@ -14,11 +14,16 @@ is built on.
 An element may also be a *stack* of N elements: each block is then an
 array of shape ``(N, n_b, n_b)`` instead of ``(n_b, n_b)``.  Arithmetic,
 :func:`trace`, :func:`lp_norm`, :func:`hermiticity_defect`,
-:func:`hermitian_apply` and :func:`psd_sqrt` run the same code on both,
-acting on every element of a stack at once, so one element is the N = 1
-case of a stack and not a second implementation.  On a stack, the scalar
-results are arrays of shape ``(N,)``; a failed precondition of any stacked
-element raises for the whole stack.
+:func:`hermitian_apply`, :func:`psd_sqrt`, :func:`min_eigenvalue`,
+:func:`spectral_projection`, :func:`proj_meet` and the :class:`Projection`
+gates run on both, acting on every element of a stack at once, so one
+element is the N = 1 case of a stack and not a second implementation.  On
+a stack, the scalar results are arrays of shape ``(N,)``, and the upper cut
+of a spectral projection may be such an array, one cut per element; a
+failed precondition of any stacked element raises for the whole stack.
+Each stacked element gets the bits it gets alone.  The one-element paths
+of the spectral functions make no NumPy call beyond those they need for
+one element, since the Chebyshev sweep runs them per element.
 """
 
 from __future__ import annotations
@@ -189,8 +194,8 @@ class Projection:
         if not (_within(skew, PROJECTION_TOL) and _within(idem, PROJECTION_TOL)):
             sym = hermiticity_defect(element)
             idem_norm = lp_norm(AlgElement(element.algebra, idem), math.inf)
-            raise DomainError(f"not a projection: hermiticity defect {sym:.2e}, "
-                              f"idempotency defect {idem_norm:.2e}")
+            raise DomainError(f"not a projection: hermiticity defect {np.max(sym):.2e}, "
+                              f"idempotency defect {np.max(idem_norm):.2e}")
         object.__setattr__(self, "element", element)
 
     def __setattr__(self, name, value):
@@ -204,7 +209,8 @@ class Projection:
         return Projection(self.algebra.identity() - self.element)
 
     def __repr__(self) -> str:
-        return f"Projection(trace={trace(self.element).real:.6f})"
+        tau = np.asarray(trace(self.element).real)  # an array for a stack
+        return f"Projection(trace={np.array2string(tau, precision=6, floatmode='fixed')})"
 
 
 def _check_same_algebra(x: AlgElement, y: AlgElement) -> None:
@@ -245,10 +251,11 @@ def _within(mats: Sequence[np.ndarray], tol: float) -> bool:
     A matrix whose Frobenius norm is at most tol/2 passes at once, since
     ||d||_op <= ||d||_F; only the others need an SVD.  The verdict is that
     of the exact operator norm: the half keeps the rounding of the two
-    norms from deciding.
+    norms from deciding, so a stack may sum its squares in any order.
     """
     for d in mats:
-        beyond = ~(_vdots(d) <= tol * tol / 4)  # NaN falls through to the SVD
+        frob = _vdots(d) if d.ndim == 2 else np.einsum("...ij,...ij->...", d.conj(), d).real
+        beyond = ~(frob <= tol * tol / 4)  # NaN falls through to the SVD
         if beyond.any() and np.linalg.svd(d[beyond], compute_uv=False)[:, 0].max() > tol:
             return False
     return True
@@ -384,7 +391,30 @@ def stack(elements: Sequence[AlgElement]) -> AlgElement:
 
 def min_eigenvalue(x: AlgElement, tol: float = HERMITIAN_TOL) -> float:
     """Smallest eigenvalue over all blocks of a Hermitian element."""
-    return min(float(w[0]) for w, _ in _hermitian_eigh(x, tol))
+    spectra = _hermitian_eigh(x, tol)
+    if x.blocks[0].ndim == 2:
+        return min(float(w[0]) for w, _ in spectra)
+    return functools.reduce(np.minimum, [w[:, 0] for w, _ in spectra])
+
+
+def _range_projection(v: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """The projection onto the eigenvectors (columns of ``v``) that ``mask`` selects.
+
+    A stack is grouped by selection pattern, and each group is one stacked
+    product of its selected columns, so every element is the product it is
+    alone; a product of all columns with the unselected ones zeroed would
+    round differently in the last bit.
+    """
+    if v.ndim == 2:
+        vs = v[:, mask]
+        return vs @ vs.conj().T
+    out = np.empty_like(v)
+    keys = mask @ (1 << np.arange(mask.shape[-1]))  # one integer per selection pattern
+    for key in set(keys.tolist()):
+        members = keys == key
+        vs = v[members][..., mask[members.argmax()]]
+        out[members] = vs @ _adj(vs)
+    return out
 
 
 def spectral_projection(h: AlgElement, interval: tuple[float, float]) -> Projection:
@@ -392,16 +422,22 @@ def spectral_projection(h: AlgElement, interval: tuple[float, float]) -> Project
 
     Eigenvalues within ``SPECTRAL_EDGE_TOL`` of either endpoint are
     included, so the lower endpoint behaves as closed and ties just above
-    the upper cut are assigned below it.  ``b`` may be ``inf``.
+    the upper cut are assigned below it.  ``b`` may be ``inf``, or for a
+    stack an array of one upper cut per element.
     """
-    a, b = float(interval[0]), float(interval[1])
-    if not a < b:
-        raise DomainError(f"empty interval [{a}, {b})")
+    a, b = float(interval[0]), interval[1]
+    if isinstance(b, np.ndarray):
+        if not (a < b).all():
+            raise DomainError(f"empty interval [{a}, {b.min()})")
+        b = b[:, None]
+    else:
+        b = float(b)
+        if not a < b:
+            raise DomainError(f"empty interval [{a}, {b})")
     out = []
     for w, v in _hermitian_eigh(h, HERMITIAN_TOL):
         mask = (w >= a - SPECTRAL_EDGE_TOL) & (w < b + SPECTRAL_EDGE_TOL)
-        vs = v[:, mask]
-        out.append(vs @ vs.conj().T)
+        out.append(_range_projection(v, mask))
     return Projection(AlgElement(h.algebra, out))
 
 
@@ -417,6 +453,5 @@ def proj_meet(e: Projection, f: Projection) -> Projection:
     for n, eb, fb in zip(e.algebra.block_dims, e.element.blocks, f.element.blocks):
         h = (np.eye(n) - eb) + (np.eye(n) - fb)
         w, v = np.linalg.eigh(h)
-        vs = v[:, w < MEET_NULL_TOL]
-        out.append(vs @ vs.conj().T)
+        out.append(_range_projection(v, w < MEET_NULL_TOL))
     return Projection(AlgElement(e.algebra, out))

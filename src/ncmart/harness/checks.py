@@ -170,14 +170,28 @@ def gap_checks(residuals: list[dict], instance: int) -> list[CheckRecord]:
     ]
 
 
-def certificate_checks(cert: ProjectionCertificate, instance: int) -> list[CheckRecord]:
-    """The trace and sup-norm bounds a Kolmogorov certificate must meet."""
+def _by_instance(checks: list[tuple], instances: list[int]) -> list[list[CheckRecord]]:
+    """The records of each instance, from ``(check, formula, residual, tolerance)``
+    whose residual is an array over the instances or a number for all of them."""
+    columns = [np.broadcast_to(residual, (len(instances),)).tolist()
+               for _, _, residual, _ in checks]
+    return [[record(check, formula, column[k], tolerance, instance)
+             for (check, formula, _, tolerance), column in zip(checks, columns)]
+            for k, instance in enumerate(instances)]
+
+
+def _certificate_bounds(cert: ProjectionCertificate) -> list[tuple]:
     return [
-        record("kolmogorov_trace_bound", "tau(1 - e) <= ||X_m||_2^2 / eps^2",
-               worst([cert.trace_defect - cert.trace_bound]), CHECK_TOL, instance),
-        record("kolmogorov_sup_norm", "||e X_n||_inf <= eps for every n",
-               worst(s - cert.epsilon for s in cert.sup_norms), CHECK_TOL_DERIVED, instance),
+        ("kolmogorov_trace_bound", "tau(1 - e) <= ||X_m||_2^2 / eps^2",
+         worst([cert.trace_defect - cert.trace_bound]), CHECK_TOL),
+        ("kolmogorov_sup_norm", "||e X_n||_inf <= eps for every n",
+         worst(s - cert.epsilon for s in cert.sup_norms), CHECK_TOL_DERIVED),
     ]
+
+
+def certificate_checks(cert: ProjectionCertificate, instance: int) -> list[CheckRecord]:
+    """The trace and sup-norm bounds a one-element Kolmogorov certificate must meet."""
+    return [record(*check, instance) for check in _certificate_bounds(cert)]
 
 
 def doob_meyer_checks(x: AdaptedProcess, y: AdaptedProcess, partner: AlgElement,
@@ -282,18 +296,22 @@ def ratio_checks(rows: list[dict]) -> list[CheckRecord]:
 
 
 def kolmogorov_checks(cert: ProjectionCertificate,
-                      instance: int) -> tuple[list[CheckRecord], float]:
+                      instances: list[int]) -> tuple[list[list[CheckRecord]], np.ndarray]:
     """Certificate bounds and meet-chain monotonicity for ``kolmogorov``.
 
-    Also returns the least eigenvalue of f_n - f_{n+1} along the meet
-    chain (0 for a single step), which the certificate row reports.
+    ``cert`` certifies a stack of martingales, one per instance of
+    ``instances`` in stack order (or one martingale, for one instance); the
+    records come as one list per instance.  Also returns, per instance, the
+    least eigenvalue of f_n - f_{n+1} along the meet chain (0 for a single
+    step), which the certificate row reports.
     """
     defect = worst(-min_eigenvalue(a.element - b.element, tol=LOEWNER_HERMITIAN_TOL)
                    for a, b in zip(cert.meets, cert.meets[1:]))
-    records = certificate_checks(cert, instance) + [
-        record("kolmogorov_chain_monotone", "f_1 >= f_2 >= ... >= f_m (Loewner)",
-               defect, CHECK_TOL_DERIVED, instance)]
-    return records, 0.0 - defect  # 0.0, not -0.0, for a monotone chain
+    checks = _certificate_bounds(cert) + [
+        ("kolmogorov_chain_monotone", "f_1 >= f_2 >= ... >= f_m (Loewner)",
+         defect, CHECK_TOL_DERIVED)]
+    # 0.0, not -0.0, for a monotone chain
+    return _by_instance(checks, instances), 0.0 - np.broadcast_to(defect, (len(instances),))
 
 
 def refine_checks(decay: list[float], gap_residuals: list[dict],

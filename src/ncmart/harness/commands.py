@@ -125,25 +125,33 @@ def cmd_ratios(config: ExperimentConfig) -> VerificationReport:
 
 
 def _certificates(config: ExperimentConfig, drawn: list) -> tuple[list, list]:
-    """The left and right certificate rows and records of each instance."""
-    rows, records = [], []
-    for i, _, term in drawn:
-        x = martingale_from_terminal(config.filtration, term)
-        eps = config.epsilon_value if config.epsilon_mode == "fixed" else \
-            epsilon_from_percentile(x, config.epsilon_value)
-        for side in ("left", "right"):
-            cert = kolmogorov_projection(x, eps, side)
-            side_records, chain_min = kolmogorov_checks(cert, i)
+    """The left and right certificate rows and records of each instance, from one
+    stacked martingale."""
+    instances = [i for i, _, _ in drawn]
+    x = martingale_from_terminal(config.filtration, stack([t for _, _, t in drawn]))
+    eps = config.epsilon_value if config.epsilon_mode == "fixed" else \
+        epsilon_from_percentile(x, config.epsilon_value)
+    epsilon = np.broadcast_to(eps, (len(drawn),)).tolist()
+    sides = []
+    for side in ("left", "right"):
+        cert = kolmogorov_projection(x, eps, side)
+        records, chain_min = kolmogorov_checks(cert, instances)
+        sides.append((side, records, [column.tolist() for column in (
+            cert.trace_defect, cert.trace_bound, cert.trace_bound - cert.trace_defect,
+            trace(cert.projection.element).real, chain_min, *cert.sup_norms)]))
+    rows, out = [], []
+    for k, i in enumerate(instances):
+        for side, records, (defect, bound, slack, projection, chain, *sups) in sides:
+            sup = max(s[k] for s in sups)
             rows.append({
-                "instance": i, "side": side, "epsilon": eps,
-                "trace_defect": cert.trace_defect, "trace_bound": cert.trace_bound,
-                "trace_slack": cert.trace_bound - cert.trace_defect,
-                "max_sup_norm": max(cert.sup_norms), "sup_slack": eps - max(cert.sup_norms),
-                "projection_trace": trace(cert.projection.element).real,
-                "chain_min_eigenvalue": chain_min, "seed": config.seed,
+                "instance": i, "side": side, "epsilon": epsilon[k],
+                "trace_defect": defect[k], "trace_bound": bound[k], "trace_slack": slack[k],
+                "max_sup_norm": sup, "sup_slack": epsilon[k] - sup,
+                "projection_trace": projection[k], "chain_min_eigenvalue": chain[k],
+                "seed": config.seed,
             })
-            records += side_records
-    return rows, records
+            out += records[k]
+    return rows, out
 
 
 def _slack_summary(report: VerificationReport, config: ExperimentConfig, rows) -> None:

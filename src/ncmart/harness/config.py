@@ -29,8 +29,9 @@ OUTPUT_FORMATS = ("json", "csv")
 EPSILON_MODES = ("fixed", "percentile")
 TERMINAL_KINDS = ("random", "fixed")
 
-# Size caps: a sweep draws every instance's stream and terminal before any work,
-# so a larger count or algebra would run out of memory rather than fail.
+# Size caps, checked when a config is constructed: a sweep draws every instance's
+# stream and terminal before any work, so a larger count or algebra would run
+# out of memory rather than fail.
 MAX_INSTANCES = 10_000
 MAX_ALGEBRA_DIM = 256  # the complex dimension sum(n_b^2): M_16, or sixteen M_4 blocks
 
@@ -99,9 +100,9 @@ def _decode_element(algebra: TracialAlgebra, mats, path: str) -> AlgElement:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """A validated config.  Construction builds the filtration once, decodes
-    the fixed terminal and resolves the partition chain; commands read these
-    three from the config and never rebuild them."""
+    """A validated config.  Construction checks the size caps, then builds the
+    filtration once, decodes the fixed terminal and resolves the partition
+    chain; commands read these three from the config and never rebuild them."""
     block_dims: tuple[int, ...]
     block_weights: tuple[float, ...] | None
     times: tuple[float, ...]
@@ -120,6 +121,12 @@ class ExperimentConfig:
     chain: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        # the caps come first, before anything is built
+        dims = _each("algebra.block_dims", self.block_dims, _integer)
+        if sum(n * n for n in dims if n > 0) > MAX_ALGEBRA_DIM:
+            raise ConfigError(f"the algebra's dimension sum(n^2) must be at most "
+                              f"{MAX_ALGEBRA_DIM}", "algebra.block_dims")
+        _at("instances", _integer, self.instances, 1, MAX_INSTANCES)
         filtration = self.build_filtration()
         n = len(filtration.grid)
         chain = midpoint_chain(n) if self.partition_chain == "midpoint" else self.partition_chain
@@ -208,9 +215,6 @@ def load_config(data: dict) -> ExperimentConfig:
     if not isinstance(alg, dict) or "block_dims" not in alg:
         raise ConfigError("missing algebra.block_dims", "algebra")
     dims = _each("algebra.block_dims", alg["block_dims"], _integer)
-    if sum(n * n for n in dims if n > 0) > MAX_ALGEBRA_DIM:
-        raise ConfigError(f"the algebra's dimension sum(n^2) must be at most {MAX_ALGEBRA_DIM}",
-                          "algebra.block_dims")
     weights = alg.get("block_weights")
     if weights is not None:
         weights = _each("algebra.block_weights", weights, _number)
@@ -248,7 +252,7 @@ def load_config(data: dict) -> ExperimentConfig:
         times=_each("times", data.get("times"), _number),
         levels=_each("levels", data.get("levels"), copy.deepcopy),
         seed=_at("seed", _integer, data.get("seed", 0), 0),
-        instances=_at("instances", _integer, data.get("instances", 25), 1, MAX_INSTANCES),
+        instances=_at("instances", _integer, data.get("instances", 25)),
         p_values=p_values,
         epsilon_mode=eps["mode"],
         epsilon_value=eps_value,

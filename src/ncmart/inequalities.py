@@ -8,6 +8,11 @@ both sides of each bound, and the harness and tests check them as stated
 (strict inequalities relaxed to non-strict plus a check tolerance from
 :mod:`ncmart.tolerances`, since only the non-strict form is forced at
 degenerate equality).
+
+:func:`square_function_ratios`, :func:`epsilon_from_percentile` and
+:func:`kolmogorov_projection` also take a stack of martingales (see
+:mod:`ncmart.algebra`): each number they return is then an array over the
+stack, one entry per martingale, with the bits that martingale gets alone.
 """
 
 from __future__ import annotations
@@ -43,7 +48,8 @@ class ProjectionCertificate:
     """Kolmogorov-type uniform bound certificate for a finite martingale.
 
     ``meets`` is the decreasing chain f_1 >= f_2 >= ... >= f_m whose last
-    member is the certified projection.
+    member is the certified projection.  For a stack of martingales the
+    projections are stacks and the numbers arrays over the stack.
     """
     projection: Projection
     epsilon: float
@@ -147,11 +153,13 @@ def kolmogorov_projection(x: AdaptedProcess, epsilon: float, side: str) -> Proje
     the certificate carries e = f_m together with tau(1-e), the trace
     bound ||X_m||_2^2/eps^2 and the per-step compressed norms (``e X_n``
     for the left side, ``X_n e`` for the right side), for the harness to
-    judge.
+    judge.  On a stack, ``epsilon`` may be an array of one threshold per
+    martingale.
     """
     if side not in SIDES:
         raise DomainError(f"side must be one of {SIDES}, got {side!r}")
-    if epsilon <= 0:
+    nonpositive = epsilon <= 0
+    if (nonpositive.any() if isinstance(nonpositive, np.ndarray) else nonpositive):
         raise DomainError(f"epsilon must be positive, got {epsilon}")
     require_martingale(x, "certificate")
 
@@ -171,7 +179,7 @@ def kolmogorov_projection(x: AdaptedProcess, epsilon: float, side: str) -> Proje
 
     e = meets[-1]
     trace_defect = trace(e.complement().element).real
-    trace_bound = lp_norm(x.values[-1], 2) ** 2 / (epsilon * epsilon)
+    trace_bound = _squared(lp_norm(x.values[-1], 2)) / (epsilon * epsilon)
     if side == "left":
         sup_norms = tuple(lp_norm(e.element @ v, math.inf) for v in steps)
     else:
@@ -180,14 +188,24 @@ def kolmogorov_projection(x: AdaptedProcess, epsilon: float, side: str) -> Proje
                                  sup_norms, side, tuple(meets))
 
 
+def _squared(norm):
+    """``norm ** 2`` per element by Python's float power, as one element alone
+    gets it (NumPy's array power can differ from libm's by one ulp)."""
+    if isinstance(norm, np.ndarray):
+        return np.array([t ** 2 for t in norm.tolist()])
+    return norm ** 2
+
+
 def epsilon_from_percentile(x: AdaptedProcess, percentile: float) -> float:
     """Threshold at the given percentile of the step operator norms.
 
     Keeps certificates nontrivial with high probability; floored at
     ``EPSILON_FLOOR`` so epsilon stays positive even for the zero process.
+    One threshold per martingale of a stack.
     """
     norms = [lp_norm(v, math.inf) for v in x.values[1:]]
-    return max(float(np.percentile(norms, percentile)), EPSILON_FLOOR)
+    eps = np.maximum(np.percentile(norms, percentile, axis=0), EPSILON_FLOOR)
+    return eps if eps.ndim else float(eps)
 
 
 def segal_modulus(p: AdaptedProcess, e: Projection,

@@ -136,7 +136,7 @@ class AdaptedProcess:
                               validate=False)
 
     def martingale_residual(self) -> float:
-        """max over s < t of ||E_s X(t) - X(s)||_2 (cached)."""
+        """max over s < t of ||E_s X(t) - X(s)||_2 (cached); per element of a stack."""
         if self._mart_residual is None:
             levels, values = self.filtration.levels, self.values
             self._mart_residual = worst(lp_norm(levels[s].expect(values[t]) - values[s], 2)
@@ -170,10 +170,12 @@ def martingale_from_terminal(filtration: Filtration, x_terminal: AlgElement) -> 
 
 
 def require_martingale(p: AdaptedProcess, what: str) -> None:
-    """Raise DomainError unless ``p`` is a martingale to within ``MARTINGALE_TOL``."""
+    """Raise DomainError unless ``p`` (every element of a stack) is a martingale
+    to within ``MARTINGALE_TOL``."""
     res = p.martingale_residual()
-    if not res <= MARTINGALE_TOL:  # a NaN residual fails too
-        raise DomainError(f"{what} needs a martingale (residual {res:.2e})")
+    within = res <= MARTINGALE_TOL  # a NaN residual fails too
+    if not (within.all() if isinstance(within, np.ndarray) else within):
+        raise DomainError(f"{what} needs a martingale (residual {np.max(res):.2e})")
 
 
 def submartingale_abs2_defect(p: AdaptedProcess) -> float:

@@ -10,7 +10,11 @@ normalized trace scale (``tau(1) == 1``) with data of order one, as the
 seeded sweeps draw it.  No other module defines a tolerance.  Residual
 terms fold into one residual through :func:`worst`, the package's only such
 fold; a NaN term makes the residual NaN, and a NaN residual fails its check.
+On a stack of elements the terms are arrays over the stack, and the fold
+acts per element.
 """
+
+import numpy as np
 
 # -- check tolerances: what a harness CheckRecord compares its residual with --
 
@@ -61,10 +65,16 @@ EPSILON_FLOOR = 1e-8
 
 
 def worst(terms) -> float:
-    """The largest of 0 and ``terms``; NaN as soon as any term is NaN."""
-    out = 0.0
+    """The largest of 0 and ``terms``; NaN as soon as any term is NaN.
+
+    Terms that are arrays over a stack fold element by element, with the
+    same rule per element; a number among them counts for every element.
+    """
+    out, stacked = 0.0, False
     for t in terms:
-        if t > out:
+        if stacked or isinstance(t, np.ndarray):
+            out, stacked = np.where((t > out) | (t != t), t, out), True
+        elif t > out:
             out = t
         elif t != t:  # NaN
             return t

@@ -180,6 +180,18 @@ class TestMalformedConfig:
         assert main(["verify", "--config", str(cfg)]) == 2
         assert "config error: algebra.block_dims: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, value, name", [
+        ("instances", MAX_INSTANCES + 1, "instances"),
+        ("block_dims", (1,) * (MAX_ALGEBRA_DIM + 1), "algebra.block_dims")])
+    def test_direct_construction_above_the_cap_is_a_config_error(
+            self, nothing_allocated, field, value, name):
+        data = preset("m2-worked-example")
+        fields = {"block_dims": tuple(data["algebra"]["block_dims"]), "block_weights": None,
+                  "times": tuple(data["times"]), "levels": tuple(data["levels"])}
+        with pytest.raises(nc.ConfigError) as err:
+            ExperimentConfig(**{**fields, field: value})
+        assert err.value.field == name
+
     def test_the_instance_cap_admits_itself(self):
         assert load_config(m2_config(instances=MAX_INSTANCES)).instances == MAX_INSTANCES
 

@@ -92,12 +92,12 @@ class TestCertificateChecks:
 
     def test_nan_chain_eigenvalue(self, cert, monkeypatch):
         nan_on_call(monkeypatch, checks, "min_eigenvalue", len(cert.meets) - 1)
-        records, chain_min = checks.kolmogorov_checks(cert, 0)
+        [records], [chain_min] = checks.kolmogorov_checks(cert, [0])
         assert nan_records(records) == {"kolmogorov_chain_monotone"}
         assert math.isnan(chain_min)
 
     def test_monotone_chain_reports_positive_zero(self, cert):
-        records, chain_min = checks.kolmogorov_checks(cert, 0)
+        [records], [chain_min] = checks.kolmogorov_checks(cert, [0])
         assert all(r.passed for r in records)
         assert chain_min == 0.0 and math.copysign(1.0, chain_min) == 1.0
 

@@ -100,6 +100,103 @@ class TestStackedKernels:
             nc.stack([alg.identity(), nc.TracialAlgebra([2, 1]).identity()])
 
 
+def hermitians(config, n):
+    """n seeded Hermitian elements of the config's algebra."""
+    algebra = config.filtration.algebra
+    return [nc.random_element(algebra, rng, "hermitian")
+            for rng in nc.spawn_generators(config.seed, n)]
+
+
+def eigenvalues(x):
+    return np.sort(np.concatenate([np.linalg.eigvalsh(m) for m in x.blocks]))
+
+
+def rank_mixing_cuts(singles):
+    """Per element, an upper cut that selects no eigenvalue, all of them, or
+    (where there are two distinct ones) some: ranks 0, full and between."""
+    cuts = []
+    for k, h in enumerate(singles):
+        w = eigenvalues(h)
+        cuts.append([w[0] - 1.0, w[-1] + 1.0, (w[0] + w[-1]) / 2][k % 3])
+    return np.array(cuts)
+
+
+LOW = -1e3  # below every eigenvalue of the drawn elements
+
+
+class TestStackedSpectralKernels:
+    """Spectral projections, meets, least eigenvalues and Kolmogorov
+    certificates of a stack whose elements have different ranks equal those
+    of each element alone, bit for bit."""
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(config=structures())
+    def test_spectral_projection_and_meet(self, config):
+        singles, others = hermitians(config, 6), hermitians(config, 12)[6:]
+        hs, gs = nc.stack(singles), nc.stack(others)
+        cuts = rank_mixing_cuts(singles)
+        for cut in (cuts, 0.0, math.inf):
+            es = nc.spectral_projection(hs, (LOW, cut))
+            alone = [nc.spectral_projection(h, (LOW, float(np.broadcast_to(cut, 6)[k])))
+                     for k, h in enumerate(singles)]
+            assert all(same_element(es.element, k, e.element) for k, e in enumerate(alone))
+        es = nc.spectral_projection(hs, (LOW, cuts))
+        ranks = {round(nc.trace(es.element)[k].real, 9) for k in range(6)}
+        assert {0.0, 1.0} <= ranks
+        fs = nc.spectral_projection(gs, (LOW, 0.0))
+        for e, f in ((es, fs), (fs, es), (es, es)):
+            meet = nc.proj_meet(e, f)
+            for k in range(6):
+                e_k, f_k = (nc.Projection(nc.AlgElement(p.algebra, [b[k] for b in p.element.blocks]))
+                            for p in (e, f))
+                assert same_element(meet.element, k, nc.proj_meet(e_k, f_k).element)
+
+    def test_repr_of_a_stacked_projection(self, m2):
+        e = nc.spectral_projection(nc.stack([m2.identity(), -1.0 * m2.identity()]), (0.0, 2.0))
+        assert repr(e) == "Projection(trace=[1.000000 0.000000])"
+        assert repr(nc.Projection(m2.identity())) == "Projection(trace=1.000000)"
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(config=structures())
+    def test_min_eigenvalue(self, config):
+        singles = hermitians(config, 5)
+        stacked = nc.min_eigenvalue(nc.stack(singles))
+        assert stacked.shape == (5,)
+        assert all(same_bits(stacked[k], nc.min_eigenvalue(h)) for k, h in enumerate(singles))
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(config=structures())
+    def test_epsilon_and_kolmogorov_certificates(self, config):
+        filt, drawn = config.filtration, terminals(config)
+        # a zero terminal certifies the whole algebra; the tiny and huge thresholds
+        # certify (almost surely) nothing and everything
+        singles = [0.0 * drawn[0]] + [t for t in drawn for _ in range(3)]
+        x = nc.martingale_from_terminal(filt, nc.stack(singles))
+        alone = [nc.martingale_from_terminal(filt, t) for t in singles]
+        for q in (0.0, 30.0, 50.0, 100.0):
+            eps = nc.epsilon_from_percentile(x, q)
+            assert all(same_bits(eps[k], nc.epsilon_from_percentile(a, q))
+                       for k, a in enumerate(alone))
+        eps = nc.epsilon_from_percentile(x, 30.0)
+        eps[2::3], eps[3::3] = 1e-6, 1e3
+        for epsilon in (eps, 0.5):
+            for side in ("left", "right"):
+                cert = nc.kolmogorov_projection(x, epsilon, side)
+                if epsilon is eps:
+                    ranks = {round(t, 9) for t in nc.trace(cert.projection.element).real}
+                    assert {0.0, 1.0} <= ranks
+                for k, a in enumerate(alone):
+                    one = nc.kolmogorov_projection(
+                        a, float(np.broadcast_to(epsilon, len(singles))[k]), side)
+                    assert same_element(cert.projection.element, k, one.projection.element)
+                    assert all(same_element(f.element, k, g.element)
+                               for f, g in zip(cert.meets, one.meets))
+                    for key in ("epsilon", "trace_defect", "trace_bound"):
+                        assert same_bits(np.broadcast_to(getattr(cert, key), len(singles))[k],
+                                         getattr(one, key))
+                    assert all(same_bits(s[k], t) for s, t in zip(cert.sup_norms, one.sup_norms))
+
+
 def replace_terminal(monkeypatch, config, k, make):
     """Make the draw of instance k return make(drawn); every stream is still
     drawn in order."""
@@ -171,15 +268,19 @@ def instance_records(report):
 
 
 def raise_for_instance(monkeypatch, name, k, when):
-    """Make ``commands.<name>(*args, instance)`` raise a LinAlgError for instance
-    k when ``when(args)``; the work before the call has then already succeeded."""
+    """Make ``commands.<name>(*args)`` raise a LinAlgError when ``when(args, k)``;
+    the work before the call has then already succeeded.  Returns the argument
+    tuples of the calls, in call order."""
     real = getattr(commands, name)
+    calls = []
 
     def patched(*args):
-        if args[-1] == k and when(args):
+        calls.append(args)
+        if when(args, k):
             raise np.linalg.LinAlgError("eigenvalues did not converge")
         return real(*args)
     monkeypatch.setattr(commands, name, patched)
+    return calls
 
 
 class TestEachInstanceWholeOrNotAtAll:
@@ -188,15 +289,22 @@ class TestEachInstanceWholeOrNotAtAll:
     equals the command's per-instance runs."""
 
     @pytest.mark.parametrize("command, name, when", [
-        # the left certificate's row and records come before the right one fails
-        ("kolmogorov", "kolmogorov_checks", lambda args: args[0].side == "right"),
-        # decay rows, integrand bound and Segal modulus come before the records
-        ("refine", "refine_checks", lambda args: True)])
+        # kolmogorov_checks(cert, instances): the checks of the certificates of the
+        # instances listed; instance k's left certificate and its checks succeed
+        # before its right one fails
+        ("kolmogorov", "kolmogorov_checks",
+         lambda args, k: k in args[1] and args[0].side == "right"),
+        # refine_checks(..., instance): decay rows, integrand bound and Segal
+        # modulus come before the records
+        ("refine", "refine_checks", lambda args, k: args[-1] == k)])
     def test_partial_work_of_a_failing_instance_is_dropped(self, config, monkeypatch,
                                                            command, name, when):
         k = 2
-        raise_for_instance(monkeypatch, name, k, when)
+        calls = raise_for_instance(monkeypatch, name, k, when)
         report = commands.COMMANDS[command](config)
+        if command == "kolmogorov":  # the rerun of instance k alone got past its left side
+            alone = [args[0].side for args in calls if list(args[1]) == [k]]
+            assert alone == ["left", "right"]
         [rec] = [r for r in report.records if r.instance == k]
         assert (rec.check, rec.passed) == ("instance_completed", False)
         assert "LinAlgError: eigenvalues did not converge" in rec.formula

@@ -90,3 +90,21 @@ class TestWorst:
                 yield t
         assert math.isnan(worst(terms()))
         assert seen == [1.0, math.nan]
+
+    def test_stack_terms_fold_per_element(self):
+        out = worst([np.array([1.0, -2.0, 0.5]), np.array([3.0, -1.0, 0.25])])
+        assert out.tolist() == [3.0, 0.0, 0.5]
+        assert math.copysign(1.0, worst([np.array([-0.0, -1.0])])[0]) == 1.0
+
+    def test_a_number_counts_for_every_element(self):
+        assert worst([np.array([1.0, 3.0]), 2.0]).tolist() == [2.0, 3.0]
+        assert worst([2.0, np.array([1.0, 3.0])]).tolist() == [2.0, 3.0]
+
+    @pytest.mark.parametrize("terms", [
+        [np.array([1.0, math.nan, 0.5]), np.array([2.0, 5.0, -1.0])],
+        [np.array([1.0, 4.0, 0.5]), np.array([2.0, math.nan, -1.0])],
+        [np.array([2.0, 9.0, 0.5]), np.array([1.0, math.nan, 3.0]), np.array([0.0, 1.0, 0.0])]])
+    def test_nan_in_one_element_is_nan_in_that_element_only(self, terms):
+        out = worst(terms)
+        assert math.isnan(out[1])
+        assert [out[0], out[2]] == [max(0.0, *(t[k] for t in terms)) for k in (0, 2)]
