@@ -14,6 +14,10 @@ provenance of the runs.  Run the benchmark for several seeds first:
 unpacked next to this one) and still writes into this repository's root:
 
     python scripts/bench_snapshot.py before --from ../parent
+
+The runs must all name one provenance ``git_commit``: runs of another tree
+left in ``.bench_out/`` would mix into the medians, so the script then
+lists the commits and exits with code 2.
 """
 
 from __future__ import annotations
@@ -89,6 +93,13 @@ def main(argv: list[str] | None = None) -> int:
         print(f"bench_snapshot: no untraced runs under {args.checkout / '.bench_out'}",
               file=sys.stderr)
         return 1
+    commits = sorted({run["provenance"]["git_commit"] for by_seed in runs.values()
+                      for run in by_seed.values()
+                      if run["provenance"] and "git_commit" in run["provenance"]})
+    if len(commits) > 1:
+        print("bench_snapshot: the runs come from more than one commit; rerun them "
+              "from one tree:\n" + "\n".join(f"  {c}" for c in commits), file=sys.stderr)
+        return 2
     out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(snapshot(args.label, runs), indent=1) + "\n", encoding="utf-8")
     print(f"wrote {out.name}: " + ", ".join(

@@ -1,17 +1,19 @@
 """The one place that judges: every check record of every command.
 
 Operations return values and, where an identity can only be judged from
-their intermediates, a ``residuals`` dict.  Each check here turns a
-residual into one record against its tolerance from
-:mod:`ncmart.tolerances`.  Where an identity equates independent routes
-(the bracket against the quadratic variation, the cross variation against
-its expansion and polarization), the routes other than the operation's
-are computed here.  Formula strings describe the identity itself so a
-failing record is self-explanatory.  :func:`instance_checks` is the
-per-instance suite behind ``verify``; :func:`ratio_checks`,
-:func:`kolmogorov_checks` and :func:`refine_checks` serve the other
-commands, and :func:`error_checks` records an instance that a numerical
-error cut short.
+their intermediates, a ``residuals`` dict.  Each check family here turns
+those into rows ``(check, formula, residual, tolerance)``, in a fixed
+order, with tolerances from :mod:`ncmart.tolerances`; a residual is a
+number, or an ``(N,)`` array over a stack of N instances.  Where an
+identity equates independent routes (the bracket against the quadratic
+variation, the cross variation against its expansion and polarization),
+the routes other than the operation's are computed here.  Formula strings
+describe the identity itself so a failing record is self-explanatory.
+:func:`by_instance` alone turns rows into records, one list per instance:
+:func:`instance_checks` is the per-instance suite behind ``verify``,
+:func:`kolmogorov_checks` and :func:`refine_checks` give the rows of the
+other commands, and :func:`ratio_checks` and :func:`error_checks` record
+the ``ratios`` sweep and an instance that a numerical error cut short.
 """
 
 from __future__ import annotations
@@ -50,8 +52,19 @@ def record(check: str, formula: str, residual: float, tolerance: float,
     return CheckRecord(check, formula, residual, tolerance, residual <= tolerance, instance)
 
 
-def conditional_expectation_checks(filtration: Filtration, x: AlgElement, y: AlgElement,
-                                   instance: int) -> list[CheckRecord]:
+def by_instance(checks: list[tuple], instances: list[int]) -> list[list[CheckRecord]]:
+    """The records of each instance, from ``(check, formula, residual, tolerance)``
+    rows whose residual is an array over the instances or a number for all of them."""
+    n = len(instances)
+    columns = [np.broadcast_to(residual, (n,)).tolist() if isinstance(residual, np.ndarray)
+               else [residual] * n for _, _, residual, _ in checks]
+    return [[record(check, formula, column[k], tolerance, instance)
+             for (check, formula, _, tolerance), column in zip(checks, columns)]
+            for k, instance in enumerate(instances)]
+
+
+def conditional_expectation_checks(filtration: Filtration, x: AlgElement,
+                                   y: AlgElement) -> list[tuple]:
     """Trace duality/preservation, tower, module, Schwarz, contraction, engines."""
     levels = filtration.levels
     rows = []  # per level: the worst term of each of the seven checks below
@@ -70,21 +83,19 @@ def conditional_expectation_checks(filtration: Filtration, x: AlgElement, y: Alg
         ))
     duality, preserve, tower, module, schwarz, contraction, engines = map(worst, zip(*rows))
     return [
-        record("trace_duality", "tau((E_t x) y) == tau(x E_t y)", duality, CHECK_TOL, instance),
-        record("trace_preservation", "tau(E_t x) == tau(x)", preserve, CHECK_TOL, instance),
-        record("tower_property", "E_s(E_t x) == E_s x for s <= t", tower, CHECK_TOL, instance),
-        record("module_property", "E_t(a x b) == a (E_t x) b for a, b in level t",
-               module, CHECK_TOL_DERIVED, instance),
-        record("schwarz_positivity", "E_t|x|^2 >= |E_t x|^2 (Loewner)",
-               schwarz, CHECK_TOL_DERIVED, instance),
-        record("norm_contraction", "||E_t x||_p <= ||x||_p for p in {1,2,4,inf}",
-               contraction, CHECK_TOL_DERIVED, instance),
-        record("engine_agreement", "closed-form E_t == Gram-engine E_t",
-               engines, CHECK_TOL, instance),
+        ("trace_duality", "tau((E_t x) y) == tau(x E_t y)", duality, CHECK_TOL),
+        ("trace_preservation", "tau(E_t x) == tau(x)", preserve, CHECK_TOL),
+        ("tower_property", "E_s(E_t x) == E_s x for s <= t", tower, CHECK_TOL),
+        ("module_property", "E_t(a x b) == a (E_t x) b for a, b in level t",
+         module, CHECK_TOL_DERIVED),
+        ("schwarz_positivity", "E_t|x|^2 >= |E_t x|^2 (Loewner)", schwarz, CHECK_TOL_DERIVED),
+        ("norm_contraction", "||E_t x||_p <= ||x||_p for p in {1,2,4,inf}",
+         contraction, CHECK_TOL_DERIVED),
+        ("engine_agreement", "closed-form E_t == Gram-engine E_t", engines, CHECK_TOL),
     ]
 
 
-def martingale_checks(x: AdaptedProcess, instance: int) -> list[CheckRecord]:
+def martingale_checks(x: AdaptedProcess) -> list[tuple]:
     levels = x.filtration.levels
     grid = full_partition(x)
     dxs = increments(x, grid)
@@ -99,21 +110,19 @@ def martingale_checks(x: AdaptedProcess, instance: int) -> list[CheckRecord]:
     norms = [[lp_norm(v, p) for v in x.values] for p in (2.0, 4.0)]
     monotone = worst(a - b for ns in norms for a, b in zip(ns, ns[1:]))
     return [
-        record("martingale_residual", "E_s X(t) == X(s)",
-               x.martingale_residual(), CHECK_TOL, instance),
-        record("null_increments", "E_{k-1} dX_k == 0", null_inc, CHECK_TOL, instance),
-        record("increment_projection",
-               "E_{k-1}|dX_k|^2 == E_{k-1}(|X_k|^2 - |X_{k-1}|^2)", proj_id, CHECK_TOL, instance),
-        record("increment_energy",
-               "sum_k tau|dX_k|^2 == tau|X_m|^2 - tau|X_0|^2", energy, CHECK_TOL, instance),
-        record("norm_monotonicity", "||X(s)||_p <= ||X(t)||_p for p in {2,4}",
-               monotone, CHECK_TOL_DERIVED, instance),
-        record("submartingale_loewner", "E_s|X(t)|^2 >= |X(s)|^2 (Loewner)",
-               submartingale_abs2_defect(x), CHECK_TOL_DERIVED, instance),
+        ("martingale_residual", "E_s X(t) == X(s)", x.martingale_residual(), CHECK_TOL),
+        ("null_increments", "E_{k-1} dX_k == 0", null_inc, CHECK_TOL),
+        ("increment_projection",
+         "E_{k-1}|dX_k|^2 == E_{k-1}(|X_k|^2 - |X_{k-1}|^2)", proj_id, CHECK_TOL),
+        ("increment_energy", "sum_k tau|dX_k|^2 == tau|X_m|^2 - tau|X_0|^2", energy, CHECK_TOL),
+        ("norm_monotonicity", "||X(s)||_p <= ||X(t)||_p for p in {2,4}",
+         monotone, CHECK_TOL_DERIVED),
+        ("submartingale_loewner", "E_s|X(t)|^2 >= |X(s)|^2 (Loewner)",
+         submartingale_abs2_defect(x), CHECK_TOL_DERIVED),
     ]
 
 
-def integral_checks(x: AdaptedProcess, f: AdaptedProcess, instance: int) -> list[CheckRecord]:
+def integral_checks(x: AdaptedProcess, f: AdaptedProcess) -> list[tuple]:
     grid = full_partition(x)
 
     # exact invariance under refinement past the finest grid
@@ -143,44 +152,33 @@ def integral_checks(x: AdaptedProcess, f: AdaptedProcess, instance: int) -> list
     left_proc = integral_process(x, f, "left")
     right_proc = integral_process(x, f, "right")
     return [
-        record("refinement_invariance",
-               "S_theta is fixed once theta contains every change index",
-               invariance, CHECK_TOL_REFINEMENT, instance),
-        record("refinement_orthogonality",
-               "||S_fine - S_coarse||_2^2 == sum of diagonal term norms",
-               ortho, CHECK_TOL, instance),
-        record("integral_martingale_left", "partial left integral sums form a martingale",
-               left_proc.martingale_residual(), CHECK_TOL_DERIVED, instance),
-        record("integral_martingale_right", "partial right integral sums form a martingale",
-               right_proc.martingale_residual(), CHECK_TOL_DERIVED, instance),
+        ("refinement_invariance", "S_theta is fixed once theta contains every change index",
+         invariance, CHECK_TOL_REFINEMENT),
+        ("refinement_orthogonality", "||S_fine - S_coarse||_2^2 == sum of diagonal term norms",
+         ortho, CHECK_TOL),
+        ("integral_martingale_left", "partial left integral sums form a martingale",
+         left_proc.martingale_residual(), CHECK_TOL_DERIVED),
+        ("integral_martingale_right", "partial right integral sums form a martingale",
+         right_proc.martingale_residual(), CHECK_TOL_DERIVED),
     ]
 
 
-def gap_checks(residuals: list[dict], instance: int) -> list[CheckRecord]:
+def gap_checks(residuals: list[dict]) -> list[tuple]:
     """Orthogonality and fourth-moment bound of the naturality gap.
 
     ``residuals`` are :func:`naturality_gap` residual dicts, one per
-    partition; each record carries the worst of them.
+    partition; each row carries the worst of them.
     """
     return [
-        record("gap_orthogonality", "g^2 == sum_k || |dX_k|^2 - E_{k-1}|dX_k|^2 ||_2^2",
-               worst(r["orthogonality"] for r in residuals), CHECK_TOL_DERIVED, instance),
-        record("gap_fourth_moment", "g^2 <= 4 tau(sum_k |dX_k|^4)",
-               worst(r["fourth_moment"] for r in residuals), CHECK_TOL_DERIVED, instance),
+        ("gap_orthogonality", "g^2 == sum_k || |dX_k|^2 - E_{k-1}|dX_k|^2 ||_2^2",
+         worst(r["orthogonality"] for r in residuals), CHECK_TOL_DERIVED),
+        ("gap_fourth_moment", "g^2 <= 4 tau(sum_k |dX_k|^4)",
+         worst(r["fourth_moment"] for r in residuals), CHECK_TOL_DERIVED),
     ]
 
 
-def _by_instance(checks: list[tuple], instances: list[int]) -> list[list[CheckRecord]]:
-    """The records of each instance, from ``(check, formula, residual, tolerance)``
-    whose residual is an array over the instances or a number for all of them."""
-    columns = [np.broadcast_to(residual, (len(instances),)).tolist()
-               for _, _, residual, _ in checks]
-    return [[record(check, formula, column[k], tolerance, instance)
-             for (check, formula, _, tolerance), column in zip(checks, columns)]
-            for k, instance in enumerate(instances)]
-
-
-def _certificate_bounds(cert: ProjectionCertificate) -> list[tuple]:
+def certificate_checks(cert: ProjectionCertificate) -> list[tuple]:
+    """The trace and sup-norm bounds a Kolmogorov certificate must meet."""
     return [
         ("kolmogorov_trace_bound", "tau(1 - e) <= ||X_m||_2^2 / eps^2",
          worst([cert.trace_defect - cert.trace_bound]), CHECK_TOL),
@@ -189,76 +187,69 @@ def _certificate_bounds(cert: ProjectionCertificate) -> list[tuple]:
     ]
 
 
-def certificate_checks(cert: ProjectionCertificate, instance: int) -> list[CheckRecord]:
-    """The trace and sup-norm bounds a one-element Kolmogorov certificate must meet."""
-    return [record(*check, instance) for check in _certificate_bounds(cert)]
-
-
-def doob_meyer_checks(x: AdaptedProcess, y: AdaptedProcess, partner: AlgElement,
-                      instance: int) -> list[CheckRecord]:
+def doob_meyer_checks(x: AdaptedProcess, y: AdaptedProcess,
+                      partner: AlgElement) -> list[tuple]:
     grid = full_partition(x)
     levels = x.filtration.levels
-    out: list[CheckRecord] = []
+    out: list[tuple] = []
 
     qv = quadratic_variation_sum(x, grid)
     bracket = bracket_via_integrals(x, grid)
-    out.append(record("bracket_equals_qv",
-                      "|X_m|^2 - |X_0|^2 - S^l(dX*, X) - S^r(X*, dX) == sum_k |dX_k|^2",
-                      lp_norm(bracket - qv, 2), CHECK_TOL, instance))
+    out.append(("bracket_equals_qv",
+                "|X_m|^2 - |X_0|^2 - S^l(dX*, X) - S^r(X*, dX) == sum_k |dX_k|^2",
+                lp_norm(bracket - qv, 2), CHECK_TOL))
 
     decompositions = {v: doob_meyer_decompose(x, v) for v in DECOMPOSITION_VARIANTS}
     a = decompositions["predictable"].increasing_part
     lhs, rhs = naturality_pairing(a, partner, grid)
-    out.append(record("naturality_pairing",
-                      "sum_k tau(E_{k-1}(y) dA_k) == tau(y A_m) for predictable A",
-                      abs(lhs - rhs), CHECK_TOL, instance))
+    out.append(("naturality_pairing",
+                "sum_k tau(E_{k-1}(y) dA_k) == tau(y A_m) for predictable A",
+                abs(lhs - rhs), CHECK_TOL))
 
     g, gap_residuals = naturality_gap(x, grid)
-    out += gap_checks([gap_residuals], instance)
+    out += gap_checks([gap_residuals])
 
     comp_inc = worst(
         lp_norm(levels[j - 1].expect(a.values[j] - a.values[j - 1])
                 - (levels[j - 1].expect(abs2(x.values[j])) - abs2(x.values[j - 1])), 2)
         for j in range(1, len(a.values)))
-    out.append(record("compensator_increment",
-                      "E_{j-1} dA_j == E_{j-1}|X_j|^2 - |X_{j-1}|^2", comp_inc,
-                      CHECK_TOL, instance))
+    out.append(("compensator_increment", "E_{j-1} dA_j == E_{j-1}|X_j|^2 - |X_{j-1}|^2",
+                comp_inc, CHECK_TOL))
 
     pair_gap = abs(trace(partner @ (a.values[-1] - qv)))
-    out.append(record("pairing_gap_bound", "|tau(y (A_m - <X>_m))| <= ||y||_2 g",
-                      worst([pair_gap - lp_norm(partner, 2) * g]), CHECK_TOL, instance))
+    out.append(("pairing_gap_bound", "|tau(y (A_m - <X>_m))| <= ||y||_2 g",
+                worst([pair_gap - lp_norm(partner, 2) * g]), CHECK_TOL))
 
     herm = 0.5 * (x + x.adjoint())
-    out.append(record("uniqueness_residual",
-                      "tau(sum_k (dM_k)^2) == tau|M_m|^2 - tau|M_0|^2 for selfadjoint M",
-                      uniqueness_residual(herm), CHECK_TOL, instance))
+    out.append(("uniqueness_residual",
+                "tau(sum_k (dM_k)^2) == tau|M_m|^2 - tau|M_0|^2 for selfadjoint M",
+                uniqueness_residual(herm), CHECK_TOL))
 
     # cross variation against the second martingale, via independent routes
     direct = cross_variation(x, y, grid)
     xs = x.adjoint()
     expansion = (xs.values[-1] @ y.values[-1] - xs.values[0] @ y.values[0]
                  - left_sum(xs, y, grid) - right_sum(y, xs, grid))
-    out.append(record("cross_expansion",
-                      "sum_k dX_k* dY_k == X*Y|_0^m - S^l(dX*, Y) - S^r(X*, dY)",
-                      lp_norm(direct - expansion, 2), CHECK_TOL, instance))
+    out.append(("cross_expansion",
+                "sum_k dX_k* dY_k == X*Y|_0^m - S^l(dX*, Y) - S^r(X*, dY)",
+                lp_norm(direct - expansion, 2), CHECK_TOL))
     qvp = lambda p: quadratic_variation_sum(p, grid)
     polar = 0.25 * (qvp(x + y) - qvp(x - y) + 1j * (qvp(1j * x + y) - qvp(1j * x - y)))
-    out.append(record("cross_polarization",
-                      "4 <X,Y> == <X+Y> - <X-Y> + i(<iX+Y> - <iX-Y>)",
-                      lp_norm(direct - polar, 2), CHECK_TOL, instance))
+    out.append(("cross_polarization", "4 <X,Y> == <X+Y> - <X-Y> + i(<iX+Y> - <iX-Y>)",
+                lp_norm(direct - polar, 2), CHECK_TOL))
 
     for variant, d in decompositions.items():
-        out.append(record(f"dm_reconstruction_{variant}", "|X_t|^2 == M_t + A_t",
-                          d.residuals["reconstruction"], CHECK_TOL, instance))
-        out.append(record(f"dm_martingale_part_{variant}", "M is a martingale",
-                          d.residuals["martingale_part"], CHECK_TOL_DERIVED, instance))
-        out.append(record(f"dm_initial_{variant}", "A(0) == 0",
-                          d.residuals["initial"], CHECK_TOL, instance))
-        out.append(record(f"dm_increasing_{variant}", "dA_j >= 0 (Loewner)",
-                          d.residuals["increment_psd_defect"], CHECK_TOL_DERIVED, instance))
+        out.append((f"dm_reconstruction_{variant}", "|X_t|^2 == M_t + A_t",
+                    d.residuals["reconstruction"], CHECK_TOL))
+        out.append((f"dm_martingale_part_{variant}", "M is a martingale",
+                    d.residuals["martingale_part"], CHECK_TOL_DERIVED))
+        out.append((f"dm_initial_{variant}", "A(0) == 0",
+                    d.residuals["initial"], CHECK_TOL))
+        out.append((f"dm_increasing_{variant}", "dA_j >= 0 (Loewner)",
+                    d.residuals["increment_psd_defect"], CHECK_TOL_DERIVED))
         if variant == "predictable":
-            out.append(record("dm_predictable", "A(t_j) lies in level j-1",
-                              d.residuals["predictability"], CHECK_TOL, instance))
+            out.append(("dm_predictable", "A(t_j) lies in level j-1",
+                        d.residuals["predictability"], CHECK_TOL))
     return out
 
 
@@ -273,51 +264,49 @@ def instance_checks(filtration: Filtration, rng: np.random.Generator, instance: 
     x = martingale_from_terminal(filtration, x_term)
     y = martingale_from_terminal(filtration, y_term)
 
-    records = conditional_expectation_checks(filtration, x_term, partner, instance)
-    records += martingale_checks(x, instance)
-    records += integral_checks(x, y, instance)
-    records += doob_meyer_checks(x, y, partner, instance)
-    return records
+    rows = conditional_expectation_checks(filtration, x_term, partner)
+    rows += martingale_checks(x)
+    rows += integral_checks(x, y)
+    rows += doob_meyer_checks(x, y, partner)
+    return by_instance(rows, [instance])[0]
 
 
 def error_checks(exc: Exception, instance: int) -> list[CheckRecord]:
     """The one failing record of an instance that a numerical error cut short."""
-    return [record("instance_completed",
-                   f"the instance runs without a numerical error; got {type(exc).__name__}: {exc}",
-                   math.inf, CHECK_TOL_PREDICATE, instance)]
+    return by_instance([(
+        "instance_completed",
+        f"the instance runs without a numerical error; got {type(exc).__name__}: {exc}",
+        math.inf, CHECK_TOL_PREDICATE)], [instance])[0]
 
 
 def ratio_checks(rows: list[dict]) -> list[CheckRecord]:
     """Every observed ratio of the ``ratios`` sweep is finite and nonnegative."""
     valid = all(0.0 <= r[key] < math.inf
                 for r in rows for key in ("bg_ratio", "dual_doob_ratio"))
-    return [record("ratios_finite", "every observed ratio is finite and nonnegative",
-                   0.0 if valid else math.inf, CHECK_TOL_PREDICATE, -1)]
+    return by_instance([("ratios_finite", "every observed ratio is finite and nonnegative",
+                         0.0 if valid else math.inf, CHECK_TOL_PREDICATE)], [-1])[0]
 
 
-def kolmogorov_checks(cert: ProjectionCertificate,
-                      instances: list[int]) -> tuple[list[list[CheckRecord]], np.ndarray]:
+def kolmogorov_checks(cert: ProjectionCertificate) -> tuple[list[tuple], np.ndarray | float]:
     """Certificate bounds and meet-chain monotonicity for ``kolmogorov``.
 
-    ``cert`` certifies a stack of martingales, one per instance of
-    ``instances`` in stack order (or one martingale, for one instance); the
-    records come as one list per instance.  Also returns, per instance, the
-    least eigenvalue of f_n - f_{n+1} along the meet chain (0 for a single
-    step), which the certificate row reports.
+    ``cert`` certifies a stack of martingales (or one martingale), and each
+    residual is an array over the stack (or a number).  Also returns the
+    least eigenvalue of f_n - f_{n+1} along the meet chain, in the same form
+    (0 for a single step), which the certificate row reports.
     """
     defect = worst(-min_eigenvalue(a.element - b.element, tol=LOEWNER_HERMITIAN_TOL)
                    for a, b in zip(cert.meets, cert.meets[1:]))
-    checks = _certificate_bounds(cert) + [
+    checks = certificate_checks(cert) + [
         ("kolmogorov_chain_monotone", "f_1 >= f_2 >= ... >= f_m (Loewner)",
          defect, CHECK_TOL_DERIVED)]
-    # 0.0, not -0.0, for a monotone chain
-    return _by_instance(checks, instances), 0.0 - np.broadcast_to(defect, (len(instances),))
+    return checks, 0.0 - defect  # 0.0, not -0.0, for a monotone chain
 
 
 def refine_checks(decay: list[float], gap_residuals: list[dict],
-                  cert: ProjectionCertificate, instance: int) -> list[CheckRecord]:
+                  cert: ProjectionCertificate) -> list[tuple]:
     """Terminal decay, gap identities over the chain, integral-process certificate."""
-    return ([record("terminal_refinement", "final chain entry against the full grid vanishes",
-                    decay[-1], CHECK_TOL_REFINEMENT, instance)]
-            + gap_checks(gap_residuals, instance)
-            + certificate_checks(cert, instance))
+    return ([("terminal_refinement", "final chain entry against the full grid vanishes",
+              decay[-1], CHECK_TOL_REFINEMENT)]
+            + gap_checks(gap_residuals)
+            + certificate_checks(cert))

@@ -25,8 +25,8 @@ from ..inequalities import (epsilon_from_percentile, kolmogorov_projection, sega
 from ..integrals import integral_process, integrand_bound, refinement_table
 from ..processes import (full_partition, martingale_from_terminal, random_element,
                          spawn_generators)
-from .checks import (error_checks, instance_checks, kolmogorov_checks, ratio_checks,
-                     refine_checks)
+from .checks import (by_instance, error_checks, instance_checks, kolmogorov_checks,
+                     ratio_checks, refine_checks)
 from .config import ExperimentConfig
 from .report import VerificationReport
 
@@ -127,18 +127,19 @@ def cmd_ratios(config: ExperimentConfig) -> VerificationReport:
 def _certificates(config: ExperimentConfig, drawn: list) -> tuple[list, list]:
     """The left and right certificate rows and records of each instance, from one
     stacked martingale."""
-    instances = [i for i, _, _ in drawn]
+    instances, n = [i for i, _, _ in drawn], len(drawn)
     x = martingale_from_terminal(config.filtration, stack([t for _, _, t in drawn]))
     eps = config.epsilon_value if config.epsilon_mode == "fixed" else \
         epsilon_from_percentile(x, config.epsilon_value)
-    epsilon = np.broadcast_to(eps, (len(drawn),)).tolist()
+    epsilon = np.broadcast_to(eps, (n,)).tolist()
     sides = []
     for side in ("left", "right"):
         cert = kolmogorov_projection(x, eps, side)
-        records, chain_min = kolmogorov_checks(cert, instances)
-        sides.append((side, records, [column.tolist() for column in (
+        checks, chain_min = kolmogorov_checks(cert)
+        sides.append((side, by_instance(checks, instances), [column.tolist() for column in (
             cert.trace_defect, cert.trace_bound, cert.trace_bound - cert.trace_defect,
-            trace(cert.projection.element).real, chain_min, *cert.sup_norms)]))
+            trace(cert.projection.element).real, np.broadcast_to(chain_min, (n,)),
+            *cert.sup_norms)]))
     rows, out = [], []
     for k, i in enumerate(instances):
         for side, records, (defect, bound, slack, projection, chain, *sups) in sides:
@@ -185,7 +186,7 @@ def _refinements(config: ExperimentConfig, drawn: list) -> tuple[list, list]:
         cert = kolmogorov_projection(proc, eps, "left")
         modulus = [[g, m] for g, m in segal_modulus(proc, cert.projection, "left")]
         rows.append((i, table, integrand_bound(x), modulus))
-        records += refine_checks(decay, [res for _, res in gaps], cert, i)
+        records += by_instance(refine_checks(decay, [res for _, res in gaps], cert), [i])[0]
     return rows, records
 
 

@@ -100,9 +100,11 @@ def _decode_element(algebra: TracialAlgebra, mats, path: str) -> AlgElement:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """A validated config.  Construction checks the size caps, then builds the
-    filtration once, decodes the fixed terminal and resolves the partition
-    chain; commands read these three from the config and never rebuild them."""
+    """A validated config.  Construction checks every field rule, the size caps
+    first, and stores each field in its plain form (whole numbers as ``int``,
+    lists as tuples); then it builds the filtration once, decodes the fixed
+    terminal and resolves the partition chain.  Commands read these three from
+    the config and never rebuild them."""
     block_dims: tuple[int, ...]
     block_weights: tuple[float, ...] | None
     times: tuple[float, ...]
@@ -121,18 +123,48 @@ class ExperimentConfig:
     chain: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        # the caps come first, before anything is built
+        # every field rule comes before anything is built, the caps first
         dims = _each("algebra.block_dims", self.block_dims, _integer)
         if sum(n * n for n in dims if n > 0) > MAX_ALGEBRA_DIM:
             raise ConfigError(f"the algebra's dimension sum(n^2) must be at most "
                               f"{MAX_ALGEBRA_DIM}", "algebra.block_dims")
-        _at("instances", _integer, self.instances, 1, MAX_INSTANCES)
+        instances = _at("instances", _integer, self.instances, 1, MAX_INSTANCES)
+        weights = self.block_weights
+        if weights is not None:
+            weights = _each("algebra.block_weights", weights, _number)
+        p_values = _each("p_values", self.p_values, _number)
+        if not p_values or any(p < 2 for p in p_values):
+            raise ConfigError("p_values must be a nonempty list of numbers >= 2", "p_values")
+        if self.epsilon_mode not in EPSILON_MODES:
+            raise ConfigError(f"epsilon.mode must be one of {EPSILON_MODES}", "epsilon")
+        eps = _at("epsilon.value", _number, self.epsilon_value)
+        if self.epsilon_mode == "fixed" and eps <= 0:
+            raise ConfigError("fixed epsilon must be positive", "epsilon.value")
+        if self.epsilon_mode == "percentile" and not 0 <= eps <= 100:
+            raise ConfigError("percentile must lie in [0, 100]", "epsilon.value")
+        chain = self.partition_chain
+        if chain != "midpoint":
+            if not isinstance(chain, (list, tuple)):
+                raise ConfigError("must be 'midpoint' or a list of index lists", "partition_chain")
+            chain = tuple(_each(f"partition_chain[{i}]", c, _integer) for i, c in enumerate(chain))
+        if not isinstance(self.output_path, (str, type(None))):
+            raise ConfigError("path must be a string", "output.path")
+        if self.output_format not in OUTPUT_FORMATS:
+            raise ConfigError(f"format must be one of {OUTPUT_FORMATS}", "output.format")
+        plain = {"block_dims": dims, "block_weights": weights, "instances": instances,
+                 "p_values": p_values, "epsilon_value": eps, "partition_chain": chain,
+                 "times": _each("times", self.times, _number),
+                 "levels": _each("levels", self.levels, copy.deepcopy),
+                 "seed": _at("seed", _integer, self.seed, 0)}
+        for name, value in plain.items():
+            object.__setattr__(self, name, value)
+
         filtration = self.build_filtration()
         n = len(filtration.grid)
-        chain = midpoint_chain(n) if self.partition_chain == "midpoint" else self.partition_chain
         object.__setattr__(self, "filtration", filtration)
         object.__setattr__(self, "fixed_terminal",
                            _decode_terminal(filtration.algebra, self.terminal))
+        chain = midpoint_chain(n) if chain == "midpoint" else chain
         object.__setattr__(self, "chain", tuple(_at("partition_chain", nested_chain, n, chain)))
 
     def to_dict(self) -> dict:
@@ -205,7 +237,8 @@ def _decode_terminal(algebra: TracialAlgebra, terminal) -> AlgElement | None:
 
 
 def load_config(data: dict) -> ExperimentConfig:
-    """Parse and validate a raw config dict; errors carry the field path."""
+    """The config of a raw config dict: this maps the JSON layout to the fields,
+    and construction checks them; errors carry the field path."""
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
     if _at("spec_version", _integer, data.get("spec_version", SPEC_VERSION)) != SPEC_VERSION:
@@ -214,49 +247,24 @@ def load_config(data: dict) -> ExperimentConfig:
     alg = data.get("algebra")
     if not isinstance(alg, dict) or "block_dims" not in alg:
         raise ConfigError("missing algebra.block_dims", "algebra")
-    dims = _each("algebra.block_dims", alg["block_dims"], _integer)
-    weights = alg.get("block_weights")
-    if weights is not None:
-        weights = _each("algebra.block_weights", weights, _number)
-
-    p_values = _each("p_values", data.get("p_values", [3.0, 4.0, 8.0]), _number)
-    if not p_values or any(p < 2 for p in p_values):
-        raise ConfigError("p_values must be a nonempty list of numbers >= 2", "p_values")
-
     eps = data.get("epsilon", {"mode": "percentile", "value": 30.0})
-    if not isinstance(eps, dict) or eps.get("mode") not in EPSILON_MODES:
+    if not isinstance(eps, dict):
         raise ConfigError(f"epsilon.mode must be one of {EPSILON_MODES}", "epsilon")
-    eps_value = _at("epsilon.value", _number, eps.get("value", 30.0))
-    if eps["mode"] == "fixed" and eps_value <= 0:
-        raise ConfigError("fixed epsilon must be positive", "epsilon.value")
-    if eps["mode"] == "percentile" and not 0 <= eps_value <= 100:
-        raise ConfigError("percentile must lie in [0, 100]", "epsilon.value")
-
-    chain = data.get("partition_chain", "midpoint")
-    if chain != "midpoint":
-        if not isinstance(chain, (list, tuple)):
-            raise ConfigError("must be 'midpoint' or a list of index lists", "partition_chain")
-        chain = tuple(_each(f"partition_chain[{i}]", c, _integer) for i, c in enumerate(chain))
-
     output = {} if data.get("output") is None else data["output"]
     if not isinstance(output, dict):
         raise ConfigError("output must be an object", "output")
-    if not isinstance(output.get("path"), (str, type(None))):
-        raise ConfigError("path must be a string", "output.path")
-    if output.get("format", "json") not in OUTPUT_FORMATS:
-        raise ConfigError(f"format must be one of {OUTPUT_FORMATS}", "output.format")
 
     return ExperimentConfig(
-        block_dims=dims,
-        block_weights=weights,
-        times=_each("times", data.get("times"), _number),
-        levels=_each("levels", data.get("levels"), copy.deepcopy),
-        seed=_at("seed", _integer, data.get("seed", 0), 0),
-        instances=_at("instances", _integer, data.get("instances", 25)),
-        p_values=p_values,
-        epsilon_mode=eps["mode"],
-        epsilon_value=eps_value,
-        partition_chain=chain,
+        block_dims=alg["block_dims"],
+        block_weights=alg.get("block_weights"),
+        times=data.get("times"),
+        levels=data.get("levels"),
+        seed=data.get("seed", 0),
+        instances=data.get("instances", 25),
+        p_values=data.get("p_values", [3.0, 4.0, 8.0]),
+        epsilon_mode=eps.get("mode"),
+        epsilon_value=eps.get("value", 30.0),
+        partition_chain=data.get("partition_chain", "midpoint"),
         terminal=copy.deepcopy(data.get("terminal")),
         output_path=output.get("path"),
         output_format=output.get("format", "json"),

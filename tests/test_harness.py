@@ -182,7 +182,12 @@ class TestMalformedConfig:
 
     @pytest.mark.parametrize("field, value, name", [
         ("instances", MAX_INSTANCES + 1, "instances"),
-        ("block_dims", (1,) * (MAX_ALGEBRA_DIM + 1), "algebra.block_dims")])
+        ("block_dims", (1,) * (MAX_ALGEBRA_DIM + 1), "algebra.block_dims"),
+        ("epsilon_mode", "bogus", "epsilon"),
+        ("epsilon_value", 150.0, "epsilon.value"),
+        ("seed", -1, "seed"),
+        ("p_values", (1.0,), "p_values"),
+        ("output_format", "xml", "output.format")])
     def test_direct_construction_above_the_cap_is_a_config_error(
             self, nothing_allocated, field, value, name):
         data = preset("m2-worked-example")

@@ -17,8 +17,14 @@ from ncmart.harness.report import VerificationReport
 from conftest import nan_element, nan_on_call, nan_tolerant, single
 
 
-def nan_records(records):
+def as_records(rows):
+    """The records of one instance from a check family's rows."""
+    return checks.by_instance(rows, [0])[0]
+
+
+def nan_records(rows):
     """The checks whose residual is NaN; each must also have failed."""
+    records = as_records(rows)
     nans = {r.check for r in records if math.isnan(r.residual)}
     assert not any(r.passed for r in records if r.check in nans)
     return nans
@@ -41,15 +47,14 @@ class TestConditionalExpectationChecks:
            "schwarz_positivity", "norm_contraction", "engine_agreement"}
 
     def test_nan_partner(self, m2_chain, m2_terminal, m2):
-        records = checks.conditional_expectation_checks(m2_chain, m2_terminal,
-                                                        nan_element(m2), 0)
-        assert nan_records(records) == {"trace_duality", "module_property"}
+        rows = checks.conditional_expectation_checks(m2_chain, m2_terminal, nan_element(m2))
+        assert nan_records(rows) == {"trace_duality", "module_property"}
 
     def test_nan_element(self, m2_chain, m2, partner, monkeypatch):
         nan_tolerant(monkeypatch, checks, "min_eigenvalue")
         nan_tolerant(monkeypatch, checks, "lp_norm")
-        records = checks.conditional_expectation_checks(m2_chain, nan_element(m2), partner, 0)
-        assert nan_records(records) == self.ALL
+        rows = checks.conditional_expectation_checks(m2_chain, nan_element(m2), partner)
+        assert nan_records(rows) == self.ALL
 
 
 class TestMartingaleChecks:
@@ -59,24 +64,24 @@ class TestMartingaleChecks:
     def test_nan_final_value(self, with_nan_last, monkeypatch):
         nan_tolerant(monkeypatch, checks, "lp_norm")
         nan_tolerant(monkeypatch, processes, "min_eigenvalue")
-        records = checks.martingale_checks(with_nan_last, 0)
-        assert nan_records(records) == self.FOLDS | {"increment_energy"}
+        rows = checks.martingale_checks(with_nan_last)
+        assert nan_records(rows) == self.FOLDS | {"increment_energy"}
 
 
 class TestIntegralChecks:
     def test_nan_refinement_term(self, m2_martingale, monkeypatch):
         # the second lp_norm call is the right-sum term of refinement_invariance
         nan_on_call(monkeypatch, checks, "lp_norm", 2)
-        records = checks.integral_checks(m2_martingale, m2_martingale, 0)
-        assert nan_records(records) == {"refinement_invariance"}
+        rows = checks.integral_checks(m2_martingale, m2_martingale)
+        assert nan_records(rows) == {"refinement_invariance"}
 
 
 class TestGapChecks:
     def test_nan_in_a_later_partition(self):
         finite = {"orthogonality": 0.0, "fourth_moment": 0.0}
-        records = checks.gap_checks(
-            [finite, {"orthogonality": math.nan, "fourth_moment": math.nan}, finite], 0)
-        assert nan_records(records) == {"gap_orthogonality", "gap_fourth_moment"}
+        rows = checks.gap_checks(
+            [finite, {"orthogonality": math.nan, "fourth_moment": math.nan}, finite])
+        assert nan_records(rows) == {"gap_orthogonality", "gap_fourth_moment"}
 
 
 class TestCertificateChecks:
@@ -87,25 +92,25 @@ class TestCertificateChecks:
     def test_nan_terms(self, cert):
         bad = dataclasses.replace(cert, trace_defect=math.nan,
                                   sup_norms=(cert.sup_norms[0], math.nan))
-        assert nan_records(checks.certificate_checks(bad, 0)) == {
+        assert nan_records(checks.certificate_checks(bad)) == {
             "kolmogorov_trace_bound", "kolmogorov_sup_norm"}
 
     def test_nan_chain_eigenvalue(self, cert, monkeypatch):
         nan_on_call(monkeypatch, checks, "min_eigenvalue", len(cert.meets) - 1)
-        [records], [chain_min] = checks.kolmogorov_checks(cert, [0])
-        assert nan_records(records) == {"kolmogorov_chain_monotone"}
+        rows, chain_min = checks.kolmogorov_checks(cert)
+        assert nan_records(rows) == {"kolmogorov_chain_monotone"}
         assert math.isnan(chain_min)
 
     def test_monotone_chain_reports_positive_zero(self, cert):
-        [records], [chain_min] = checks.kolmogorov_checks(cert, [0])
-        assert all(r.passed for r in records)
+        rows, chain_min = checks.kolmogorov_checks(cert)
+        assert all(r.passed for r in as_records(rows))
         assert chain_min == 0.0 and math.copysign(1.0, chain_min) == 1.0
 
 
 class TestDoobMeyerChecks:
     def test_nan_partner(self, m2_martingale, m2):
-        records = checks.doob_meyer_checks(m2_martingale, m2_martingale, nan_element(m2), 0)
-        assert nan_records(records) == {"naturality_pairing", "pairing_gap_bound"}
+        rows = checks.doob_meyer_checks(m2_martingale, m2_martingale, nan_element(m2))
+        assert nan_records(rows) == {"naturality_pairing", "pairing_gap_bound"}
 
     # NaN data in X stops at the martingale and adaptedness gates of the
     # decomposition, so the last term of each fold is stood in by NaN.  The
@@ -122,8 +127,8 @@ class TestDoobMeyerChecks:
     def test_one_nan_term(self, m2_martingale, partner, monkeypatch, owner, name, call,
                           check):
         nan_on_call(monkeypatch, owner, name, call)
-        records = checks.doob_meyer_checks(m2_martingale, m2_martingale, partner, 0)
-        assert nan_records(records) == {check}
+        rows = checks.doob_meyer_checks(m2_martingale, m2_martingale, partner)
+        assert nan_records(rows) == {check}
 
 
 class TestSummary:

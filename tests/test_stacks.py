@@ -268,15 +268,15 @@ def instance_records(report):
 
 
 def raise_for_instance(monkeypatch, name, k, when):
-    """Make ``commands.<name>(*args)`` raise a LinAlgError when ``when(args, k)``;
-    the work before the call has then already succeeded.  Returns the argument
-    tuples of the calls, in call order."""
+    """Make ``commands.<name>(*args)`` raise a LinAlgError when ``when(calls, k)``,
+    where ``calls`` are the argument tuples of the calls so far, this one last;
+    the work before the call has then already succeeded.  Returns ``calls``."""
     real = getattr(commands, name)
     calls = []
 
     def patched(*args):
         calls.append(args)
-        if when(args, k):
+        if when(calls, k):
             raise np.linalg.LinAlgError("eigenvalues did not converge")
         return real(*args)
     monkeypatch.setattr(commands, name, patched)
@@ -289,22 +289,22 @@ class TestEachInstanceWholeOrNotAtAll:
     equals the command's per-instance runs."""
 
     @pytest.mark.parametrize("command, name, when", [
-        # kolmogorov_checks(cert, instances): the checks of the certificates of the
-        # instances listed; instance k's left certificate and its checks succeed
-        # before its right one fails
-        ("kolmogorov", "kolmogorov_checks",
-         lambda args, k: k in args[1] and args[0].side == "right"),
-        # refine_checks(..., instance): decay rows, integrand bound and Segal
+        # by_instance(checks, instances) makes the records of the instances listed,
+        # once per side, left before right: instance k's left certificate and its
+        # records succeed before its right records fail
+        ("kolmogorov", "by_instance",
+         lambda calls, k: k in calls[-1][1] and len(calls) % 2 == 0),
+        # by_instance(checks, [instance]): decay rows, integrand bound and Segal
         # modulus come before the records
-        ("refine", "refine_checks", lambda args, k: args[-1] == k)])
+        ("refine", "by_instance", lambda calls, k: calls[-1][1] == [k])])
     def test_partial_work_of_a_failing_instance_is_dropped(self, config, monkeypatch,
                                                            command, name, when):
         k = 2
         calls = raise_for_instance(monkeypatch, name, k, when)
         report = commands.COMMANDS[command](config)
         if command == "kolmogorov":  # the rerun of instance k alone got past its left side
-            alone = [args[0].side for args in calls if list(args[1]) == [k]]
-            assert alone == ["left", "right"]
+            alone = [args[0] for args in calls if args[1] == [k]]
+            assert len(alone) == 2
         [rec] = [r for r in report.records if r.instance == k]
         assert (rec.check, rec.passed) == ("instance_completed", False)
         assert "LinAlgError: eigenvalues did not converge" in rec.formula

@@ -1,5 +1,6 @@
 """Every tolerance of the package is defined in ``ncmart/tolerances.py``,
-and every residual fold goes through its ``worst``."""
+every residual fold goes through its ``worst``, and one function makes
+every check record."""
 
 import ast
 import math
@@ -54,6 +55,31 @@ def test_no_hand_written_fold_in_the_folding_modules():
             for name in FOLDING_MODULES
             for line, func in builtin_max_min_calls(PACKAGE / name)]
     assert not hits, "builtin max/min outside tolerances.worst:\n" + "\n".join(hits)
+
+
+def callers(name):
+    """(module, innermost enclosing function) of every call of ``name`` in the
+    package, plain or as an attribute; ``<module>`` for a call at top level."""
+    found = set()
+
+    def visit(node, module, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if isinstance(node, ast.Call) and name in (getattr(node.func, "id", None),
+                                                   getattr(node.func, "attr", None)):
+            found.add((module, owner))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, owner)
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        visit(tree, path.relative_to(PACKAGE).as_posix(), "<module>")
+    return found
+
+
+def test_one_record_path():
+    # every check family returns rows, and by_instance alone turns them into records
+    assert callers("record") == {("harness/checks.py", "by_instance")}
+    assert callers("CheckRecord") == {("harness/checks.py", "record")}
 
 
 class TestWorst:
