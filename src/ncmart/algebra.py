@@ -262,12 +262,15 @@ def _within(mats: Sequence[np.ndarray], tol: float) -> bool:
 
 
 def _vdots(m: np.ndarray) -> np.ndarray:
-    """tr(a* a) of every matrix a of a block, by one np.vdot per matrix (a
-    stacked einsum rounds differently in the last bit)."""
+    """tr(a* a) of every matrix a of a block: ``np.vdot`` for one matrix, and
+    for a stack one product of each flattened matrix's conjugate row with its
+    column, which matches ``np.vdot`` bit for bit (a stacked einsum rounds
+    differently in the last bit)."""
     if m.ndim == 2:  # a single matrix
         return np.vdot(m, m).real
     n = m.shape[-1]
-    return np.array([np.vdot(a, a).real for a in m.reshape(-1, n * n)]).reshape(m.shape[:-2])
+    flat = m.reshape(-1, n * n)
+    return (flat.conj()[:, None, :] @ flat[:, :, None])[:, 0, 0].real.reshape(m.shape[:-2])
 
 
 def _tau(x: AlgElement):
@@ -338,6 +341,14 @@ def lp_norm(x: AlgElement, p: float) -> float:
 
 def _sqrt(v: float) -> float:
     return math.sqrt(max(v, 0.0))
+
+
+def squared(v):
+    """``v ** 2`` per element by Python's float power, as one element alone
+    gets it (NumPy's array power can differ from libm's by one ulp)."""
+    if isinstance(v, np.ndarray):
+        return np.array([t ** 2 for t in v.tolist()])
+    return v ** 2
 
 
 def abs2(x: AlgElement) -> AlgElement:

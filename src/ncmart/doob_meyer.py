@@ -5,7 +5,9 @@ two ways: the predictable variant sums conditioned square increments (the
 compensator), while the bracket variant takes A to be the quadratic
 variation computed from the integral sums.  Their difference is surfaced
 through :func:`naturality_gap` rather than hidden; the naturality pairing
-and the trace identity behind uniqueness are exposed as numbers.
+and the trace identity behind uniqueness are exposed as numbers.  Each
+function also takes stacked processes (see :mod:`ncmart.algebra`), and its
+numbers and gates then act per element of the stack.
 """
 
 from __future__ import annotations
@@ -13,7 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .algebra import AlgElement, abs2, lp_norm, min_eigenvalue, trace
+import numpy as np
+
+from .algebra import AlgElement, abs2, lp_norm, min_eigenvalue, squared, trace
 from .errors import DomainError, StructureError
 from .integrals import left_sum, right_sum
 from .processes import (AdaptedProcess, as_partition, full_partition, increments,
@@ -114,7 +118,7 @@ def naturality_pairing(a: AdaptedProcess, y: AlgElement,
     Returns ``(sum_k tau(E_{k-1}(y) dA_k), tau(y A(t_m)))``; the two agree
     for a predictable A evaluated on the full grid.  Requires A(0) = 0.
     """
-    if not lp_norm(a.values[0], 2) <= INITIAL_ZERO_TOL:
+    if not np.all(lp_norm(a.values[0], 2) <= INITIAL_ZERO_TOL):  # per element of a stack
         raise DomainError("naturality pairing requires A(0) = 0")
     idx = as_partition(len(a.values), partition)
     levels = a.filtration.levels
@@ -145,8 +149,8 @@ def naturality_gap(x: AdaptedProcess, partition: Iterable[int]) -> tuple[float, 
         total = total + d
     g = lp_norm(total, 2)
     residuals = {
-        "orthogonality": abs(g ** 2 - sum(lp_norm(d, 2) ** 2 for d in terms)),
-        "fourth_moment": worst([g ** 2 - 4.0 * fourth]),
+        "orthogonality": abs(squared(g) - sum(squared(lp_norm(d, 2)) for d in terms)),
+        "fourth_moment": worst([squared(g) - 4.0 * fourth]),
     }
     return g, residuals
 
@@ -159,8 +163,8 @@ def uniqueness_residual(m: AdaptedProcess) -> float:
     martingale, so the returned residual should sit at rounding level.
     """
     defect = worst(lp_norm(v - v.adjoint(), 2) for v in m.values)
-    if not defect <= SELFADJOINT_TOL:
-        raise DomainError(f"process is not selfadjoint (defect {defect:.2e})")
+    if not np.all(defect <= SELFADJOINT_TOL):  # per element of a stack
+        raise DomainError(f"process is not selfadjoint (defect {np.max(defect):.2e})")
     require_martingale(m, "uniqueness residual")
     s = 0.0
     for dm in increments(m, full_partition(m)):

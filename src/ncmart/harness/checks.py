@@ -10,10 +10,14 @@ variation, the cross variation against its expansion and polarization),
 the routes other than the operation's are computed here.  Formula strings
 describe the identity itself so a failing record is self-explanatory.
 :func:`by_instance` alone turns rows into records, one list per instance:
-:func:`instance_checks` is the per-instance suite behind ``verify``,
+:func:`identity_rows` is the identity suite behind ``verify``, run on a
+stack of all instances (:func:`instance_checks` is its one-instance case),
 :func:`kolmogorov_checks` and :func:`refine_checks` give the rows of the
 other commands, and :func:`ratio_checks` and :func:`error_checks` record
 the ``ratios`` sweep and an instance that a numerical error cut short.
+Every family acts per element of a stack; complex moduli go through
+:func:`modulus` and squares of norms through ``algebra.squared``, so a
+stacked element gets the bits it gets alone.
 """
 
 from __future__ import annotations
@@ -23,7 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..algebra import AlgElement, abs2, lp_norm, min_eigenvalue, trace
+from ..algebra import (AlgElement, TracialAlgebra, abs2, lp_norm, min_eigenvalue, squared,
+                       stack, trace)
 from ..doob_meyer import (DECOMPOSITION_VARIANTS, bracket_via_integrals, cross_variation,
                           doob_meyer_decompose, naturality_gap, naturality_pairing,
                           quadratic_variation_sum, uniqueness_residual)
@@ -63,6 +68,12 @@ def by_instance(checks: list[tuple], instances: list[int]) -> list[list[CheckRec
             for k, instance in enumerate(instances)]
 
 
+def modulus(z):
+    """|z| of a complex number, or per entry of a complex array, as Python's
+    ``abs`` gives it (``np.abs`` of a complex array differs in the last bit)."""
+    return np.hypot(z.real, z.imag)
+
+
 def conditional_expectation_checks(filtration: Filtration, x: AlgElement,
                                    y: AlgElement) -> list[tuple]:
     """Trace duality/preservation, tower, module, Schwarz, contraction, engines."""
@@ -73,8 +84,8 @@ def conditional_expectation_checks(filtration: Filtration, x: AlgElement,
         a = level.expect(y)
         b = level.expect(x @ y)
         rows.append((
-            abs(trace(ex @ y) - trace(x @ a)),
-            abs(trace(ex) - trace(x)),
+            modulus(trace(ex @ y) - trace(x @ a)),
+            modulus(trace(ex) - trace(x)),
             worst(lp_norm(levels[s].expect(ex) - levels[s].expect(x), 2) for s in range(k)),
             lp_norm(level.expect(a @ x @ b) - a @ ex @ b, 2),
             -min_eigenvalue(level.expect(abs2(x)) - abs2(ex), tol=LOEWNER_HERMITIAN_TOL),
@@ -145,8 +156,8 @@ def integral_checks(x: AdaptedProcess, f: AdaptedProcess) -> list[tuple]:
         total = x.filtration.algebra.zero()
         for t in diff_terms:
             total = total + t
-        lhs = lp_norm(total, 2) ** 2
-        rhs = sum(lp_norm(t, 2) ** 2 for t in diff_terms)
+        lhs = squared(lp_norm(total, 2))
+        rhs = sum(squared(lp_norm(t, 2)) for t in diff_terms)
         ortho = abs(lhs - rhs)
 
     left_proc = integral_process(x, f, "left")
@@ -204,7 +215,7 @@ def doob_meyer_checks(x: AdaptedProcess, y: AdaptedProcess,
     lhs, rhs = naturality_pairing(a, partner, grid)
     out.append(("naturality_pairing",
                 "sum_k tau(E_{k-1}(y) dA_k) == tau(y A_m) for predictable A",
-                abs(lhs - rhs), CHECK_TOL))
+                modulus(lhs - rhs), CHECK_TOL))
 
     g, gap_residuals = naturality_gap(x, grid)
     out += gap_checks([gap_residuals])
@@ -216,7 +227,7 @@ def doob_meyer_checks(x: AdaptedProcess, y: AdaptedProcess,
     out.append(("compensator_increment", "E_{j-1} dA_j == E_{j-1}|X_j|^2 - |X_{j-1}|^2",
                 comp_inc, CHECK_TOL))
 
-    pair_gap = abs(trace(partner @ (a.values[-1] - qv)))
+    pair_gap = modulus(trace(partner @ (a.values[-1] - qv)))
     out.append(("pairing_gap_bound", "|tau(y (A_m - <X>_m))| <= ||y||_2 g",
                 worst([pair_gap - lp_norm(partner, 2) * g]), CHECK_TOL))
 
@@ -253,21 +264,31 @@ def doob_meyer_checks(x: AdaptedProcess, y: AdaptedProcess,
     return out
 
 
-def instance_checks(filtration: Filtration, rng: np.random.Generator, instance: int,
-                    terminal: AlgElement | None = None) -> list[CheckRecord]:
-    """Run the whole identity suite for one seeded instance."""
-    algebra = filtration.algebra
-    x_term = terminal if terminal is not None else random_element(algebra, rng, "general")
-    partner = random_element(algebra, rng, "general")
-    y_term = random_element(algebra, rng, "general")
+def partner_draws(algebra: TracialAlgebra,
+                  rngs: list[np.random.Generator]) -> tuple[AlgElement, AlgElement]:
+    """The stacked partners and second terminals of the identity suite: each
+    instance draws both from its own stream, after its terminal."""
+    draws = [(random_element(algebra, rng, "general"), random_element(algebra, rng, "general"))
+             for rng in rngs]
+    return stack([p for p, _ in draws]), stack([y for _, y in draws])
 
+
+def identity_rows(filtration: Filtration, x_term: AlgElement, partner: AlgElement,
+                  y_term: AlgElement) -> list[tuple]:
+    """The whole identity suite of terminals x and y and a partner element,
+    each a stack over the instances (or one element)."""
     x = martingale_from_terminal(filtration, x_term)
     y = martingale_from_terminal(filtration, y_term)
+    return (conditional_expectation_checks(filtration, x_term, partner) + martingale_checks(x)
+            + integral_checks(x, y) + doob_meyer_checks(x, y, partner))
 
-    rows = conditional_expectation_checks(filtration, x_term, partner)
-    rows += martingale_checks(x)
-    rows += integral_checks(x, y)
-    rows += doob_meyer_checks(x, y, partner)
+
+def instance_checks(filtration: Filtration, rng: np.random.Generator, instance: int,
+                    terminal: AlgElement | None = None) -> list[CheckRecord]:
+    """Run the whole identity suite for one seeded instance, as a stack of one."""
+    algebra = filtration.algebra
+    x_term = terminal if terminal is not None else random_element(algebra, rng, "general")
+    rows = identity_rows(filtration, stack([x_term]), *partner_draws(algebra, [rng]))
     return by_instance(rows, [instance])[0]
 
 

@@ -3,12 +3,16 @@
 Each command is a batch function and a summary, run by one runner that
 draws every instance from its own counter-based stream, calls the batch
 function once on all of them and keeps rows and records in instance order,
-so reports are deterministic.  Commands only compute; every pass/fail
-record comes from :mod:`.checks`.  On a numerical error (a failed
-precondition, an unadapted computed process, a LAPACK failure) the runner
-reruns each instance alone: one that fails alone reports only its failing
-``instance_completed`` record, and every other instance reports whole.
-Floating-point warnings are silenced; the report carries the inf and NaN.
+so reports are deterministic.  Every batch function runs its instances as
+one stack: one stacked martingale, each check family once, and one
+:func:`.checks.by_instance` call for the records.  Commands only compute;
+every pass/fail record comes from :mod:`.checks`.  On a numerical error (a
+failed precondition, an unadapted computed process, a LAPACK failure) the
+runner splits the stack in halves and reruns each on new draws, down to
+the instance that fails alone: that one reports only its failing
+``instance_completed`` record, and every other instance reports whole,
+with the bits it gets alone.  Floating-point warnings are silenced; the
+report carries the inf and NaN.
 """
 
 from __future__ import annotations
@@ -25,8 +29,8 @@ from ..inequalities import (epsilon_from_percentile, kolmogorov_projection, sega
 from ..integrals import integral_process, integrand_bound, refinement_table
 from ..processes import (full_partition, martingale_from_terminal, random_element,
                          spawn_generators)
-from .checks import (by_instance, error_checks, instance_checks, kolmogorov_checks,
-                     ratio_checks, refine_checks)
+from .checks import (by_instance, error_checks, identity_rows, kolmogorov_checks,
+                     partner_draws, ratio_checks, refine_checks)
 from .config import ExperimentConfig
 from .report import VerificationReport
 
@@ -49,6 +53,25 @@ def _attempt(batch, config: ExperimentConfig, drawn: list) -> tuple[list, list, 
         return [], error_checks(exc, drawn[0][0]), True
 
 
+def _contained(batch, config: ExperimentConfig, drawn: list) -> tuple[list, list, bool]:
+    """(rows, records, failed) of ``batch`` on the drawn instances.  A stack that
+    fails is split in halves, each run on new draws, until every half that passes
+    reports whole and every instance that fails alone reports its error."""
+    rows, records, failed = _attempt(batch, config, drawn)
+    if failed and len(drawn) > 1:
+        # An error of the stack is some instance's.  One that neither half repeats
+        # stays recorded against the stack's first instance, ahead of its reports.
+        fresh = {one[0]: one for one in _instance_terminals(config)}
+        half = len(drawn) // 2
+        parts = [_contained(batch, config, [fresh[i] for i, _, _ in part])
+                 for part in (drawn[:half], drawn[half:])]
+        if any(f for _, _, f in parts):
+            records = []
+        rows = [row for part, _, _ in parts for row in part]
+        records += [r for _, part, _ in parts for r in part]
+    return rows, records, failed
+
+
 def _sweep(command: str, config: ExperimentConfig, batch,
            summary=lambda report, config, rows: None) -> VerificationReport:
     """The report of ``batch(config, drawn)``, which returns the rows and records
@@ -57,17 +80,7 @@ def _sweep(command: str, config: ExperimentConfig, batch,
     t0 = time.perf_counter()
     report = VerificationReport(command, config.to_dict())
     with np.errstate(all="ignore"):
-        drawn = _instance_terminals(config)
-        rows, records, failed = _attempt(batch, config, drawn)
-        if failed and len(drawn) > 1:
-            # An error of the batch is some instance's: run each alone to find it.  One
-            # that no instance repeats stays recorded against the first, ahead of all.
-            alone = [_attempt(batch, config, [one]) for one in _instance_terminals(config)]
-            if any(f for _, _, f in alone):
-                records = []
-            rows = [row for part, _, _ in alone for row in part]
-            records += [r for _, part, _ in alone for r in part]
-        report.records = records
+        rows, report.records, _ = _contained(batch, config, _instance_terminals(config))
         summary(report, config, rows)
     report.summarize()
     report.timing = {"seconds": time.perf_counter() - t0}
@@ -75,13 +88,16 @@ def _sweep(command: str, config: ExperimentConfig, batch,
 
 
 def _identities(config: ExperimentConfig, drawn: list) -> tuple[list, list]:
-    """The identity-suite records of each instance."""
-    return [], [r for i, rng, term in drawn
-                for r in instance_checks(config.filtration, rng, i, terminal=term)]
+    """The identity-suite records of each instance, from one stack of terminals,
+    partners and second terminals."""
+    x_term = stack([t for _, _, t in drawn])
+    partner, y_term = partner_draws(config.filtration.algebra, [rng for _, rng, _ in drawn])
+    rows = identity_rows(config.filtration, x_term, partner, y_term)
+    return [], [r for records in by_instance(rows, [i for i, _, _ in drawn]) for r in records]
 
 
 def cmd_verify(config: ExperimentConfig) -> VerificationReport:
-    """Run the full identity suite per instance."""
+    """Run the full identity suite for all instances, as one stack."""
     return _sweep("verify", config, _identities)
 
 
@@ -171,23 +187,26 @@ def cmd_kolmogorov(config: ExperimentConfig) -> VerificationReport:
 
 def _refinements(config: ExperimentConfig, drawn: list) -> tuple[list, list]:
     """Per instance, a row (instance, decay rows, integrand bound, Segal
-    modulus), and its records."""
-    chain, rows, records = config.chain, [], []
-    for i, _, term in drawn:
-        x = martingale_from_terminal(config.filtration, term)
-        decay = refinement_table(x, x, "left", chain)
-        gaps = [naturality_gap(x, part) for part in chain]
-        table = [{"instance": i, "chain_level": lvl, "partition_size": len(chain[lvl]),
-                  "decay": d, "naturality_gap": g, "seed": config.seed}
-                 for lvl, (d, (g, _)) in enumerate(zip(decay, gaps))]
-        # continuity diagnostics of the integral process; the modulus has no threshold
-        proc = integral_process(x, x, "left")
-        eps = epsilon_from_percentile(proc, 50.0)
-        cert = kolmogorov_projection(proc, eps, "left")
-        modulus = [[g, m] for g, m in segal_modulus(proc, cert.projection, "left")]
-        rows.append((i, table, integrand_bound(x), modulus))
-        records += by_instance(refine_checks(decay, [res for _, res in gaps], cert), [i])[0]
-    return rows, records
+    modulus), and its records, from one stacked martingale."""
+    chain, instances = config.chain, [i for i, _, _ in drawn]
+    column = lambda v: np.broadcast_to(v, (len(drawn),)).tolist()
+    x = martingale_from_terminal(config.filtration, stack([t for _, _, t in drawn]))
+    decay = refinement_table(x, x, "left", chain)
+    gaps = [naturality_gap(x, part) for part in chain]
+    # continuity diagnostics of the integral process; the modulus has no threshold
+    proc = integral_process(x, x, "left")
+    eps = epsilon_from_percentile(proc, 50.0)
+    cert = kolmogorov_projection(proc, eps, "left")
+    modulus = [(g, column(m)) for g, m in segal_modulus(proc, cert.projection, "left")]
+    records = by_instance(refine_checks(decay, [res for _, res in gaps], cert), instances)
+    by_level = [(len(part), column(d), column(g)) for part, d, (g, _) in zip(chain, decay, gaps)]
+    bound = column(integrand_bound(x))
+    rows = [(i, [{"instance": i, "chain_level": lvl, "partition_size": size,
+                  "decay": d[k], "naturality_gap": g[k], "seed": config.seed}
+                 for lvl, (size, d, g) in enumerate(by_level)],
+             bound[k], [[g, m[k]] for g, m in modulus])
+            for k, i in enumerate(instances)]
+    return rows, [r for rs in records for r in rs]
 
 
 def _refine_summary(report: VerificationReport, config: ExperimentConfig, rows) -> None:

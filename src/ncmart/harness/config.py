@@ -247,27 +247,28 @@ def load_config(data: dict) -> ExperimentConfig:
     alg = data.get("algebra")
     if not isinstance(alg, dict) or "block_dims" not in alg:
         raise ConfigError("missing algebra.block_dims", "algebra")
-    eps = data.get("epsilon", {"mode": "percentile", "value": 30.0})
+    eps = data.get("epsilon", {})
     if not isinstance(eps, dict):
         raise ConfigError(f"epsilon.mode must be one of {EPSILON_MODES}", "epsilon")
     output = {} if data.get("output") is None else data["output"]
     if not isinstance(output, dict):
         raise ConfigError("output must be an object", "output")
 
+    # a key the config omits keeps its ExperimentConfig default
+    optional = {"seed": (data, "seed"), "instances": (data, "instances"),
+                "p_values": (data, "p_values"), "partition_chain": (data, "partition_chain"),
+                "epsilon_value": (eps, "value"), "output_format": (output, "format")}
+    fields = {name: source[key] for name, (source, key) in optional.items() if key in source}
+    if "epsilon" in data:  # but an epsilon object must name its mode
+        fields["epsilon_mode"] = eps.get("mode")
     return ExperimentConfig(
         block_dims=alg["block_dims"],
         block_weights=alg.get("block_weights"),
         times=data.get("times"),
         levels=data.get("levels"),
-        seed=data.get("seed", 0),
-        instances=data.get("instances", 25),
-        p_values=data.get("p_values", [3.0, 4.0, 8.0]),
-        epsilon_mode=eps.get("mode"),
-        epsilon_value=eps.get("value", 30.0),
-        partition_chain=data.get("partition_chain", "midpoint"),
         terminal=copy.deepcopy(data.get("terminal")),
         output_path=output.get("path"),
-        output_format=output.get("format", "json"),
+        **fields,
     )
 
 

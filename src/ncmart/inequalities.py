@@ -9,10 +9,11 @@ both sides of each bound, and the harness and tests check them as stated
 :mod:`ncmart.tolerances`, since only the non-strict form is forced at
 degenerate equality).
 
-:func:`square_function_ratios`, :func:`epsilon_from_percentile` and
-:func:`kolmogorov_projection` also take a stack of martingales (see
-:mod:`ncmart.algebra`): each number they return is then an array over the
-stack, one entry per martingale, with the bits that martingale gets alone.
+:func:`square_function_ratios`, :func:`epsilon_from_percentile`,
+:func:`kolmogorov_projection` and :func:`segal_modulus` also take a stack of
+martingales (see :mod:`ncmart.algebra`): each number they return is then an
+array over the stack, one entry per martingale, with the bits that
+martingale gets alone.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Iterable
 import numpy as np
 
 from .algebra import (AlgElement, Projection, lp_norm, min_eigenvalue, proj_meet, psd_sqrt,
-                      spectral_projection, trace)
+                      spectral_projection, squared, trace)
 from .errors import DomainError, UndefinedRatioError
 from .integrals import SIDES
 from .processes import AdaptedProcess, as_partition, require_martingale
@@ -179,21 +180,13 @@ def kolmogorov_projection(x: AdaptedProcess, epsilon: float, side: str) -> Proje
 
     e = meets[-1]
     trace_defect = trace(e.complement().element).real
-    trace_bound = _squared(lp_norm(x.values[-1], 2)) / (epsilon * epsilon)
+    trace_bound = squared(lp_norm(x.values[-1], 2)) / (epsilon * epsilon)
     if side == "left":
         sup_norms = tuple(lp_norm(e.element @ v, math.inf) for v in steps)
     else:
         sup_norms = tuple(lp_norm(v @ e.element, math.inf) for v in steps)
     return ProjectionCertificate(e, epsilon, trace_defect, trace_bound,
                                  sup_norms, side, tuple(meets))
-
-
-def _squared(norm):
-    """``norm ** 2`` per element by Python's float power, as one element alone
-    gets it (NumPy's array power can differ from libm's by one ulp)."""
-    if isinstance(norm, np.ndarray):
-        return np.array([t ** 2 for t in norm.tolist()])
-    return norm ** 2
 
 
 def epsilon_from_percentile(x: AdaptedProcess, percentile: float) -> float:
@@ -215,7 +208,8 @@ def segal_modulus(p: AdaptedProcess, e: Projection,
     For every distinct gap width d between grid times, reports
     sup over |t - s| <= d of the compressed increment operator norm
     (e*(X(t)-X(s)) for ``left``, (X(t)-X(s))*e for ``right``,
-    e*(X(t)-X(s))*e for ``weak``).  Monotone nondecreasing in d.
+    e*(X(t)-X(s))*e for ``weak``).  Monotone nondecreasing in d.  For a
+    stacked process and projection, each modulus is an array over the stack.
     """
     if side not in MODULUS_SIDES:
         raise DomainError(f"side must be one of {MODULUS_SIDES}, got {side!r}")
@@ -235,7 +229,7 @@ def segal_modulus(p: AdaptedProcess, e: Projection,
     table: list[tuple[float, float]] = []
     running = 0.0
     for gap, norm in pairs:
-        running = max(running, norm)
+        running = np.maximum(running, norm)
         if table and table[-1][0] == gap:
             table[-1] = (gap, running)
         else:

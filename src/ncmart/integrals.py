@@ -9,8 +9,11 @@ measures.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .algebra import AlgElement, lp_norm
 from .errors import DomainError, StructureError
@@ -65,8 +68,8 @@ def integral_process(x: AdaptedProcess, f: AdaptedProcess, side: str) -> Adapted
 
 
 def integrand_bound(f: AdaptedProcess) -> float:
-    """sup over grid times of the operator norm of the integrand."""
-    return max(lp_norm(v, math.inf) for v in f.values)
+    """sup over grid times of the operator norm of the integrand; per element of a stack."""
+    return functools.reduce(np.maximum, [lp_norm(v, math.inf) for v in f.values])
 
 
 def nested_chain(n_times: int, chain: Sequence[Iterable[int]]) -> list[tuple[int, ...]]:

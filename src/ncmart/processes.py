@@ -83,8 +83,9 @@ class AdaptedProcess:
     """Sequence of algebra elements adapted to a filtration.
 
     Construction rejects values that are not fixed by their level's
-    expectation within ``ADAPTED_TOL``.  Supports pointwise linear arithmetic between
-    processes on the same filtration and the pointwise adjoint.  A process
+    expectation within ``ADAPTED_TOL``, for every element of a stack.
+    Supports pointwise linear arithmetic between processes on the same
+    filtration and the pointwise adjoint.  A process
     never changes, so its martingale residual and its square sums are
     computed once and kept.
     """
@@ -100,9 +101,9 @@ class AdaptedProcess:
         if validate:
             for k, v in enumerate(values):
                 gap = lp_norm(filtration.levels[k].expect(v) - v, 2)
-                if not gap <= ADAPTED_TOL:
-                    raise StructureError(
-                        f"value {k} is not adapted (residual {gap:.2e} > {ADAPTED_TOL:g})")
+                if not np.all(gap <= ADAPTED_TOL):  # every element of a stack; NaN fails
+                    raise StructureError(f"value {k} is not adapted "
+                                         f"(residual {np.max(gap):.2e} > {ADAPTED_TOL:g})")
         self.filtration = filtration
         self.values = values
         self._mart_residual: float | None = None

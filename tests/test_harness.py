@@ -74,6 +74,25 @@ class TestConfigValidation:
         with pytest.raises(nc.ConfigError):
             load_config(data)
 
+    # the fields that each optional config key sets
+    OPTIONAL_KEYS = {"seed": ("seed",), "instances": ("instances",), "p_values": ("p_values",),
+                     "epsilon": ("epsilon_mode", "epsilon_value"),
+                     "partition_chain": ("partition_chain",),
+                     "output": ("output_path", "output_format")}
+
+    @pytest.mark.parametrize("key", OPTIONAL_KEYS)
+    def test_omitted_key_is_the_field_default(self, tmp_path, key):
+        data = m2_config(seed=7, instances=3, p_values=[2.0, 5.0],
+                         epsilon={"mode": "fixed", "value": 0.5},
+                         partition_chain=[[0, 2], [0, 1, 2]],
+                         output={"path": str(tmp_path / "out.csv"), "format": "csv"})
+        given = load_config(data)
+        del data[key]
+        fields = {f.name: getattr(given, f.name) for f in dataclasses.fields(ExperimentConfig)
+                  if f.init and f.name not in self.OPTIONAL_KEYS[key]}
+        assert load_config(data) == ExperimentConfig(**fields)
+        assert load_config(data) != given
+
     def test_epsilon_validation(self):
         with pytest.raises(nc.ConfigError):
             load_config(m2_config(epsilon={"mode": "fixed", "value": -1.0}))
@@ -504,7 +523,7 @@ class TestContainment:
         assert report.to_json() == json.dumps(report.to_dict(), separators=(",", ":"))
 
     @pytest.mark.parametrize("command, name", [
-        ("verify", "instance_checks"), ("ratios", "square_function_ratios"),
+        ("verify", "identity_rows"), ("ratios", "square_function_ratios"),
         ("kolmogorov", "kolmogorov_projection"), ("refine", "refinement_table")])
     def test_lapack_failure_is_one_failing_record(self, tmp_path, monkeypatch,
                                                   command, name):

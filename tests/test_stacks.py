@@ -1,7 +1,7 @@
 """Stacks of elements: the kernels give each stacked element exactly the
 bits they give it alone, the stacked ratio sweep keeps every
-per-instance outcome, and every command reports each instance whole or
-not at all."""
+per-instance outcome, every command reports each instance whole or not
+at all, and the gates of a stack raise when one element fails them."""
 
 import ast
 import math
@@ -12,10 +12,10 @@ import pytest
 from hypothesis import given, settings
 
 import ncmart as nc
-from ncmart import inequalities
+from ncmart import algebra, inequalities
 from ncmart.harness import cmd_ratios, commands, load_config, preset
 from ncmart.harness.checks import error_checks
-from conftest import structures
+from conftest import _encode, structures
 
 P_NORMS = (1.5, 2.0, 3.0, 4.0, 8.0, math.inf)
 
@@ -84,6 +84,17 @@ class TestStackedKernels:
             for p in P_NORMS:
                 assert same_bits(nc.lp_norm(xs, p)[k], nc.lp_norm(t, p))
         assert_sweep_matches_per_instance(config)
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_stacked_two_norm_products_equal_vdot(self, n):
+        # the one product per stack that lp_norm(., 2) takes matches np.vdot per
+        # matrix bit for bit; a property of the NumPy and BLAS build, so guarded here
+        rng = np.random.Generator(np.random.Philox(n))
+        for scale in 10.0 ** np.arange(-8, 9):
+            for size in (1, 2, 5, 64):
+                m = scale * (rng.standard_normal((size, n, n))
+                             + 1j * rng.standard_normal((size, n, n)))
+                assert same_bits(algebra._vdots(m), np.array([np.vdot(a, a).real for a in m]))
 
     def test_stack_keeps_its_shape_through_the_api(self, m2):
         xs = nc.stack([m2.identity(), 2.0 * m2.identity()])
@@ -284,9 +295,10 @@ def raise_for_instance(monkeypatch, name, k, when):
 
 
 class TestEachInstanceWholeOrNotAtAll:
-    """A sweep with a numerical error reruns its instances alone: a failing
-    instance keeps only its ``instance_completed`` record, and the report
-    equals the command's per-instance runs."""
+    """A sweep with a numerical error reruns halves of its stack down to the
+    instance that fails alone: a failing instance keeps only its
+    ``instance_completed`` record, and the report equals the command's
+    per-instance runs."""
 
     @pytest.mark.parametrize("command, name, when", [
         # by_instance(checks, instances) makes the records of the instances listed,
@@ -294,9 +306,9 @@ class TestEachInstanceWholeOrNotAtAll:
         # records succeed before its right records fail
         ("kolmogorov", "by_instance",
          lambda calls, k: k in calls[-1][1] and len(calls) % 2 == 0),
-        # by_instance(checks, [instance]): decay rows, integrand bound and Segal
-        # modulus come before the records
-        ("refine", "by_instance", lambda calls, k: calls[-1][1] == [k])])
+        # by_instance(checks, instances) makes the records of the instances listed,
+        # after their decay rows, integral process and certificate
+        ("refine", "by_instance", lambda calls, k: k in calls[-1][1])])
     def test_partial_work_of_a_failing_instance_is_dropped(self, config, monkeypatch,
                                                            command, name, when):
         k = 2
@@ -339,6 +351,113 @@ class TestEachInstanceWholeOrNotAtAll:
             assert order == sorted(order)
         assert [(r["check"], r["instance"]) for r in records if not r["passed"]] \
             == [("instance_completed", k)]
+
+
+def test_a_failing_instance_is_found_by_halving_the_stack(monkeypatch):
+    # one failing instance among 16 costs 1 + 2 log2(16) stacked runs, not 1 + 16
+    data = preset("m4-random")
+    data["instances"] = 16
+    config = load_config(data)
+    replace_terminal(monkeypatch, config, 5, lambda t: t * math.nan)
+    real, runs = commands._identities, []
+
+    def counted(config, drawn):
+        runs.append([i for i, _, _ in drawn])
+        return real(config, drawn)
+    monkeypatch.setattr(commands, "_identities", counted)
+    report = commands.cmd_verify(config)
+    assert runs == [list(range(16)), list(range(8)), [0, 1, 2, 3], [4, 5, 6, 7], [4, 5],
+                     [4], [5], [6, 7], list(range(8, 16))]
+    assert [(r.check, r.instance) for r in report.records if not r.passed] \
+        == [("instance_completed", 5)]
+
+
+def pool_config(pool, name, instances=4):
+    """The config of the acceptance pool's structure ``name``."""
+    filt = dict(pool)[name]
+    levels = [{"kind": "general", "basis": [_encode(b) for b in lv.basis]}
+              if lv.kind == "general" else
+              {"kind": lv.kind, "groups": [[list(g) for g in block] for block in lv.groups]}
+              if lv.groups else {"kind": lv.kind}
+              for lv in filt.levels]
+    return load_config({
+        "algebra": {"block_dims": list(filt.algebra.block_dims),
+                    "block_weights": list(filt.algebra.block_weights)},
+        "times": list(filt.grid.times), "levels": levels, "instances": instances})
+
+
+@pytest.mark.parametrize("structure", ["m4-general-4lv", "m2m3-6lv"])
+@pytest.mark.parametrize("command", ["verify", "refine"])
+def test_general_levels_sweep_equals_its_per_instance_runs(pool, monkeypatch,
+                                                           command, structure):
+    # the identity structures whose chains hold general levels, clean and with
+    # one failing instance
+    config = pool_config(pool, structure)
+    assert "general" in {lv.kind for lv in config.filtration.levels}
+    report = commands.COMMANDS[command](config)
+    real = commands._instance_terminals
+    alone = []
+    for j in range(config.instances):
+        with monkeypatch.context() as patch:
+            patch.setattr(commands, "_instance_terminals", lambda c, j=j: [real(c)[j]])
+            alone.append(commands.COMMANDS[command](config))
+    assert report.all_passed
+    assert instance_records(report) == [r for one in alone for r in instance_records(one)]
+    assert ROWS[command](report) == [row for one in alone for row in ROWS[command](one)]
+    for key in PER_INSTANCE_SUMMARY:
+        assert report.summary.get(key, {}) == \
+            {i: v for one in alone for i, v in one.summary.get(key, {}).items()}
+    TestEachInstanceWholeOrNotAtAll().test_sweep_equals_its_per_instance_runs(
+        config, monkeypatch, command, 1)
+
+
+def with_element(stacked, k, element):
+    """The stack with its element k replaced by ``element``."""
+    return nc.AlgElement(stacked.algebra, [
+        np.where((np.arange(len(b)) == k)[:, None, None], m, b)
+        for b, m in zip(stacked.blocks, element.blocks)])
+
+
+class TestPerElementGates:
+    """The adaptedness, A(0) = 0 and selfadjointness gates pass a stack whose
+    elements all pass them, and raise for a stack in which one element fails."""
+
+    K = 2  # the failing element
+
+    @pytest.fixture
+    def x(self, config):
+        return nc.martingale_from_terminal(config.filtration, nc.stack(terminals(config)))
+
+    def test_adaptedness(self, config, x):
+        nc.AdaptedProcess(config.filtration, x.values)
+        term = terminals(config)[self.K]
+        gap = nc.lp_norm(config.filtration.levels[1].expect(term) - term, 2)
+        values = [x.values[0], with_element(x.values[1], self.K, term), *x.values[2:]]
+        with pytest.raises(nc.StructureError) as err:
+            nc.AdaptedProcess(config.filtration, values)
+        assert f"value 1 is not adapted (residual {gap:.2e}" in str(err.value)
+
+    def test_initial_zero_of_the_naturality_pairing(self, config, x):
+        a = nc.doob_meyer_decompose(x).increasing_part
+        grid, zero = nc.full_partition(x), 0.0 * x.values[0]
+
+        def starting_at(initial):
+            return nc.AdaptedProcess(x.filtration, [initial, *a.values[1:]], validate=False)
+        lhs, rhs = nc.naturality_pairing(starting_at(zero), x.values[-1], grid)
+        assert lhs.shape == rhs.shape == (4,)
+        shifted = with_element(zero, self.K, 1e-3 * x.filtration.algebra.identity())
+        with pytest.raises(nc.DomainError, match=r"requires A\(0\) = 0"):
+            nc.naturality_pairing(starting_at(shifted), x.values[-1], grid)
+
+    def test_selfadjointness_of_the_uniqueness_residual(self, config, x):
+        herm = 0.5 * (x + x.adjoint())
+        assert nc.uniqueness_residual(herm).shape == (4,)
+        last = nc.AlgElement(x.filtration.algebra, [b[self.K] for b in x.values[-1].blocks])
+        values = [*herm.values[:-1], with_element(herm.values[-1], self.K, last)]
+        with pytest.raises(nc.DomainError) as err:
+            nc.uniqueness_residual(nc.AdaptedProcess(x.filtration, values, validate=False))
+        assert f"not selfadjoint (defect {nc.lp_norm(last - last.adjoint(), 2):.2e})" \
+            in str(err.value)
 
 
 def excepts_catching(name):
