@@ -21,9 +21,11 @@ element is the N = 1 case of a stack and not a second implementation.  On
 a stack, the scalar results are arrays of shape ``(N,)``, and the upper cut
 of a spectral projection may be such an array, one cut per element; a
 failed precondition of any stacked element raises for the whole stack.
-Each stacked element gets the bits it gets alone.  The one-element paths
-of the spectral functions make no NumPy call beyond those they need for
-one element, since the Chebyshev sweep runs them per element.
+Each stacked element gets the bits it gets alone.  Two one-element paths
+remain, both for the Chebyshev sweep, which still runs one element at a
+time: the scalar cut of :func:`spectral_projection` and the single-matrix
+product of its range projection.  Their generic forms cost that sweep a
+quarter of its time.
 """
 
 from __future__ import annotations
@@ -254,23 +256,18 @@ def _within(mats: Sequence[np.ndarray], tol: float) -> bool:
     norms from deciding, so a stack may sum its squares in any order.
     """
     for d in mats:
-        frob = _vdots(d) if d.ndim == 2 else np.einsum("...ij,...ij->...", d.conj(), d).real
-        beyond = ~(frob <= tol * tol / 4)  # NaN falls through to the SVD
+        beyond = ~(_vdots(d) <= tol * tol / 4)  # NaN falls through to the SVD
         if beyond.any() and np.linalg.svd(d[beyond], compute_uv=False)[:, 0].max() > tol:
             return False
     return True
 
 
 def _vdots(m: np.ndarray) -> np.ndarray:
-    """tr(a* a) of every matrix a of a block: ``np.vdot`` for one matrix, and
-    for a stack one product of each flattened matrix's conjugate row with its
-    column, which matches ``np.vdot`` bit for bit (a stacked einsum rounds
-    differently in the last bit)."""
-    if m.ndim == 2:  # a single matrix
-        return np.vdot(m, m).real
-    n = m.shape[-1]
-    flat = m.reshape(-1, n * n)
-    return (flat.conj()[:, None, :] @ flat[:, :, None])[:, 0, 0].real.reshape(m.shape[:-2])
+    """tr(a* a) of every matrix a of a block, one matrix or a stack, equal
+    bit for bit to ``np.vdot`` of each flattened matrix (a stacked einsum
+    rounds differently in the last bit)."""
+    flat = m.reshape(m.shape[:-2] + (m.shape[-2] * m.shape[-1],))
+    return np.vecdot(flat, flat).real
 
 
 def _tau(x: AlgElement):
@@ -323,7 +320,7 @@ def lp_norm(x: AlgElement, p: float) -> float:
     Computed from the singular values of the blocks; ``p == inf`` is the
     operator norm (largest singular value over blocks).  Requires p >= 1.
     """
-    if p != math.inf and p < 1:
+    if not p >= 1:  # NaN fails too
         raise DomainError(f"p must be >= 1 or inf, got {p}")
     if p == math.inf:
         return _each(functools.reduce(np.maximum, [s[..., 0] for s in _singular_values(x)]))
@@ -332,23 +329,17 @@ def lp_norm(x: AlgElement, p: float) -> float:
         # tau(x* x) as a weighted Frobenius mean; same value, no SVD needed
         val = sum(w * _vdots(m) / n
                   for w, n, m in zip(alg.block_weights, alg.block_dims, x.blocks))
-        return _each(val, _sqrt)
+        return _each(np.sqrt(np.maximum(val, 0.0)))  # correctly rounded, as math.sqrt
     total = sum(w * np.sum(s ** p, axis=-1) / n
                 for w, n, s in zip(alg.block_weights, alg.block_dims, _singular_values(x)))
     # a Python float power: NumPy's array power can differ from libm's by one ulp
     return _each(total, lambda t: t ** (1.0 / p))
 
 
-def _sqrt(v: float) -> float:
-    return math.sqrt(max(v, 0.0))
-
-
 def squared(v):
     """``v ** 2`` per element by Python's float power, as one element alone
     gets it (NumPy's array power can differ from libm's by one ulp)."""
-    if isinstance(v, np.ndarray):
-        return np.array([t ** 2 for t in v.tolist()])
-    return v ** 2
+    return _each(np.asarray(v), lambda t: t ** 2)
 
 
 def abs2(x: AlgElement) -> AlgElement:
@@ -402,10 +393,7 @@ def stack(elements: Sequence[AlgElement]) -> AlgElement:
 
 def min_eigenvalue(x: AlgElement, tol: float = HERMITIAN_TOL) -> float:
     """Smallest eigenvalue over all blocks of a Hermitian element."""
-    spectra = _hermitian_eigh(x, tol)
-    if x.blocks[0].ndim == 2:
-        return min(float(w[0]) for w, _ in spectra)
-    return functools.reduce(np.minimum, [w[:, 0] for w, _ in spectra])
+    return _each(functools.reduce(np.minimum, [w[..., 0] for w, _ in _hermitian_eigh(x, tol)]))
 
 
 def _range_projection(v: np.ndarray, mask: np.ndarray) -> np.ndarray:

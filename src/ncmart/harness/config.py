@@ -102,9 +102,10 @@ def _decode_element(algebra: TracialAlgebra, mats, path: str) -> AlgElement:
 class ExperimentConfig:
     """A validated config.  Construction checks every field rule, the size caps
     first, and stores each field in its plain form (whole numbers as ``int``,
-    lists as tuples); then it builds the filtration once, decodes the fixed
-    terminal and resolves the partition chain.  Commands read these three from
-    the config and never rebuild them."""
+    lists as tuples, its own copies of the levels and the terminal); then it
+    builds the filtration once, decodes the fixed terminal and resolves the
+    partition chain.  Commands read these three from the config and never
+    rebuild them."""
     block_dims: tuple[int, ...]
     block_weights: tuple[float, ...] | None
     times: tuple[float, ...]
@@ -155,6 +156,7 @@ class ExperimentConfig:
                  "p_values": p_values, "epsilon_value": eps, "partition_chain": chain,
                  "times": _each("times", self.times, _number),
                  "levels": _each("levels", self.levels, copy.deepcopy),
+                 "terminal": copy.deepcopy(self.terminal),
                  "seed": _at("seed", _integer, self.seed, 0)}
         for name, value in plain.items():
             object.__setattr__(self, name, value)
@@ -168,6 +170,8 @@ class ExperimentConfig:
         object.__setattr__(self, "chain", tuple(_at("partition_chain", nested_chain, n, chain)))
 
     def to_dict(self) -> dict:
+        """The config as JSON data; the levels and terminal are the config's own,
+        which nothing mutates."""
         chain = self.partition_chain
         if not isinstance(chain, str):
             chain = [list(c) for c in chain]
@@ -178,13 +182,13 @@ class ExperimentConfig:
                 "block_weights": None if self.block_weights is None else list(self.block_weights),
             },
             "times": list(self.times),
-            "levels": [copy.deepcopy(lv) for lv in self.levels],
+            "levels": list(self.levels),
             "seed": self.seed,
             "instances": self.instances,
             "p_values": list(self.p_values),
             "epsilon": {"mode": self.epsilon_mode, "value": self.epsilon_value},
             "partition_chain": chain,
-            "terminal": copy.deepcopy(self.terminal),
+            "terminal": self.terminal,
             "output": {"path": self.output_path, "format": self.output_format},
         }
 
@@ -266,7 +270,7 @@ def load_config(data: dict) -> ExperimentConfig:
         block_weights=alg.get("block_weights"),
         times=data.get("times"),
         levels=data.get("levels"),
-        terminal=copy.deepcopy(data.get("terminal")),
+        terminal=data.get("terminal"),
         output_path=output.get("path"),
         **fields,
     )

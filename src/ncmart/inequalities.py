@@ -81,7 +81,7 @@ def _ratio(x: AdaptedProcess, idx: tuple[int, ...], p: float, dual: bool):
 
 
 def _require_p2(p: float, what: str) -> None:
-    if p < 2:
+    if not p >= 2:  # NaN fails too
         raise DomainError(f"{what} needs p >= 2, got {p}")
 
 
@@ -159,8 +159,7 @@ def kolmogorov_projection(x: AdaptedProcess, epsilon: float, side: str) -> Proje
     """
     if side not in SIDES:
         raise DomainError(f"side must be one of {SIDES}, got {side!r}")
-    nonpositive = epsilon <= 0
-    if (nonpositive.any() if isinstance(nonpositive, np.ndarray) else nonpositive):
+    if np.any(epsilon <= 0):
         raise DomainError(f"epsilon must be positive, got {epsilon}")
     require_martingale(x, "certificate")
 

@@ -174,8 +174,7 @@ def require_martingale(p: AdaptedProcess, what: str) -> None:
     """Raise DomainError unless ``p`` (every element of a stack) is a martingale
     to within ``MARTINGALE_TOL``."""
     res = p.martingale_residual()
-    within = res <= MARTINGALE_TOL  # a NaN residual fails too
-    if not (within.all() if isinstance(within, np.ndarray) else within):
+    if not np.all(res <= MARTINGALE_TOL):  # a NaN residual fails too
         raise DomainError(f"{what} needs a martingale (residual {np.max(res):.2e})")
 
 

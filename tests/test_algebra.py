@@ -74,8 +74,9 @@ class TestLpNorm:
         assert nc.lp_norm(m2.zero(), p) == 0.0
 
     def test_rejects_p_below_one(self, m2):
-        with pytest.raises(nc.DomainError):
-            nc.lp_norm(m2.identity(), 0.5)
+        for p in (0.5, math.nan):
+            with pytest.raises(nc.DomainError):
+                nc.lp_norm(m2.identity(), p)
 
     def test_monotone_in_p(self, m23):
         x = rand(m23, 3)

@@ -39,6 +39,18 @@ class TestConfigValidation:
         assert cfg.block_dims == (2,)
         assert load_config(cfg.to_dict()).to_dict() == cfg.to_dict()
 
+    def test_construction_copies_the_json_parts(self):
+        data = preset("m2-worked-example")
+        levels, terminal = list(data["levels"]), data["terminal"]
+        cfg = ExperimentConfig(block_dims=(2,), block_weights=None, times=tuple(data["times"]),
+                               levels=tuple(levels), terminal=terminal)
+        before = json.dumps(cfg.to_dict())
+        terminal["blocks"][0]["real"][0][1] = 99.0
+        levels[0]["groups"] = [[0]]
+        levels[1].clear()
+        assert json.dumps(cfg.to_dict()) == before
+        assert cfg.fixed_terminal.blocks[0][0, 1] == 1.0
+
     def test_unknown_preset(self):
         with pytest.raises(nc.ConfigError):
             preset("no-such-preset")

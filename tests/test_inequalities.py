@@ -42,8 +42,11 @@ class TestBgRatio:
             assert nc.bg_ratio(x, grid, 2.0) <= 1.0 + 1e-9, name
 
     def test_rejects_small_p(self, m2_martingale):
-        with pytest.raises(nc.DomainError):
-            nc.bg_ratio(m2_martingale, [0, 1, 2], 1.5)
+        for p in (1.5, math.nan):
+            with pytest.raises(nc.DomainError):
+                nc.bg_ratio(m2_martingale, [0, 1, 2], p)
+            with pytest.raises(nc.DomainError):
+                nc.square_function_ratios(m2_martingale, [0, 1, 2], p)
 
     def test_scale_invariant(self, pool):
         name, filt = pool[3]

@@ -87,14 +87,16 @@ class TestStackedKernels:
 
     @pytest.mark.parametrize("n", range(1, 17))
     def test_stacked_two_norm_products_equal_vdot(self, n):
-        # the one product per stack that lp_norm(., 2) takes matches np.vdot per
-        # matrix bit for bit; a property of the NumPy and BLAS build, so guarded here
+        # the np.vecdot that lp_norm(., 2) and the gates take, of one matrix (shape
+        # ()) or of a stack, matches np.vdot per matrix bit for bit; a property of
+        # the NumPy and BLAS build, so guarded here
         rng = np.random.Generator(np.random.Philox(n))
         for scale in 10.0 ** np.arange(-8, 9):
-            for size in (1, 2, 5, 64):
-                m = scale * (rng.standard_normal((size, n, n))
-                             + 1j * rng.standard_normal((size, n, n)))
-                assert same_bits(algebra._vdots(m), np.array([np.vdot(a, a).real for a in m]))
+            for lead in ((1,), (2,), (5,), (64,), ()):
+                m = scale * (rng.standard_normal((*lead, n, n))
+                             + 1j * rng.standard_normal((*lead, n, n)))
+                want = np.array([np.vdot(a, a).real for a in m.reshape(-1, n, n)]).reshape(lead)
+                assert same_bits(algebra._vdots(m), want)
 
     def test_stack_keeps_its_shape_through_the_api(self, m2):
         xs = nc.stack([m2.identity(), 2.0 * m2.identity()])

@@ -1,6 +1,7 @@
 """Every tolerance of the package is defined in ``ncmart/tolerances.py``,
-every residual fold goes through its ``worst``, and one function makes
-every check record."""
+every residual fold goes through its ``worst``, one function makes every
+check record, and one element and a stack run one path outside a named
+few functions."""
 
 import ast
 import math
@@ -57,17 +58,16 @@ def test_no_hand_written_fold_in_the_folding_modules():
     assert not hits, "builtin max/min outside tolerances.worst:\n" + "\n".join(hits)
 
 
-def callers(name):
-    """(module, innermost enclosing function) of every call of ``name`` in the
-    package, plain or as an attribute; ``<module>`` for a call at top level."""
+def sites(match):
+    """(module, innermost enclosing function, line) of every node of the package
+    that ``match`` accepts; ``<module>`` for a node at top level."""
     found = set()
 
     def visit(node, module, owner):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             owner = node.name
-        if isinstance(node, ast.Call) and name in (getattr(node.func, "id", None),
-                                                   getattr(node.func, "attr", None)):
-            found.add((module, owner))
+        if match(node):
+            found.add((module, owner, node.lineno))
         for child in ast.iter_child_nodes(node):
             visit(child, module, owner)
     for path in sorted(PACKAGE.rglob("*.py")):
@@ -76,10 +76,43 @@ def callers(name):
     return found
 
 
+def callers(name):
+    """(module, innermost enclosing function) of every call of ``name`` in the
+    package, plain or as an attribute."""
+    return {(module, owner) for module, owner, _ in sites(
+        lambda node: isinstance(node, ast.Call) and name in (getattr(node.func, "id", None),
+                                                             getattr(node.func, "attr", None)))}
+
+
 def test_one_record_path():
     # every check family returns rows, and by_instance alone turns them into records
     assert callers("record") == {("harness/checks.py", "by_instance")}
     assert callers("CheckRecord") == {("harness/checks.py", "record")}
+
+
+# The functions that may tell one element from a stack: the number a kernel
+# returns, the two one-element paths the per-element Chebyshev loop keeps for
+# speed, the folds and records whose terms may be numbers, and input decoding.
+SHAPE_FORKS = {("algebra.py", "_each"), ("algebra.py", "_range_projection"),
+               ("algebra.py", "spectral_projection"), ("tolerances.py", "worst"),
+               ("harness/checks.py", "by_instance"),
+               ("inequalities.py", "epsilon_from_percentile"),
+               ("harness/config.py", "decode_matrix")}
+
+
+def is_shape_fork(node):
+    """Whether a node is a ``.ndim`` or an ``isinstance(..., np.ndarray)``."""
+    if isinstance(node, ast.Attribute) and node.attr == "ndim":
+        return True
+    return (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+            and any(isinstance(n, ast.Attribute) and n.attr == "ndarray"
+                    for arg in node.args[1:] for n in ast.walk(arg)))
+
+
+def test_one_path_for_one_element_and_a_stack():
+    hits = [f"{module}:{line} in {owner}" for module, owner, line in sorted(sites(is_shape_fork))
+            if (module, owner) not in SHAPE_FORKS]
+    assert not hits, "one-element forks outside the allow-list:\n" + "\n".join(hits)
 
 
 class TestWorst:
