@@ -24,7 +24,7 @@ from .integrals import (integral_process, integrand_bound, left_sum, refinement_
                         right_sum)
 from .processes import (AdaptedProcess, Filtration, TimeGrid, full_partition, increments,
                         lift_process, martingale_from_terminal, random_element,
-                        refine_times, refined_filtration, spawn_generators,
+                        random_stack, refine_times, refined_filtration, spawn_generators,
                         submartingale_abs2_defect)
 
 __version__ = "0.1.0"
@@ -40,8 +40,8 @@ __all__ = [
     "increments", "integral_process", "integrand_bound", "kolmogorov_projection",
     "left_sum", "lift_process", "lp_norm", "martingale_from_terminal", "min_eigenvalue",
     "naturality_gap", "naturality_pairing", "proj_meet", "psd_sqrt",
-    "quadratic_variation_sum", "random_element", "refine_times", "refined_filtration",
-    "refinement_table", "right_sum", "segal_modulus", "spawn_generators",
-    "spectral_projection", "square_function_ratios", "stack", "submartingale_abs2_defect",
-    "trace", "uniqueness_residual",
+    "quadratic_variation_sum", "random_element", "random_stack", "refine_times",
+    "refined_filtration", "refinement_table", "right_sum", "segal_modulus",
+    "spawn_generators", "spectral_projection", "square_function_ratios", "stack",
+    "submartingale_abs2_defect", "trace", "uniqueness_residual",
 ]

@@ -35,7 +35,7 @@ from ..doob_meyer import (DECOMPOSITION_VARIANTS, bracket_via_integrals, cross_v
 from ..inequalities import ProjectionCertificate
 from ..integrals import integral_process, left_sum, right_sum
 from ..processes import (AdaptedProcess, Filtration, full_partition, increments,
-                         lift_process, martingale_from_terminal, random_element,
+                         lift_process, martingale_from_terminal, random_element, random_stack,
                          refine_times, refined_filtration, submartingale_abs2_defect)
 from ..tolerances import (CHECK_TOL, CHECK_TOL_DERIVED, CHECK_TOL_PREDICATE,
                           CHECK_TOL_REFINEMENT, LOEWNER_HERMITIAN_TOL, worst)
@@ -268,9 +268,7 @@ def partner_draws(algebra: TracialAlgebra,
                   rngs: list[np.random.Generator]) -> tuple[AlgElement, AlgElement]:
     """The stacked partners and second terminals of the identity suite: each
     instance draws both from its own stream, after its terminal."""
-    draws = [(random_element(algebra, rng, "general"), random_element(algebra, rng, "general"))
-             for rng in rngs]
-    return stack([p for p, _ in draws]), stack([y for _, y in draws])
+    return random_stack(algebra, rngs), random_stack(algebra, rngs)
 
 
 def identity_rows(filtration: Filtration, x_term: AlgElement, partner: AlgElement,

@@ -1,15 +1,16 @@
 """The four experiment commands: verify, ratios, kolmogorov, refine.
 
 Each command is a batch function and a summary, run by one runner that
-draws every instance from its own counter-based stream, calls the batch
+gives every instance its own counter-based stream, calls the batch
 function once on all of them and keeps rows and records in instance order,
 so reports are deterministic.  Every batch function runs its instances as
-one stack: one stacked martingale, each check family once, and one
-:func:`.checks.by_instance` call for the records.  Commands only compute;
-every pass/fail record comes from :mod:`.checks`.  On a numerical error (a
-failed precondition, an unadapted computed process, a LAPACK failure) the
-runner splits the stack in halves and reruns each on new draws, down to
-the instance that fails alone: that one reports only its failing
+one stack: one stacked draw of terminals from the streams, one stacked
+martingale, each check family once, and one :func:`.checks.by_instance`
+call for the records.  Commands only compute; every pass/fail record
+comes from :mod:`.checks`.  On a numerical error (a failed precondition,
+an unadapted computed process, a LAPACK failure) the runner splits the
+stack in halves and reruns each on new streams, which draw that half only,
+down to the instance that fails alone: that one reports only its failing
 ``instance_completed`` record, and every other instance reports whole,
 with the bits it gets alone.  Floating-point warnings are silenced; the
 report carries the inf and NaN.
@@ -21,14 +22,13 @@ import time
 
 import numpy as np
 
-from ..algebra import stack, trace
+from ..algebra import AlgElement, stack, trace
 from ..doob_meyer import naturality_gap
 from ..errors import DomainError, StructureError
 from ..inequalities import (epsilon_from_percentile, kolmogorov_projection, segal_modulus,
                             square_function_ratios)
 from ..integrals import integral_process, integrand_bound, refinement_table
-from ..processes import (full_partition, martingale_from_terminal, random_element,
-                         spawn_generators)
+from ..processes import full_partition, martingale_from_terminal, random_stack, spawn_generators
 from .checks import (by_instance, error_checks, identity_rows, kolmogorov_checks,
                      partner_draws, ratio_checks, refine_checks)
 from .config import ExperimentConfig
@@ -37,12 +37,17 @@ from .report import VerificationReport
 NUMERICAL_ERRORS = (DomainError, StructureError, np.linalg.LinAlgError)
 
 
-def _instance_terminals(config: ExperimentConfig) -> list:
-    """(instance, rng, terminal) of every instance, from new streams on each call:
-    the config's fixed terminal, or else the first draw from the instance's stream."""
-    fixed, algebra = config.fixed_terminal, config.filtration.algebra
-    return [(i, rng, fixed if fixed is not None else random_element(algebra, rng, "general"))
-            for i, rng in enumerate(spawn_generators(config.seed, config.instances))]
+def _instance_streams(config: ExperimentConfig) -> list:
+    """(instance, rng) of every instance, from new streams on each call."""
+    return list(enumerate(spawn_generators(config.seed, config.instances)))
+
+
+def _terminals(config: ExperimentConfig, drawn: list) -> AlgElement:
+    """The stacked terminals of the drawn instances: the config's fixed terminal,
+    or else the first draw from each instance's stream."""
+    if config.fixed_terminal is not None:
+        return stack([config.fixed_terminal] * len(drawn))
+    return random_stack(config.filtration.algebra, [rng for _, rng in drawn])
 
 
 def _attempt(batch, config: ExperimentConfig, drawn: list) -> tuple[list, list, bool]:
@@ -55,15 +60,15 @@ def _attempt(batch, config: ExperimentConfig, drawn: list) -> tuple[list, list, 
 
 def _contained(batch, config: ExperimentConfig, drawn: list) -> tuple[list, list, bool]:
     """(rows, records, failed) of ``batch`` on the drawn instances.  A stack that
-    fails is split in halves, each run on new draws, until every half that passes
+    fails is split in halves, each run on new streams, until every half that passes
     reports whole and every instance that fails alone reports its error."""
     rows, records, failed = _attempt(batch, config, drawn)
     if failed and len(drawn) > 1:
         # An error of the stack is some instance's.  One that neither half repeats
         # stays recorded against the stack's first instance, ahead of its reports.
-        fresh = {one[0]: one for one in _instance_terminals(config)}
+        fresh = dict(_instance_streams(config))
         half = len(drawn) // 2
-        parts = [_contained(batch, config, [fresh[i] for i, _, _ in part])
+        parts = [_contained(batch, config, [(i, fresh[i]) for i, _ in part])
                  for part in (drawn[:half], drawn[half:])]
         if any(f for _, _, f in parts):
             records = []
@@ -80,7 +85,7 @@ def _sweep(command: str, config: ExperimentConfig, batch,
     t0 = time.perf_counter()
     report = VerificationReport(command, config.to_dict())
     with np.errstate(all="ignore"):
-        rows, report.records, _ = _contained(batch, config, _instance_terminals(config))
+        rows, report.records, _ = _contained(batch, config, _instance_streams(config))
         summary(report, config, rows)
     report.summarize()
     report.timing = {"seconds": time.perf_counter() - t0}
@@ -90,10 +95,10 @@ def _sweep(command: str, config: ExperimentConfig, batch,
 def _identities(config: ExperimentConfig, drawn: list) -> tuple[list, list]:
     """The identity-suite records of each instance, from one stack of terminals,
     partners and second terminals."""
-    x_term = stack([t for _, _, t in drawn])
-    partner, y_term = partner_draws(config.filtration.algebra, [rng for _, rng, _ in drawn])
+    x_term = _terminals(config, drawn)
+    partner, y_term = partner_draws(config.filtration.algebra, [rng for _, rng in drawn])
     rows = identity_rows(config.filtration, x_term, partner, y_term)
-    return [], [r for records in by_instance(rows, [i for i, _, _ in drawn]) for r in records]
+    return [], [r for records in by_instance(rows, [i for i, _ in drawn]) for r in records]
 
 
 def cmd_verify(config: ExperimentConfig) -> VerificationReport:
@@ -104,12 +109,12 @@ def cmd_verify(config: ExperimentConfig) -> VerificationReport:
 def _ratio_rows(config: ExperimentConfig, drawn: list) -> tuple[list, list]:
     """The ratio rows of the drawn instances, in instance order, from one
     stacked martingale; the sweep's one record comes from its summary."""
-    x = martingale_from_terminal(config.filtration, stack([t for _, _, t in drawn]))
+    x = martingale_from_terminal(config.filtration, _terminals(config, drawn))
     grid = full_partition(config.filtration)
     table = [(p, *square_function_ratios(x, grid, p)) for p in config.p_values]
     return [{"p": p, "instance": i, "bg_ratio": float(bg[k]),
              "dual_doob_ratio": float(dd[k]), "seed": config.seed}
-            for k, (i, _, _) in enumerate(drawn)
+            for k, (i, _) in enumerate(drawn)
             for p, bg, dd, defined in table if defined[k]], []
 
 
@@ -143,8 +148,8 @@ def cmd_ratios(config: ExperimentConfig) -> VerificationReport:
 def _certificates(config: ExperimentConfig, drawn: list) -> tuple[list, list]:
     """The left and right certificate rows and records of each instance, from one
     stacked martingale."""
-    instances, n = [i for i, _, _ in drawn], len(drawn)
-    x = martingale_from_terminal(config.filtration, stack([t for _, _, t in drawn]))
+    instances, n = [i for i, _ in drawn], len(drawn)
+    x = martingale_from_terminal(config.filtration, _terminals(config, drawn))
     eps = config.epsilon_value if config.epsilon_mode == "fixed" else \
         epsilon_from_percentile(x, config.epsilon_value)
     epsilon = np.broadcast_to(eps, (n,)).tolist()
@@ -188,9 +193,9 @@ def cmd_kolmogorov(config: ExperimentConfig) -> VerificationReport:
 def _refinements(config: ExperimentConfig, drawn: list) -> tuple[list, list]:
     """Per instance, a row (instance, decay rows, integrand bound, Segal
     modulus), and its records, from one stacked martingale."""
-    chain, instances = config.chain, [i for i, _, _ in drawn]
+    chain, instances = config.chain, [i for i, _ in drawn]
     column = lambda v: np.broadcast_to(v, (len(drawn),)).tolist()
-    x = martingale_from_terminal(config.filtration, stack([t for _, _, t in drawn]))
+    x = martingale_from_terminal(config.filtration, _terminals(config, drawn))
     decay = refinement_table(x, x, "left", chain)
     gaps = [naturality_gap(x, part) for part in chain]
     # continuity diagnostics of the integral process; the modulus has no threshold

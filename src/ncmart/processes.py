@@ -7,6 +7,8 @@ the package become exact once a partition contains all grid indices.
 
 from __future__ import annotations
 
+import functools
+import operator
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -211,6 +213,12 @@ def increments(p: AdaptedProcess, partition: Iterable[int]) -> list[AlgElement]:
 
 RANDOM_KINDS = ("general", "hermitian", "positive", "projection-like")
 
+# NumPy's SeedSequence constants (numpy/random/bit_generator.pyx)
+_INIT_A, _MULT_A = 0x43b0d7e5, 0x931e8875
+_INIT_B, _MULT_B = 0x8b51f9dd, 0x58f38ded
+_MIX_MULT_L, _MIX_MULT_R = 0xca01f9dd, 0x4973f715
+_MASK32 = 0xFFFFFFFF
+
 
 def _as_generator(seed) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
@@ -218,10 +226,97 @@ def _as_generator(seed) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
+def _hash(words: np.ndarray, const: int, mult: int) -> tuple[np.ndarray, int]:
+    """SeedSequence's hash of uint32 words: (the hashed words, the next constant)."""
+    words = words ^ np.uint32(const)
+    const = const * mult & _MASK32
+    words = words * np.uint32(const)
+    return words ^ (words >> np.uint32(16)), const
+
+
+def _child_keys(seed: int, n: int) -> np.ndarray:
+    """The (n, 2) uint64 Philox keys of ``SeedSequence(seed).spawn(n)``, in one pass.
+
+    Child i's pool is the parent's pool with the spawn word i mixed into each
+    pool word, hashed by the constant as the parent's mixing leaves it: after
+    4 + 12 hashes for a seed of up to four 32-bit words (fill the pool of four,
+    mix it), and 4 more per further word.  Its key is
+    ``generate_state(2, uint64)`` of that pool.
+    """
+    pool = np.random.SeedSequence(seed).pool
+    words = -(-operator.index(seed).bit_length() // 32)
+    const = _INIT_A * pow(_MULT_A, 4 * words if words > 4 else 16, 1 << 32) & _MASK32
+    spawn, const_b, state = np.arange(n, dtype=np.uint32), _INIT_B, []
+    for word in pool:
+        hashed, const = _hash(spawn, const, _MULT_A)
+        mixed = np.uint32(_MIX_MULT_L * int(word) & _MASK32) - np.uint32(_MIX_MULT_R) * hashed
+        out, const_b = _hash(mixed ^ (mixed >> np.uint32(16)), const_b, _MULT_B)
+        state.append(out.astype(np.uint64))
+    return np.stack([lo | hi << np.uint64(32) for lo, hi in zip(state[0::2], state[1::2])],
+                    axis=1)
+
+
+@functools.cache
+def _fixed_key_sequence() -> type:
+    """A seed sequence that hands Philox a precomputed key; made on first use,
+    so importing ncmart does not import ``numpy.random``."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class FixedKey(ISeedSequence):
+        def __init__(self, key: np.ndarray):
+            self.key = key
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.key  # Philox asks for its (2,) uint64 key only
+    return FixedKey
+
+
 def spawn_generators(seed: int, n: int) -> list[np.random.Generator]:
-    """n independent counter-based streams for reproducible parallel sweeps."""
-    return [np.random.Generator(np.random.Philox(child))
-            for child in np.random.SeedSequence(seed).spawn(n)]
+    """n independent counter-based streams for reproducible parallel sweeps.
+
+    Stream i is the Philox stream of ``SeedSequence(seed).spawn(n)[i]`` bit for
+    bit, for a seed of any size; every key comes from one vectorized pass.
+    Each stream's ``bit_generator.seed_seq`` is a fixed-key sequence with no
+    ``.spawn()``; nothing in ncmart reads it.
+    """
+    fixed_key, philox, generator = _fixed_key_sequence(), np.random.Philox, np.random.Generator
+    return [generator(philox(fixed_key(key))) for key in _child_keys(seed, n)]
+
+
+def random_stack(algebra: TracialAlgebra, rngs: Sequence[np.random.Generator],
+                 kind: str = "general") -> AlgElement:
+    """A stack of seeded random elements, element k drawn from stream ``rngs[k]``.
+
+    Each stream draws, per block of size n, its n*n real parts, its n*n
+    imaginary parts and, for ``projection-like``, its rank, into one buffer
+    row per stream; the rest acts on the whole stack.  Kinds as in
+    :func:`random_element`, which is the case of one stream.
+    """
+    if kind not in RANDOM_KINDS:
+        raise DomainError(f"unknown random kind {kind!r}")
+    adj = lambda m: m.conj().swapaxes(-1, -2)
+    blocks = []
+    for n in algebra.block_dims:
+        buf, ranks = np.empty((len(rngs), 2 * n * n)), []
+        for rng, row in zip(rngs, buf):
+            rng.standard_normal(out=row)
+            if kind == "projection-like":
+                ranks.append(int(rng.integers(1, n + 1)))
+        parts = buf.reshape(-1, 2, n, n)
+        g = (parts[:, 0] + 1j * parts[:, 1]) / np.sqrt(2.0)
+        if kind == "general":
+            blocks.append(g)
+        elif kind == "hermitian":
+            blocks.append((g + adj(g)) / 2.0)
+        elif kind == "positive":
+            # BLAS does not guarantee bitwise conjugate symmetry of g* g
+            h = adj(g) @ g
+            blocks.append((h + adj(h)) / 2.0)
+        else:
+            q, _ = np.linalg.qr(g)
+            p = np.stack([m[:, :r] @ m[:, :r].conj().T for m, r in zip(q, ranks)])
+            blocks.append((p + adj(p)) / 2.0)
+    return AlgElement(algebra, blocks)
 
 
 def random_element(algebra: TracialAlgebra, seed, kind: str = "general") -> AlgElement:
@@ -232,26 +327,8 @@ def random_element(algebra: TracialAlgebra, seed, kind: str = "general") -> AlgE
     isometry, rank chosen uniformly in 1..n).  Deterministic for a fixed
     seed; pass a Generator to draw several elements from one stream.
     """
-    if kind not in RANDOM_KINDS:
-        raise DomainError(f"unknown random kind {kind!r}")
-    rng = _as_generator(seed)
-    blocks = []
-    for n in algebra.block_dims:
-        g = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
-        if kind == "general":
-            blocks.append(g)
-        elif kind == "hermitian":
-            blocks.append((g + g.conj().T) / 2.0)
-        elif kind == "positive":
-            # BLAS does not guarantee bitwise conjugate symmetry of g* g
-            h = g.conj().T @ g
-            blocks.append((h + h.conj().T) / 2.0)
-        else:
-            rank = int(rng.integers(1, n + 1))
-            q, _ = np.linalg.qr(g)
-            p = q[:, :rank] @ q[:, :rank].conj().T
-            blocks.append((p + p.conj().T) / 2.0)
-    return AlgElement(algebra, blocks)
+    one = random_stack(algebra, [_as_generator(seed)], kind)
+    return AlgElement(algebra, [b[0] for b in one.blocks])
 
 
 def refine_times(times: Sequence[float], inserts_per_gap: int = 1) -> tuple[float, ...]:

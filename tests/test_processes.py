@@ -1,13 +1,20 @@
 """Grids, filtrations, adapted processes, martingale generation and checks."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import ncmart as nc
 from ncmart import processes
+from ncmart.harness.config import MAX_INSTANCES
 from conftest import centered_terminal, nan_element, nan_tolerant, single
+
+SRC = str(Path(nc.__file__).resolve().parents[1])
 
 
 class TestTimeGrid:
@@ -199,6 +206,76 @@ class TestRandomElements:
         a = nc.random_element(m2, g1)
         b = nc.random_element(m2, g2)
         assert nc.lp_norm(a - b, 2) > 1e-3
+
+
+def same_state(a: dict, b: dict) -> bool:
+    """Equal bit-generator state dicts (their keys and counters are arrays)."""
+    return a.keys() == b.keys() and all(
+        same_state(a[k], b[k]) if isinstance(a[k], dict) else np.array_equal(a[k], b[k])
+        for k in a)
+
+
+def drawn_alone(algebra, rng, kind):
+    """The element that one stream draws of ``kind``, one block after another,
+    as a reference independent of the stacked draw."""
+    blocks = []
+    for n in algebra.block_dims:
+        g = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
+        if kind == "hermitian":
+            g = (g + g.conj().T) / 2.0
+        elif kind == "positive":
+            h = g.conj().T @ g
+            g = (h + h.conj().T) / 2.0
+        elif kind == "projection-like":
+            rank = int(rng.integers(1, n + 1))
+            q = np.linalg.qr(g)[0][:, :rank]
+            g = q @ q.conj().T
+            g = (g + g.conj().T) / 2.0
+        blocks.append(g)
+    return blocks
+
+
+class TestStreamsAndStackedDraws:
+    """The spawned streams are SeedSequence's children bit for bit, and the
+    stacked draw gives each stream's element and leaves each stream where
+    drawing alone leaves it."""
+
+    # 1, 1, 1, 2, 3, 4, 5 and 8 words of 32 bits
+    SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**128 - 1, 2**128, 2**255 + 9)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_streams_are_the_seed_sequence_children(self, seed):
+        for n in (0, 1, 2, MAX_INSTANCES):
+            streams = nc.spawn_generators(seed, n)
+            children = np.random.SeedSequence(seed).spawn(n)
+            assert len(streams) == n
+            assert all(same_state(g.bit_generator.state, np.random.Philox(c).state)
+                       for g, c in zip(streams, children))
+
+    @pytest.mark.parametrize("dims", [[1], [2], [2, 3], [8]])
+    @pytest.mark.parametrize("kind", processes.RANDOM_KINDS)
+    def test_stacked_draw_equals_each_stream_alone(self, dims, kind):
+        algebra = nc.TracialAlgebra(dims)
+        for n in (1, 2, 7):
+            stacked = nc.random_stack(algebra, nc.spawn_generators(5, n), kind)
+            alone, reference = nc.spawn_generators(5, n), nc.spawn_generators(5, n)
+            for k in range(n):
+                one = nc.random_element(algebra, alone[k], kind)
+                for s, a, r in zip(stacked.blocks, one.blocks,
+                                   drawn_alone(algebra, reference[k], kind)):
+                    assert s[k].tobytes() == a.tobytes() == r.tobytes()
+            streams = nc.spawn_generators(5, n)
+            nc.random_stack(algebra, streams, kind)
+            assert [g.standard_normal() for g in streams] \
+                == [g.standard_normal() for g in alone] \
+                == [g.standard_normal() for g in reference]
+
+    def test_importing_ncmart_leaves_numpy_random_unimported(self):
+        # a stream is made only on demand, so the import (each command's set-up) stays cheap
+        code = "import sys, ncmart; print('numpy.random' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": SRC})
+        assert out.stdout.strip() == "False"
 
 
 class TestMartingaleIdentities:

@@ -29,8 +29,16 @@ def same_element(stacked: nc.AlgElement, k: int, single: nc.AlgElement) -> bool:
     return all(same_bits(s[k], m) for s, m in zip(stacked.blocks, single.blocks))
 
 
+def element_at(stacked, k):
+    """Element k of a stack."""
+    return nc.AlgElement(stacked.algebra, [b[k] for b in stacked.blocks])
+
+
 def terminals(config):
-    return [term for _, _, term in commands._instance_terminals(config)]
+    """The terminal of each instance, as the commands draw them."""
+    drawn = commands._instance_streams(config)
+    stacked = commands._terminals(config, drawn)
+    return [element_at(stacked, k) for k in range(len(drawn))]
 
 
 def per_instance_report(config):
@@ -38,7 +46,7 @@ def per_instance_report(config):
     through the single-element API."""
     rows, records = [], []
     grid = nc.full_partition(config.filtration)
-    for i, _, term in commands._instance_terminals(config):
+    for i, term in enumerate(terminals(config)):
         try:
             x = nc.martingale_from_terminal(config.filtration, term)
             for p in config.p_values:
@@ -210,17 +218,18 @@ class TestStackedSpectralKernels:
                     assert all(same_bits(s[k], t) for s, t in zip(cert.sup_norms, one.sup_norms))
 
 
-def replace_terminal(monkeypatch, config, k, make):
-    """Make the draw of instance k return make(drawn); every stream is still
-    drawn in order."""
-    real = commands.random_element
-    calls = []
+def replace_terminal(monkeypatch, k, make):
+    """Make the terminal of instance k make(drawn), in every stack that holds
+    it; every stream is still drawn in order."""
+    real = commands._terminals
 
-    def patched(algebra, rng, kind):
-        term = real(algebra, rng, kind)
-        calls.append(None)
-        return make(term) if (len(calls) - 1) % config.instances == k else term
-    monkeypatch.setattr(commands, "random_element", patched)
+    def patched(config, drawn):
+        stacked = real(config, drawn)
+        for j, (i, _) in enumerate(drawn):
+            if i == k:
+                stacked = with_element(stacked, j, make(element_at(stacked, j)))
+        return stacked
+    monkeypatch.setattr(commands, "_terminals", patched)
 
 
 @pytest.fixture
@@ -243,7 +252,7 @@ class TestContainmentInAStack:
             skew[0, 3] = 1e-6
             return real(nc.AlgElement(plain.algebra, [plain.blocks[0] + np.where(large, skew, 0)]))
         monkeypatch.setattr(inequalities, "psd_sqrt", skew_the_large)
-        replace_terminal(monkeypatch, config, 2, lambda t: 1e3 * t)
+        replace_terminal(monkeypatch, 2, lambda t: 1e3 * t)
         report = assert_sweep_matches_per_instance(config)
         [rec] = [r for r in report.records if not r.passed]
         assert (rec.check, rec.instance) == ("instance_completed", 2)
@@ -252,13 +261,13 @@ class TestContainmentInAStack:
 
     def test_undefined_ratio_skips_that_instance_s_rows(self, config, monkeypatch):
         # a constant martingale: its square sums vanish, so the dual ratio is undefined
-        replace_terminal(monkeypatch, config, 1, lambda t: 1.5 * t.algebra.identity())
+        replace_terminal(monkeypatch, 1, lambda t: 1.5 * t.algebra.identity())
         report = assert_sweep_matches_per_instance(config)
         assert report.all_passed
         assert {r["instance"] for r in report.tables["ratios"]} == {0, 2, 3}
 
     def test_lapack_failure_is_that_instance_s_record(self, config, monkeypatch):
-        replace_terminal(monkeypatch, config, 3, lambda t: t * math.nan)
+        replace_terminal(monkeypatch, 3, lambda t: t * math.nan)
         report = assert_sweep_matches_per_instance(config)
         [rec] = [r for r in report.records if not r.passed]
         assert (rec.check, rec.instance) == ("instance_completed", 3)
@@ -333,12 +342,12 @@ class TestEachInstanceWholeOrNotAtAll:
     @pytest.mark.parametrize("k", [0, 3])
     @pytest.mark.parametrize("command", list(commands.COMMANDS))
     def test_sweep_equals_its_per_instance_runs(self, config, monkeypatch, command, k):
-        replace_terminal(monkeypatch, config, k, lambda t: t * math.nan)
+        replace_terminal(monkeypatch, k, lambda t: t * math.nan)
         report = commands.COMMANDS[command](config)
-        real = commands._instance_terminals
+        real = commands._instance_streams
         alone = []
         for j in range(config.instances):
-            monkeypatch.setattr(commands, "_instance_terminals", lambda c, j=j: [real(c)[j]])
+            monkeypatch.setattr(commands, "_instance_streams", lambda c, j=j: [real(c)[j]])
             alone.append(commands.COMMANDS[command](config))
 
         records = instance_records(report)
@@ -360,11 +369,11 @@ def test_a_failing_instance_is_found_by_halving_the_stack(monkeypatch):
     data = preset("m4-random")
     data["instances"] = 16
     config = load_config(data)
-    replace_terminal(monkeypatch, config, 5, lambda t: t * math.nan)
+    replace_terminal(monkeypatch, 5, lambda t: t * math.nan)
     real, runs = commands._identities, []
 
     def counted(config, drawn):
-        runs.append([i for i, _, _ in drawn])
+        runs.append([i for i, _ in drawn])
         return real(config, drawn)
     monkeypatch.setattr(commands, "_identities", counted)
     report = commands.cmd_verify(config)
@@ -397,11 +406,11 @@ def test_general_levels_sweep_equals_its_per_instance_runs(pool, monkeypatch,
     config = pool_config(pool, structure)
     assert "general" in {lv.kind for lv in config.filtration.levels}
     report = commands.COMMANDS[command](config)
-    real = commands._instance_terminals
+    real = commands._instance_streams
     alone = []
     for j in range(config.instances):
         with monkeypatch.context() as patch:
-            patch.setattr(commands, "_instance_terminals", lambda c, j=j: [real(c)[j]])
+            patch.setattr(commands, "_instance_streams", lambda c, j=j: [real(c)[j]])
             alone.append(commands.COMMANDS[command](config))
     assert report.all_passed
     assert instance_records(report) == [r for one in alone for r in instance_records(one)]
