@@ -385,6 +385,8 @@ def psd_sqrt(x: AlgElement) -> AlgElement:
 
 def stack(elements: Sequence[AlgElement]) -> AlgElement:
     """The stack of one or more elements of one algebra, in order."""
+    if not len(elements):
+        raise StructureError("a stack needs at least one element")
     first = elements[0]
     for e in elements:
         _check_same_algebra(first, e)

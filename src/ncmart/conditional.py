@@ -11,11 +11,10 @@ Gram-system engine with a cached orthonormal basis.
 from __future__ import annotations
 
 import operator
-from typing import Sequence
 
 import numpy as np
 
-from .algebra import AlgElement, TracialAlgebra, lp_norm, trace
+from .algebra import AlgElement, TracialAlgebra, lp_norm, stack, trace
 from .errors import IllConditionedBasisError, StructureError
 from .tolerances import COND_LIMIT, INCLUSION_TOL
 
@@ -68,14 +67,14 @@ class SubalgebraLevel:
         self.algebra = algebra
         self.kind = kind
         self.groups = None
-        self.basis: tuple[AlgElement, ...] | None = None
+        self.basis: AlgElement | None = None  # general: a stack of one element per vector
         self._masks = None       # block_full: boolean same-group masks per block
         self._index = None       # block_scalar: (flat diagonal positions, size) per group
         self._onb = None         # general: orthonormal rows in scaled-vec space
         self._onb_conj = None
         self._scales = [np.sqrt(w / n)
                         for w, n in zip(algebra.block_weights, algebra.block_dims)]
-        self._span_cache: tuple[AlgElement, ...] | None = None
+        self._span_cache: AlgElement | None = None
         self._general_cache: SubalgebraLevel | None = None
 
         if kind in ("block_scalar", "block_full"):
@@ -94,12 +93,13 @@ class SubalgebraLevel:
                         mask[np.ix_(ix, ix)] = True
                     self._masks.append(mask)
         elif kind == "general":
-            if not basis:
+            if not isinstance(basis, AlgElement):
+                raise StructureError("general level requires its basis as one stack")
+            if basis.algebra != algebra:
+                raise StructureError("basis from a different algebra")
+            if not basis.blocks[0].size:
                 raise StructureError("general level requires a nonempty basis")
-            self.basis = tuple(basis)
-            for b in self.basis:
-                if b.algebra != algebra:
-                    raise StructureError("basis element from a different algebra")
+            self.basis = basis
             self._build_onb()
             self._validate_general()
 
@@ -121,8 +121,9 @@ class SubalgebraLevel:
         return cls(algebra, "block_full", groups=groups)
 
     @classmethod
-    def general(cls, algebra: TracialAlgebra, basis: Sequence[AlgElement]) -> "SubalgebraLevel":
-        """Subalgebra spanned by ``basis``; must be *-closed and contain 1."""
+    def general(cls, algebra: TracialAlgebra, basis: AlgElement) -> "SubalgebraLevel":
+        """Subalgebra spanned by the elements of the stack ``basis``; must be
+        *-closed and contain 1."""
         return cls(algebra, "general", basis=basis)
 
     # -- Gram engine ------------------------------------------------------
@@ -141,7 +142,7 @@ class SubalgebraLevel:
         return AlgElement(alg, out)
 
     def _build_onb(self) -> None:
-        rows = np.stack([self._uvec(b) for b in self.basis])
+        rows = self._uvec(self.basis).reshape(-1, self.algebra.dim)
         gram = rows @ rows.conj().T
         w, v = np.linalg.eigh(gram)
         wmax = float(w[-1])
@@ -153,13 +154,10 @@ class SubalgebraLevel:
         self._onb_conj = self._onb.conj()
 
     def _validate_general(self) -> None:
-        one = self.algebra.identity()
-        if not lp_norm(self.expect(one) - one, 2) <= INCLUSION_TOL:
+        if not self.contains(self.algebra.identity()):
             raise StructureError("identity is not in the span of the basis")
-        for b in self.basis:
-            adj = b.adjoint()
-            if not lp_norm(self.expect(adj) - adj, 2) <= INCLUSION_TOL:
-                raise StructureError("basis is not *-closed within tolerance")
+        if not np.all(self.contains(self.basis.adjoint())):  # NaN fails too
+            raise StructureError("basis is not *-closed within tolerance")
 
     # -- expectation ------------------------------------------------------
 
@@ -195,6 +193,7 @@ class SubalgebraLevel:
         return self._unvec((self._onb.T @ coeff)[..., 0])
 
     def contains(self, x: AlgElement) -> bool:
+        """Whether x lies in the subalgebra within ``INCLUSION_TOL``; per element of a stack."""
         return lp_norm(self.expect(x) - x, 2) <= INCLUSION_TOL
 
     @property
@@ -207,38 +206,34 @@ class SubalgebraLevel:
             return sum(len(g) ** 2 for bg in self.groups for g in bg)
         return self._onb.shape[0]
 
-    def spanning_basis(self) -> tuple[AlgElement, ...]:
-        """A basis of the subalgebra (canonical for the closed-form kinds)."""
+    def spanning_basis(self) -> AlgElement:
+        """A basis of the subalgebra as a stack, one element per vector
+        (canonical for the closed-form kinds: the unit matrices of each group
+        block, block by block and group by group)."""
         if self._span_cache is not None:
             return self._span_cache
         alg = self.algebra
         if self.kind == "scalars":
-            basis = (alg.identity(),)
+            basis = stack([alg.identity()])
         elif self.kind == "general":
             basis = self.basis
         else:
-            elems = []
-            for b, (n, block_groups) in enumerate(zip(alg.block_dims, self.groups)):
+            blocks, k = [], 0
+            for n, block_groups in zip(alg.block_dims, self.groups):
+                m = np.zeros((self.dim, n, n), dtype=complex)
                 for g in block_groups:
+                    ix = np.array(g)
                     if self.kind == "block_scalar":
-                        m = np.zeros((n, n), dtype=complex)
-                        ix = np.array(g)
-                        m[ix, ix] = 1.0
-                        elems.append(self._single_block(b, m))
-                    else:
-                        for i in g:
-                            for j in g:
-                                m = np.zeros((n, n), dtype=complex)
-                                m[i, j] = 1.0
-                                elems.append(self._single_block(b, m))
-            basis = tuple(elems)
+                        m[k, ix, ix] = 1.0
+                        k += 1
+                    else:  # the entries (i, j) of the group, i major
+                        size = len(g) ** 2
+                        m[np.arange(k, k + size), np.repeat(ix, len(g)), np.tile(ix, len(g))] = 1.0
+                        k += size
+                blocks.append(m)
+            basis = AlgElement(alg, blocks)
         self._span_cache = basis
         return basis
-
-    def _single_block(self, b: int, mat: np.ndarray) -> AlgElement:
-        blocks = [np.zeros((n, n), dtype=complex) for n in self.algebra.block_dims]
-        blocks[b] = mat
-        return AlgElement(self.algebra, blocks)
 
     def as_general(self) -> "SubalgebraLevel":
         """The same subalgebra rebuilt on the Gram engine (for cross-checks), cached."""

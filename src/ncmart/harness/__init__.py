@@ -1,6 +1,6 @@
 """Experiment harness: configs, identity suites, sweeps and reports."""
 
-from .checks import CheckRecord, instance_checks
+from .checks import CheckRecord
 from .commands import cmd_kolmogorov, cmd_ratios, cmd_refine, cmd_verify
 from .config import ExperimentConfig, config_from_file, load_config, midpoint_chain, preset
 from .report import VerificationReport
@@ -14,7 +14,6 @@ __all__ = [
     "cmd_refine",
     "cmd_verify",
     "config_from_file",
-    "instance_checks",
     "load_config",
     "midpoint_chain",
     "preset",

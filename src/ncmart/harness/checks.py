@@ -11,10 +11,10 @@ the routes other than the operation's are computed here.  Formula strings
 describe the identity itself so a failing record is self-explanatory.
 :func:`by_instance` alone turns rows into records, one list per instance:
 :func:`identity_rows` is the identity suite behind ``verify``, run on a
-stack of all instances (:func:`instance_checks` is its one-instance case),
-:func:`kolmogorov_checks` and :func:`refine_checks` give the rows of the
-other commands, and :func:`ratio_checks` and :func:`error_checks` record
-the ``ratios`` sweep and an instance that a numerical error cut short.
+stack of all instances, :func:`kolmogorov_checks` and
+:func:`refine_checks` give the rows of the other commands, and
+:func:`ratio_checks` and :func:`error_checks` record the ``ratios`` sweep
+and an instance that a numerical error cut short.
 Every family acts per element of a stack; complex moduli go through
 :func:`modulus` and squares of norms through ``algebra.squared``, so a
 stacked element gets the bits it gets alone.
@@ -28,14 +28,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..algebra import (AlgElement, TracialAlgebra, abs2, lp_norm, min_eigenvalue, squared,
-                       stack, trace)
+                       trace)
 from ..doob_meyer import (DECOMPOSITION_VARIANTS, bracket_via_integrals, cross_variation,
                           doob_meyer_decompose, naturality_gap, naturality_pairing,
                           quadratic_variation_sum, uniqueness_residual)
 from ..inequalities import ProjectionCertificate
 from ..integrals import integral_process, left_sum, right_sum
 from ..processes import (AdaptedProcess, Filtration, full_partition, increments,
-                         lift_process, martingale_from_terminal, random_element, random_stack,
+                         lift_process, martingale_from_terminal, random_stack,
                          refine_times, refined_filtration, submartingale_abs2_defect)
 from ..tolerances import (CHECK_TOL, CHECK_TOL_DERIVED, CHECK_TOL_PREDICATE,
                           CHECK_TOL_REFINEMENT, LOEWNER_HERMITIAN_TOL, worst)
@@ -61,8 +61,7 @@ def by_instance(checks: list[tuple], instances: list[int]) -> list[list[CheckRec
     """The records of each instance, from ``(check, formula, residual, tolerance)``
     rows whose residual is an array over the instances or a number for all of them."""
     n = len(instances)
-    columns = [np.broadcast_to(residual, (n,)).tolist() if isinstance(residual, np.ndarray)
-               else [residual] * n for _, _, residual, _ in checks]
+    columns = [np.broadcast_to(residual, (n,)).tolist() for _, _, residual, _ in checks]
     return [[record(check, formula, column[k], tolerance, instance)
              for (check, formula, _, tolerance), column in zip(checks, columns)]
             for k, instance in enumerate(instances)]
@@ -279,15 +278,6 @@ def identity_rows(filtration: Filtration, x_term: AlgElement, partner: AlgElemen
     y = martingale_from_terminal(filtration, y_term)
     return (conditional_expectation_checks(filtration, x_term, partner) + martingale_checks(x)
             + integral_checks(x, y) + doob_meyer_checks(x, y, partner))
-
-
-def instance_checks(filtration: Filtration, rng: np.random.Generator, instance: int,
-                    terminal: AlgElement | None = None) -> list[CheckRecord]:
-    """Run the whole identity suite for one seeded instance, as a stack of one."""
-    algebra = filtration.algebra
-    x_term = terminal if terminal is not None else random_element(algebra, rng, "general")
-    rows = identity_rows(filtration, stack([x_term]), *partner_draws(algebra, [rng]))
-    return by_instance(rows, [instance])[0]
 
 
 def error_checks(exc: Exception, instance: int) -> list[CheckRecord]:

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..algebra import AlgElement, TracialAlgebra
+from ..algebra import AlgElement, TracialAlgebra, stack
 from ..conditional import SubalgebraLevel
 from ..errors import ConfigError
 from ..integrals import nested_chain
@@ -222,8 +222,8 @@ def _build_level(algebra: TracialAlgebra, desc, path: str) -> SubalgebraLevel:
         raise ValueError("level descriptor must be an object with a 'kind'")
     basis = desc.get("basis")
     if basis is not None:
-        basis = [_decode_element(algebra, m, f"{path}.basis[{i}]")
-                 for i, m in enumerate(_each(f"{path}.basis", basis, lambda m: m))]
+        basis = stack([_decode_element(algebra, m, f"{path}.basis[{i}]")
+                       for i, m in enumerate(_each(f"{path}.basis", basis, lambda m: m))])
     return SubalgebraLevel(algebra, desc["kind"], desc.get("groups"), basis)
 
 

@@ -24,8 +24,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .algebra import (AlgElement, Projection, lp_norm, min_eigenvalue, proj_meet, psd_sqrt,
-                      spectral_projection, squared, trace)
+from .algebra import (AlgElement, Projection, _each, lp_norm, min_eigenvalue, proj_meet,
+                      psd_sqrt, spectral_projection, squared, trace)
 from .errors import DomainError, UndefinedRatioError
 from .integrals import SIDES
 from .processes import AdaptedProcess, as_partition, require_martingale
@@ -134,7 +134,7 @@ def chebyshev_projection(x: AlgElement, eta: float) -> ChebyshevCertificate:
     tau(x)/eta and of the compression bound ||(1-e) x (1-e)||_inf <= eta;
     it does not judge them.
     """
-    if eta <= 0:
+    if not eta > 0:  # NaN fails too
         raise DomainError(f"eta must be positive, got {eta}")
     if not min_eigenvalue(x, POSITIVITY_TOL) >= -POSITIVITY_TOL:
         raise DomainError("chebyshev projection needs a positive semidefinite element")
@@ -159,7 +159,7 @@ def kolmogorov_projection(x: AdaptedProcess, epsilon: float, side: str) -> Proje
     """
     if side not in SIDES:
         raise DomainError(f"side must be one of {SIDES}, got {side!r}")
-    if np.any(epsilon <= 0):
+    if not np.all(epsilon > 0):  # NaN fails too
         raise DomainError(f"epsilon must be positive, got {epsilon}")
     require_martingale(x, "certificate")
 
@@ -197,7 +197,7 @@ def epsilon_from_percentile(x: AdaptedProcess, percentile: float) -> float:
     """
     norms = [lp_norm(v, math.inf) for v in x.values[1:]]
     eps = np.maximum(np.percentile(norms, percentile, axis=0), EPSILON_FLOOR)
-    return eps if eps.ndim else float(eps)
+    return _each(eps)
 
 
 def segal_modulus(p: AdaptedProcess, e: Projection,

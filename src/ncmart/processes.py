@@ -20,12 +20,14 @@ from .tolerances import ADAPTED_TOL, LOEWNER_HERMITIAN_TOL, MARTINGALE_TOL, wors
 
 
 class TimeGrid:
-    """Strictly increasing nonnegative times ``t_0 < t_1 < ... < t_m``."""
+    """Strictly increasing, finite, nonnegative times ``t_0 < t_1 < ... < t_m``."""
 
     def __init__(self, times: Sequence[float]):
         ts = tuple(float(t) for t in times)
         if len(ts) < 2:
             raise StructureError("a time grid needs at least two points")
+        if not np.all(np.isfinite(ts)):
+            raise StructureError(f"times must be finite, got {list(ts)}")
         if ts[0] < 0 or any(b <= a for a, b in zip(ts, ts[1:])):
             raise StructureError("times must be nonnegative and strictly increasing")
         self.times = ts
@@ -40,8 +42,8 @@ class TimeGrid:
 class Filtration:
     """Increasing chain of subalgebra levels, one per grid time.
 
-    Construction validates that each level's spanning basis is fixed
-    elementwise by the next level's expectation (inclusion within
+    Construction validates that each level's spanning basis, as one stack,
+    is fixed elementwise by the next level's expectation (inclusion within
     ``INCLUSION_TOL``) and that the final level is the full algebra.
     """
 
@@ -56,10 +58,9 @@ class Filtration:
         for k in range(len(levels) - 1):
             if levels[k] is levels[k + 1]:
                 continue
-            for b in levels[k].spanning_basis():
-                if not levels[k + 1].contains(b):
-                    raise StructureError(
-                        f"levels not increasing: level {k} is not contained in level {k + 1}")
+            if not np.all(levels[k + 1].contains(levels[k].spanning_basis())):
+                raise StructureError(
+                    f"levels not increasing: level {k} is not contained in level {k + 1}")
         if levels[-1].dim != algebra.dim:
             raise StructureError(
                 f"final level has dimension {levels[-1].dim}, expected full {algebra.dim}")

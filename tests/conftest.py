@@ -59,8 +59,7 @@ def conjugated_levels(algebra, levels, seed):
         blocks.append(q)
     u = algebra.element(blocks)
     ua = u.adjoint()
-    return [nc.SubalgebraLevel.general(algebra, [u @ b @ ua for b in lv.spanning_basis()])
-            for lv in levels]
+    return [nc.SubalgebraLevel.general(algebra, u @ lv.spanning_basis() @ ua) for lv in levels]
 
 
 def _partition(draw, n):
@@ -76,8 +75,10 @@ def _partition(draw, n):
     return groups(coarse), groups(fine)
 
 
-def _encode(element):
-    return [{"real": m.real.tolist(), "imag": m.imag.tolist()} for m in element.blocks]
+def encode_basis(basis):
+    """The config entries of a level's stacked basis, one per element."""
+    return [[{"real": m.real.tolist(), "imag": m.imag.tolist()} for m in mats]
+            for mats in zip(*basis.blocks)]
 
 
 @st.composite
@@ -98,7 +99,7 @@ def structures(draw):
         built = [nc.SubalgebraLevel(algebra, lv["kind"], lv.get("groups"))
                  for lv in levels]
         conj = conjugated_levels(algebra, built, draw(st.integers(0, 2**16)))
-        levels = [{"kind": "general", "basis": [_encode(b) for b in lv.basis]} for lv in conj]
+        levels = [{"kind": "general", "basis": encode_basis(lv.basis)} for lv in conj]
     instances = draw(st.sampled_from([1, 3]))
     return load_config({
         "algebra": {"block_dims": dims, "block_weights": weights},
@@ -158,7 +159,7 @@ def build_pool():
         nc.SubalgebraLevel.block_scalar(m23, [[[0, 1]], [[0, 1, 2]]]),
         nc.SubalgebraLevel.block_scalar(m23, [[[0], [1]], [[0, 1, 2]]]),
         nc.SubalgebraLevel.block_full(m23, [[[0], [1]], [[0], [1], [2]]]),
-        nc.SubalgebraLevel.general(m23, list(mid23.spanning_basis())),
+        nc.SubalgebraLevel.general(m23, mid23.spanning_basis()),
         nc.SubalgebraLevel.block_full(m23, [[[0, 1]], [[0, 1, 2]]]),
     ])))
 
@@ -171,7 +172,7 @@ def build_pool():
         nc.SubalgebraLevel.block_scalar(m8, [[[0, 1], [2, 3], [4, 5], [6, 7]]]),
         nc.SubalgebraLevel.block_full(m8, [[[0, 1], [2, 3], [4, 5], [6, 7]]]),
         nc.SubalgebraLevel.block_full(m8, [[[0, 1], [2, 3], [4, 5, 6, 7]]]),
-        nc.SubalgebraLevel.general(m8, list(half.spanning_basis())),
+        nc.SubalgebraLevel.general(m8, half.spanning_basis()),
         nc.SubalgebraLevel.block_full(m8, [[[0, 1, 2, 3, 4, 5, 6, 7]]]),
     ])))
     combos.append(("m8-3lv", _filt(m8, [

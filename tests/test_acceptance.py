@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 import ncmart as nc
-from ncmart.harness import (cmd_ratios, cmd_refine, cmd_verify, instance_checks,
-                            load_config, preset)
+from ncmart.harness import cmd_ratios, cmd_refine, cmd_verify, load_config, preset
+from ncmart.harness.checks import by_instance, identity_rows, partner_draws
 from conftest import build_pool, centered_terminal
 
 INSTANCES_PER_COMBO = 63  # 8 combos -> 504 instances >= 500
@@ -40,9 +40,13 @@ def identity_run():
     t0 = time.perf_counter()
     instance = 0
     for combo_index, (name, filt) in enumerate(pool):
-        for rng in nc.spawn_generators(1000 + combo_index, INSTANCES_PER_COMBO):
-            records.extend(instance_checks(filt, rng, instance))
-            instance += 1
+        # each instance draws its terminal, partner and second terminal from its stream
+        rngs = nc.spawn_generators(1000 + combo_index, INSTANCES_PER_COMBO)
+        x_term = nc.random_stack(filt.algebra, rngs)
+        rows = identity_rows(filt, x_term, *partner_draws(filt.algebra, rngs))
+        for instance_records in by_instance(rows, list(range(instance, instance + len(rngs)))):
+            records.extend(instance_records)
+        instance += len(rngs)
     elapsed = time.perf_counter() - t0
     return {"records": records, "instances": instance, "elapsed": elapsed, "pool": pool}
 

@@ -29,7 +29,7 @@ class TestClosedForms:
         assert nc.lp_norm(out - single(m2, [[1, 0], [0, 4]]), 2) < 1e-14
 
     def test_general_matches_closed_form(self, m2):
-        basis = [m2.identity(), single(m2, [[1, 0], [0, -1]])]
+        basis = nc.stack([m2.identity(), single(m2, [[1, 0], [0, -1]])])
         out = Level.general(m2, basis).expect(single(m2, [[1, 2], [3, 4]]))
         assert nc.lp_norm(out - single(m2, [[1, 0], [0, 4]]), 2) < 1e-10
 
@@ -64,18 +64,51 @@ class TestEngineAgreement:
             assert nc.lp_norm(level.expect(x) - twin.expect(x), 2) < 1e-10
             assert level.as_general() is twin  # built once per level
 
+    def test_onb_of_the_stacked_basis_is_that_of_its_elements(self, pool):
+        # the Gram engine builds its ONB from the whole stack at once; it equals,
+        # byte for byte, the ONB of the per-element rows
+        for name, filt in pool:
+            for level in filt.levels:
+                twin = level if level.kind == "general" else level.as_general()
+                rows = np.stack([twin._uvec(twin.algebra.element(mats))
+                                 for mats in zip(*twin.basis.blocks)])
+                w, v = np.linalg.eigh(rows @ rows.conj().T)
+                onb = (v.conj().T @ rows) / np.sqrt(w)[:, None]
+                assert twin._onb.tobytes() == onb.tobytes(), (name, level)
+
+    def test_spanning_basis_is_one_stack_of_unit_matrices(self, m23):
+        def unit(b, entries):
+            blocks = [np.zeros((n, n), dtype=complex) for n in m23.block_dims]
+            for i, j in entries:
+                blocks[b][i, j] = 1.0
+            return blocks
+        want = {
+            "scalars": [[np.eye(2), np.eye(3)]],
+            "block_scalar": [unit(0, [(0, 0)]), unit(0, [(1, 1)]),
+                             unit(1, [(0, 0), (1, 1)]), unit(1, [(2, 2)])],
+            "block_full": [unit(0, [(0, 0)]), unit(0, [(1, 1)]),
+                           *(unit(1, [(i, j)]) for i in (0, 1) for j in (0, 1)),
+                           unit(1, [(2, 2)])],
+        }
+        groups = [[[0], [1]], [[0, 1], [2]]]
+        for level in (Level.scalars(m23), Level.block_scalar(m23, groups),
+                      Level.block_full(m23, groups)):
+            basis = level.spanning_basis()
+            assert isinstance(basis, nc.AlgElement) and level.spanning_basis() is basis
+            assert [b.shape[0] for b in basis.blocks] == [level.dim] * 2
+            for got, expected in zip(basis.blocks, zip(*want[level.kind])):
+                assert np.array_equal(got, np.stack(expected)), level.kind
+
     def test_lstsq_oracle(self, m23):
         # independent least-squares projection onto the span
         level = Level.block_scalar(m23, [[[0, 1]], [[0, 1, 2]]])
-        basis = level.spanning_basis()
+        basis = level.spanning_basis().blocks  # one (dim, n, n) array per block
         x = nc.random_element(m23, 77)
         scales = [math.sqrt(w / n) for w, n in zip(m23.block_weights, m23.block_dims)]
-        uvec = lambda e: np.concatenate([s * b.ravel() for s, b in zip(scales, e.blocks)])
-        a = np.stack([uvec(b) for b in basis]).T
-        coef, *_ = np.linalg.lstsq(a, uvec(x), rcond=None)
-        want = m23.zero()
-        for c, b in zip(coef, basis):
-            want = want + complex(c) * b
+        uvec = lambda blocks: np.concatenate([s * b.reshape(b.shape[:-2] + (-1,))
+                                              for s, b in zip(scales, blocks)], axis=-1)
+        coef, *_ = np.linalg.lstsq(uvec(basis).T, uvec(x.blocks), rcond=None)
+        want = m23.element([np.tensordot(coef, b, axes=1) for b in basis])
         assert nc.lp_norm(level.expect(x) - want, 2) < 1e-10
 
 
@@ -86,8 +119,8 @@ class TestExpectationProperties:
             Level.scalars(m23),
             Level.block_scalar(m23, [[[0, 1]], [[0, 1], [2]]]),
             Level.block_full(m23, [[[0], [1]], [[0, 1], [2]]]),
-            Level.general(m23, list(Level.block_full(
-                m23, [[[0, 1]], [[0, 1], [2]]]).spanning_basis())),
+            Level.general(m23, Level.block_full(
+                m23, [[[0, 1]], [[0, 1], [2]]]).spanning_basis()),
         ]
 
     def test_trace_preserving(self, m23, levels):
@@ -162,25 +195,41 @@ class TestExpectChain:
 
 class TestValidation:
     def test_singular_basis_rejected(self, m2):
-        basis = [m2.identity(), m2.identity()]
+        basis = nc.stack([m2.identity(), m2.identity()])
         with pytest.raises(nc.IllConditionedBasisError) as err:
             Level.general(m2, basis)
         assert err.value.condition > 1e12
 
     def test_basis_without_identity_rejected(self, m2):
         with pytest.raises(nc.StructureError):
-            Level.general(m2, [single(m2, [[1, 0], [0, 0]])])
+            Level.general(m2, nc.stack([single(m2, [[1, 0], [0, 0]])]))
+
+    def test_empty_basis_rejected(self, m2):
+        with pytest.raises(nc.StructureError, match="at least one"):
+            nc.stack([])
+        with pytest.raises(nc.StructureError, match="nonempty"):
+            Level.general(m2, m2.element([np.zeros((0, 2, 2))]))
+
+    def test_basis_from_another_algebra_rejected(self, m2):
+        other = nc.TracialAlgebra([2, 1], [0.5, 0.5])
+        with pytest.raises(nc.StructureError, match="different algebra"):
+            Level.general(m2, nc.stack([other.identity()]))
+
+    def test_basis_that_is_not_a_stack_rejected(self, m2):
+        for basis in (None, [], [m2.identity()]):
+            with pytest.raises(nc.StructureError, match="one stack"):
+                Level.general(m2, basis)
 
     def test_non_star_closed_basis_rejected(self, m2):
         with pytest.raises(nc.StructureError):
-            Level.general(m2, [m2.identity(), single(m2, [[0, 1], [0, 0]])])
+            Level.general(m2, nc.stack([m2.identity(), single(m2, [[0, 1], [0, 0]])]))
 
     @pytest.mark.parametrize("call, message", [(1, "identity"), (2, "closed")])
     def test_nan_inclusion_defect_rejected(self, m2, monkeypatch, call, message):
         # NaN basis data stops at the condition estimate, so stand in a NaN defect
         nan_on_call(monkeypatch, conditional, "lp_norm", call)
         with pytest.raises(nc.StructureError, match=message):
-            Level.general(m2, [m2.identity(), single(m2, [[1, 0], [0, 0]])])
+            Level.general(m2, nc.stack([m2.identity(), single(m2, [[1, 0], [0, 0]])]))
 
     def test_bad_partition_rejected(self, m2):
         with pytest.raises(nc.StructureError):

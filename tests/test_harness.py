@@ -75,6 +75,15 @@ class TestConfigValidation:
             load_config(data)
         assert err.value.field == "levels[1]"
 
+    @pytest.mark.parametrize("general", [{"kind": "general", "basis": []},
+                                         {"kind": "general"}])
+    def test_empty_general_basis_names_its_level(self, general):
+        data = m2_config(levels=[
+            {"kind": "scalars"}, general, {"kind": "block_full", "groups": [[[0, 1]]]}])
+        with pytest.raises(nc.ConfigError) as err:
+            load_config(data)
+        assert err.value.field == "levels[1]"
+
     def test_p_values_validated(self):
         with pytest.raises(nc.ConfigError):
             load_config(m2_config(p_values=[]))

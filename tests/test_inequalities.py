@@ -112,6 +112,10 @@ class TestChebyshev:
         with pytest.raises(nc.DomainError):
             nc.chebyshev_projection(m2.identity(), 0.0)
 
+    def test_rejects_nan_eta(self, m2):
+        with pytest.raises(nc.DomainError, match="eta must be positive"):
+            nc.chebyshev_projection(m2.identity(), math.nan)
+
     @pytest.mark.parametrize("dims", [[2], [3], [2, 3], [5]])
     def test_random_sweep(self, dims):
         alg = nc.TracialAlgebra(dims)
@@ -170,6 +174,13 @@ class TestKolmogorov:
                                            m2.identity()])
         with pytest.raises(nc.DomainError):
             nc.kolmogorov_projection(bad, 1.0, "left")
+
+    def test_rejects_nan_epsilon(self, m2_martingale, m2_chain, m2_terminal):
+        with pytest.raises(nc.DomainError, match="epsilon must be positive"):
+            nc.kolmogorov_projection(m2_martingale, math.nan, "left")
+        x = nc.martingale_from_terminal(m2_chain, nc.stack([m2_terminal] * 3))
+        with pytest.raises(nc.DomainError, match="epsilon must be positive"):
+            nc.kolmogorov_projection(x, np.array([1.0, math.nan, 2.0]), "right")
 
 
 class TestSegalModulus:

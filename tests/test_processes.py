@@ -12,7 +12,8 @@ import pytest
 import ncmart as nc
 from ncmart import processes
 from ncmart.harness.config import MAX_INSTANCES
-from conftest import centered_terminal, nan_element, nan_tolerant, single
+from conftest import (centered_terminal, conjugated_levels, nan_element, nan_tolerant,
+                      single)
 
 SRC = str(Path(nc.__file__).resolve().parents[1])
 
@@ -28,6 +29,12 @@ class TestTimeGrid:
         with pytest.raises(nc.StructureError):
             nc.TimeGrid([-1.0, 1.0])
 
+    @pytest.mark.parametrize("times", [[0.0, math.nan, 2.0], [0.0, 1.0, math.inf],
+                                       [math.nan, 1.0], [-math.inf, 1.0]])
+    def test_finite(self, times):
+        with pytest.raises(nc.StructureError, match="finite"):
+            nc.TimeGrid(times)
+
 
 class TestFiltration:
     def test_non_increasing_rejected(self, m2):
@@ -38,6 +45,15 @@ class TestFiltration:
         ]
         with pytest.raises(nc.StructureError, match="level 0"):
             nc.Filtration(nc.TimeGrid([0.0, 1.0, 2.0]), levels)
+
+    def test_non_increasing_general_levels_rejected(self, m2):
+        # the diagonal and a conjugate of it: neither holds the other
+        levels = conjugated_levels(m2, [nc.SubalgebraLevel.scalars(m2),
+                                        nc.SubalgebraLevel.block_full(m2, [[[0], [1]]])], 5)
+        diagonal = nc.SubalgebraLevel.block_full(m2, [[[0], [1]]])
+        full = nc.SubalgebraLevel.block_full(m2, [[[0, 1]]])
+        with pytest.raises(nc.StructureError, match="level 1 is not contained in level 2"):
+            nc.Filtration(nc.TimeGrid([0.0, 1.0, 2.0, 3.0]), [*levels, diagonal, full])
 
     def test_final_level_must_be_full(self, m2):
         levels = [nc.SubalgebraLevel.scalars(m2),

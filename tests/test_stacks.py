@@ -15,7 +15,7 @@ import ncmart as nc
 from ncmart import algebra, inequalities
 from ncmart.harness import cmd_ratios, commands, load_config, preset
 from ncmart.harness.checks import error_checks
-from conftest import _encode, structures
+from conftest import encode_basis, structures
 
 P_NORMS = (1.5, 2.0, 3.0, 4.0, 8.0, math.inf)
 
@@ -386,7 +386,7 @@ def test_a_failing_instance_is_found_by_halving_the_stack(monkeypatch):
 def pool_config(pool, name, instances=4):
     """The config of the acceptance pool's structure ``name``."""
     filt = dict(pool)[name]
-    levels = [{"kind": "general", "basis": [_encode(b) for b in lv.basis]}
+    levels = [{"kind": "general", "basis": encode_basis(lv.basis)}
               if lv.kind == "general" else
               {"kind": lv.kind, "groups": [[list(g) for g in block] for block in lv.groups]}
               if lv.groups else {"kind": lv.kind}

@@ -92,11 +92,9 @@ def test_one_record_path():
 
 # The functions that may tell one element from a stack: the number a kernel
 # returns, the two one-element paths the per-element Chebyshev loop keeps for
-# speed, the folds and records whose terms may be numbers, and input decoding.
+# speed, the fold whose terms may be numbers, and input decoding.
 SHAPE_FORKS = {("algebra.py", "_each"), ("algebra.py", "_range_projection"),
                ("algebra.py", "spectral_projection"), ("tolerances.py", "worst"),
-               ("harness/checks.py", "by_instance"),
-               ("inequalities.py", "epsilon_from_percentile"),
                ("harness/config.py", "decode_matrix")}
 
 
