@@ -5,7 +5,9 @@ two ways: the predictable variant sums conditioned square increments (the
 compensator), while the bracket variant takes A to be the quadratic
 variation computed from the integral sums.  Their difference is surfaced
 through :func:`naturality_gap` rather than hidden; the naturality pairing
-and the trace identity behind uniqueness are exposed as numbers.  Each
+and the trace identity behind uniqueness are exposed as numbers.  Every
+sum here folds its terms through :func:`ncmart.processes.partial_sums`
+and takes |X(t)|^2 from :meth:`AdaptedProcess.squares`.  Each
 function also takes stacked processes (see :mod:`ncmart.algebra`), and its
 numbers and gates then act per element of the stack.
 """
@@ -21,7 +23,7 @@ from .algebra import AlgElement, abs2, lp_norm, min_eigenvalue, squared, trace
 from .errors import DomainError, StructureError
 from .integrals import left_sum, right_sum
 from .processes import (AdaptedProcess, as_partition, full_partition, increments,
-                        require_martingale)
+                        partial_sums, require_martingale)
 from .tolerances import INITIAL_ZERO_TOL, LOEWNER_HERMITIAN_TOL, SELFADJOINT_TOL, worst
 
 
@@ -35,10 +37,7 @@ class Decomposition:
 
 def quadratic_variation_sum(x: AdaptedProcess, partition: Iterable[int]) -> AlgElement:
     """sum_k |X(t_k) - X(t_{k-1})|^2 over consecutive partition points."""
-    total = x.filtration.algebra.zero()
-    for dx in increments(x, partition):
-        total = total + abs2(dx)
-    return total
+    return partial_sums(x.filtration.algebra, (abs2(dx) for dx in increments(x, partition)))[-1]
 
 
 def bracket_via_integrals(x: AdaptedProcess, partition: Iterable[int]) -> AlgElement:
@@ -49,11 +48,10 @@ def bracket_via_integrals(x: AdaptedProcess, partition: Iterable[int]) -> AlgEle
     independent is the point.
     """
     idx = as_partition(len(x.values), partition)
-    xs = x.adjoint()
+    xs, sq = x.adjoint(), x.squares()
     sl = left_sum(xs, x, idx)
     sr = right_sum(x, xs, idx)
-    first, last = x.values[idx[0]], x.values[idx[-1]]
-    return abs2(last) - abs2(first) - sl - sr
+    return sq[idx[-1]] - sq[idx[0]] - sl - sr
 
 
 def compensator(x: AdaptedProcess) -> AdaptedProcess:
@@ -63,12 +61,9 @@ def compensator(x: AdaptedProcess) -> AdaptedProcess:
     the level j-1 subalgebra (predictability).  Requires a martingale.
     """
     require_martingale(x, "compensator")
-    levels = x.filtration.levels
-    values = [x.filtration.algebra.zero()]
-    for k in range(1, len(x.values)):
-        step = levels[k - 1].expect(abs2(x.values[k]) - abs2(x.values[k - 1]))
-        values.append(values[-1] + step)
-    return AdaptedProcess(x.filtration, values)
+    levels, sq = x.filtration.levels, x.squares()
+    steps = (levels[k - 1].expect(sq[k] - sq[k - 1]) for k in range(1, len(sq)))
+    return AdaptedProcess(x.filtration, partial_sums(x.filtration.algebra, steps))
 
 
 DECOMPOSITION_VARIANTS = ("predictable", "bracket")
@@ -85,14 +80,12 @@ def doob_meyer_decompose(x: AdaptedProcess, variant: str = "predictable") -> Dec
     if variant not in DECOMPOSITION_VARIANTS:
         raise DomainError(f"variant must be one of {DECOMPOSITION_VARIANTS}, got {variant!r}")
     require_martingale(x, "decomposition")
-    sq = [abs2(v) for v in x.values]
+    sq = x.squares()
     if variant == "predictable":
         a = compensator(x)
     else:
-        vals = [x.filtration.algebra.zero()]
-        for dx in increments(x, full_partition(x)):
-            vals.append(vals[-1] + abs2(dx))
-        a = AdaptedProcess(x.filtration, vals)
+        a = AdaptedProcess(x.filtration, partial_sums(
+            x.filtration.algebra, (abs2(dx) for dx in increments(x, full_partition(x)))))
     m = AdaptedProcess(x.filtration, [s - av for s, av in zip(sq, a.values)], validate=False)
 
     residuals = {
@@ -100,8 +93,8 @@ def doob_meyer_decompose(x: AdaptedProcess, variant: str = "predictable") -> Dec
                                 for s, mv, av in zip(sq, m.values, a.values)),
         "martingale_part": m.martingale_residual(),
         "initial": lp_norm(a.values[0], 2),
-        "increment_psd_defect": worst(-min_eigenvalue(b - c, tol=LOEWNER_HERMITIAN_TOL)
-                                      for b, c in zip(a.values[1:], a.values[:-1])),
+        "increment_psd_defect": worst(-min_eigenvalue(da, tol=LOEWNER_HERMITIAN_TOL)
+                                      for da in increments(a, full_partition(a))),
     }
     if variant == "predictable":
         levels = x.filtration.levels
@@ -122,9 +115,7 @@ def naturality_pairing(a: AdaptedProcess, y: AlgElement,
         raise DomainError("naturality pairing requires A(0) = 0")
     idx = as_partition(len(a.values), partition)
     levels = a.filtration.levels
-    lhs = 0.0 + 0.0j
-    for i, j in zip(idx, idx[1:]):
-        lhs += trace(levels[i].expect(y) @ (a.values[j] - a.values[i]))
+    lhs = sum(trace(levels[i].expect(y) @ da) for i, da in zip(idx, increments(a, idx)))
     rhs = trace(y @ a.values[idx[-1]])
     return lhs, rhs
 
@@ -138,16 +129,10 @@ def naturality_gap(x: AdaptedProcess, partition: Iterable[int]) -> tuple[float, 
     """
     idx = as_partition(len(x.values), partition)
     levels = x.filtration.levels
-    terms = []
-    fourth = 0.0
-    for i, j in zip(idx, idx[1:]):
-        sq = abs2(x.values[j] - x.values[i])
-        terms.append(sq - levels[i].expect(sq))
-        fourth += trace(sq @ sq).real
-    total = x.filtration.algebra.zero()
-    for d in terms:
-        total = total + d
-    g = lp_norm(total, 2)
+    sqs = [abs2(dx) for dx in increments(x, idx)]
+    terms = [sq - levels[i].expect(sq) for i, sq in zip(idx, sqs)]
+    fourth = sum(trace(sq @ sq).real for sq in sqs)
+    g = lp_norm(partial_sums(x.filtration.algebra, terms)[-1], 2)
     residuals = {
         "orthogonality": abs(squared(g) - sum(squared(lp_norm(d, 2)) for d in terms)),
         "fourth_moment": worst([squared(g) - 4.0 * fourth]),
@@ -166,9 +151,7 @@ def uniqueness_residual(m: AdaptedProcess) -> float:
     if not np.all(defect <= SELFADJOINT_TOL):  # per element of a stack
         raise DomainError(f"process is not selfadjoint (defect {np.max(defect):.2e})")
     require_martingale(m, "uniqueness residual")
-    s = 0.0
-    for dm in increments(m, full_partition(m)):
-        s += trace(dm @ dm).real
+    s = sum(trace(dm @ dm).real for dm in increments(m, full_partition(m)))
     target = trace(abs2(m.values[-1])).real - trace(abs2(m.values[0])).real
     return abs(s - target)
 
@@ -185,7 +168,5 @@ def cross_variation(x: AdaptedProcess, y: AdaptedProcess,
     if x.filtration is not y.filtration:
         raise StructureError("processes live on different filtrations")
     idx = as_partition(len(x.values), partition)
-    total = x.filtration.algebra.zero()
-    for (i, j) in zip(idx, idx[1:]):
-        total = total + (x.values[j] - x.values[i]).adjoint() @ (y.values[j] - y.values[i])
-    return total
+    return partial_sums(x.filtration.algebra, (dx.adjoint() @ dy for dx, dy in
+                                               zip(increments(x, idx), increments(y, idx))))[-1]

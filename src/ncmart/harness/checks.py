@@ -35,7 +35,7 @@ from ..doob_meyer import (DECOMPOSITION_VARIANTS, bracket_via_integrals, cross_v
 from ..inequalities import ProjectionCertificate
 from ..integrals import integral_process, left_sum, right_sum
 from ..processes import (AdaptedProcess, Filtration, full_partition, increments,
-                         lift_process, martingale_from_terminal, random_stack,
+                         lift_process, martingale_from_terminal, partial_sums, random_stack,
                          refine_times, refined_filtration, submartingale_abs2_defect)
 from ..tolerances import (CHECK_TOL, CHECK_TOL_DERIVED, CHECK_TOL_PREDICATE,
                           CHECK_TOL_REFINEMENT, LOEWNER_HERMITIAN_TOL, worst)
@@ -109,13 +109,13 @@ def martingale_checks(x: AdaptedProcess) -> list[tuple]:
     levels = x.filtration.levels
     grid = full_partition(x)
     dxs = increments(x, grid)
-    sq = [abs2(v) for v in x.values]
+    dsq, sq = [abs2(dx) for dx in dxs], x.squares()
 
     null_inc = worst(lp_norm(levels[k - 1].expect(dx), 2) for k, dx in enumerate(dxs, 1))
     proj_id = worst(
-        lp_norm(levels[k - 1].expect(abs2(dx)) - levels[k - 1].expect(sq[k] - sq[k - 1]), 2)
-        for k, dx in enumerate(dxs, 1))
-    energy = abs(sum(trace(abs2(dx)).real for dx in dxs)
+        lp_norm(levels[k - 1].expect(d) - levels[k - 1].expect(sq[k] - sq[k - 1]), 2)
+        for k, d in enumerate(dsq, 1))
+    energy = abs(sum(trace(d).real for d in dsq)
                  - (trace(sq[-1]).real - trace(sq[0]).real))
     norms = [[lp_norm(v, p) for v in x.values] for p in (2.0, 4.0)]
     monotone = worst(a - b for ns in norms for a, b in zip(ns, ns[1:]))
@@ -147,15 +147,10 @@ def integral_checks(x: AdaptedProcess, f: AdaptedProcess) -> list[tuple]:
     half = grid[::2] if grid[-1] in grid[::2] else tuple(grid[::2]) + (grid[-1],)
     ortho = 0.0
     if len(half) >= 2 and len(half) < len(grid):
-        diff_terms = []
-        for a, b in zip(half, half[1:]):
-            for k in range(a, b):
-                dx = x.values[k + 1] - x.values[k]
-                diff_terms.append(dx @ (f.values[k] - f.values[a]))
-        total = x.filtration.algebra.zero()
-        for t in diff_terms:
-            total = total + t
-        lhs = squared(lp_norm(total, 2))
+        dxs = increments(x, grid)
+        diff_terms = [dxs[k] @ (f.values[k] - f.values[a])
+                      for a, b in zip(half, half[1:]) for k in range(a, b)]
+        lhs = squared(lp_norm(partial_sums(x.filtration.algebra, diff_terms)[-1], 2))
         rhs = sum(squared(lp_norm(t, 2)) for t in diff_terms)
         ortho = abs(lhs - rhs)
 
@@ -200,7 +195,7 @@ def certificate_checks(cert: ProjectionCertificate) -> list[tuple]:
 def doob_meyer_checks(x: AdaptedProcess, y: AdaptedProcess,
                       partner: AlgElement) -> list[tuple]:
     grid = full_partition(x)
-    levels = x.filtration.levels
+    levels, sq = x.filtration.levels, x.squares()
     out: list[tuple] = []
 
     qv = quadratic_variation_sum(x, grid)
@@ -220,9 +215,8 @@ def doob_meyer_checks(x: AdaptedProcess, y: AdaptedProcess,
     out += gap_checks([gap_residuals])
 
     comp_inc = worst(
-        lp_norm(levels[j - 1].expect(a.values[j] - a.values[j - 1])
-                - (levels[j - 1].expect(abs2(x.values[j])) - abs2(x.values[j - 1])), 2)
-        for j in range(1, len(a.values)))
+        lp_norm(levels[j - 1].expect(da) - (levels[j - 1].expect(sq[j]) - sq[j - 1]), 2)
+        for j, da in enumerate(increments(a, grid), 1))
     out.append(("compensator_increment", "E_{j-1} dA_j == E_{j-1}|X_j|^2 - |X_{j-1}|^2",
                 comp_inc, CHECK_TOL))
 

@@ -6,14 +6,14 @@ function once on all of them and keeps rows and records in instance order,
 so reports are deterministic.  Every batch function runs its instances as
 one stack: one stacked draw of terminals from the streams, one stacked
 martingale, each check family once, and one :func:`.checks.by_instance`
-call for the records.  Commands only compute; every pass/fail record
-comes from :mod:`.checks`.  On a numerical error (a failed precondition,
-an unadapted computed process, a LAPACK failure) the runner splits the
-stack in halves and reruns each on new streams, which draw that half only,
-down to the instance that fails alone: that one reports only its failing
-``instance_completed`` record, and every other instance reports whole,
-with the bits it gets alone.  Floating-point warnings are silenced; the
-report carries the inf and NaN.
+call for the records (``kolmogorov`` makes one per side).  Commands only
+compute; every pass/fail record comes from :mod:`.checks`.  On a numerical
+error (a failed precondition, an unadapted computed process, a LAPACK
+failure) the runner splits the stack in halves and reruns each on new
+streams, which draw that half only, down to the instance that fails alone:
+that one reports only its failing ``instance_completed`` record, and every
+other instance reports whole, with the bits it gets alone.  Floating-point
+warnings are silenced; the report carries the inf and NaN.
 """
 
 from __future__ import annotations

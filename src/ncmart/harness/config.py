@@ -220,6 +220,11 @@ def _build_level(algebra: TracialAlgebra, desc, path: str) -> SubalgebraLevel:
     """The level a descriptor names; SubalgebraLevel validates kind, groups and basis."""
     if not isinstance(desc, dict) or "kind" not in desc:
         raise ValueError("level descriptor must be an object with a 'kind'")
+    # a field that the level's kind does not read is an error, not dropped
+    for field, kinds in (("groups", ("scalars", "general")),
+                         ("basis", ("scalars", "block_scalar", "block_full"))):
+        if desc.get(field) is not None and desc["kind"] in kinds:
+            raise ConfigError(f"a {desc['kind']} level takes no {field}", f"{path}.{field}")
     basis = desc.get("basis")
     if basis is not None:
         basis = stack([_decode_element(algebra, m, f"{path}.basis[{i}]")

@@ -4,39 +4,46 @@ Sums use the left endpoint of the integrand throughout.  On a step
 filtration the refining-partition limit is exact: once a partition contains
 every index at which the integrator or integrand changes, further
 refinement does not move the sum, which is what the refinement table
-measures.
+measures.  A sum and a partial-sum process fold the same terms through
+:func:`ncmart.processes.partial_sums`, so the process ends on the sum;
+the bracket of :mod:`ncmart.doob_meyer` sets them against
+:meth:`AdaptedProcess.squares`.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .algebra import AlgElement, lp_norm
 from .errors import DomainError, StructureError
-from .processes import AdaptedProcess, as_partition, full_partition, require_martingale
+from .processes import (AdaptedProcess, as_partition, full_partition, increments,
+                        partial_sums, require_martingale)
 
 SIDES = ("left", "right")
 
 
-def _check_pair(x: AdaptedProcess, f: AdaptedProcess) -> None:
+def _check_pair(x: AdaptedProcess, f: AdaptedProcess, side: str) -> None:
     if x.filtration is not f.filtration:
         raise StructureError("integrator and integrand live on different filtrations")
+    if side not in SIDES:
+        raise DomainError(f"side must be one of {SIDES}, got {side!r}")
+
+
+def _terms(x: AdaptedProcess, f: AdaptedProcess, partition: Iterable[int],
+           side: str) -> Iterator[AlgElement]:
+    """dX_k f(t_{k-1}) (left) or f(t_{k-1}) dX_k (right) over consecutive partition points."""
+    idx = as_partition(len(x.values), partition)
+    return (dx @ f.values[a] if side == "left" else f.values[a] @ dx
+            for a, dx in zip(idx, increments(x, idx)))
 
 
 def _sum(x: AdaptedProcess, f: AdaptedProcess, partition: Iterable[int], side: str) -> AlgElement:
-    _check_pair(x, f)
-    if side not in SIDES:
-        raise DomainError(f"side must be one of {SIDES}, got {side!r}")
-    idx = as_partition(len(x.values), partition)
-    total = x.filtration.algebra.zero()
-    for a, b in zip(idx, idx[1:]):
-        dx = x.values[b] - x.values[a]
-        total = total + (dx @ f.values[a] if side == "left" else f.values[a] @ dx)
-    return total
+    _check_pair(x, f, side)
+    return partial_sums(x.filtration.algebra, _terms(x, f, partition, side))[-1]
 
 
 def left_sum(x: AdaptedProcess, f: AdaptedProcess, partition: Iterable[int]) -> AlgElement:
@@ -55,16 +62,10 @@ def integral_process(x: AdaptedProcess, f: AdaptedProcess, side: str) -> Adapted
     The integrator must pass :func:`require_martingale`; the resulting
     process is then itself a martingale (a property the tests verify).
     """
-    _check_pair(x, f)
-    if side not in SIDES:
-        raise DomainError(f"side must be one of {SIDES}, got {side!r}")
+    _check_pair(x, f, side)
     require_martingale(x, "integrator")
-    values = [x.filtration.algebra.zero()]
-    for k in range(1, len(x.values)):
-        dx = x.values[k] - x.values[k - 1]
-        term = dx @ f.values[k - 1] if side == "left" else f.values[k - 1] @ dx
-        values.append(values[-1] + term)
-    return AdaptedProcess(x.filtration, values)
+    return AdaptedProcess(x.filtration, partial_sums(x.filtration.algebra,
+                                                     _terms(x, f, full_partition(x), side)))
 
 
 def integrand_bound(f: AdaptedProcess) -> float:

@@ -3,6 +3,9 @@
 Time is a finite grid; between grid points every filtration level and
 every process value is constant, so refining-partition limits elsewhere in
 the package become exact once a partition contains all grid indices.
+Every discrete stochastic sum of the package is a running sum of terms in
+the :func:`increments` of a process, folded by :func:`partial_sums` alone,
+and :meth:`AdaptedProcess.squares` is the one source of |X(t_k)|^2.
 """
 
 from __future__ import annotations
@@ -71,7 +74,7 @@ class Filtration:
     def level_index_at(self, time: float) -> int:
         """Index of the largest grid time <= ``time`` (step filtration)."""
         ts = self.grid.times
-        if time < ts[0]:
+        if not time >= ts[0]:  # NaN fails too
             raise DomainError(f"time {time} precedes the grid")
         return int(np.searchsorted(ts, time, side="right")) - 1
 
@@ -89,8 +92,8 @@ class AdaptedProcess:
     expectation within ``ADAPTED_TOL``, for every element of a stack.
     Supports pointwise linear arithmetic between processes on the same
     filtration and the pointwise adjoint.  A process
-    never changes, so its martingale residual and its square sums are
-    computed once and kept.
+    never changes, so its martingale residual, its squares and its square
+    sums are computed once and kept.
     """
 
     def __init__(self, filtration: Filtration, values: Sequence[AlgElement],
@@ -110,6 +113,7 @@ class AdaptedProcess:
         self.filtration = filtration
         self.values = values
         self._mart_residual: float | None = None
+        self._squares: tuple[AlgElement, ...] | None = None
         self._square_sums: dict[tuple[int, ...], tuple[AlgElement, AlgElement]] = {}
 
     def _combine(self, other: "AdaptedProcess", op) -> "AdaptedProcess":
@@ -147,20 +151,24 @@ class AdaptedProcess:
                                         for t in range(1, len(values)) for s in range(t))
         return self._mart_residual
 
+    def squares(self) -> tuple[AlgElement, ...]:
+        """|X(t_k)|^2 for every grid index k (cached)."""
+        if self._squares is None:
+            self._squares = tuple(abs2(v) for v in self.values)
+        return self._squares
+
     def square_sums(self, partition: Iterable[int]) -> tuple[AlgElement, AlgElement]:
         """(sum_k |dX_k|^2, sum_k E_{k-1}|dX_k|^2) over the partition (cached).
 
-        One pass builds both sums, so every increment is squared once.
+        Both sums share the squared increments, so every increment is squared once.
         """
         idx = as_partition(len(self.values), partition)
         if idx not in self._square_sums:
-            levels, values = self.filtration.levels, self.values
-            plain = conditioned = self.filtration.algebra.zero()
-            for i, j in zip(idx, idx[1:]):
-                sq = abs2(values[j] - values[i])
-                plain = plain + sq
-                conditioned = conditioned + levels[i].expect(sq)
-            self._square_sums[idx] = (plain, conditioned)
+            levels, algebra = self.filtration.levels, self.filtration.algebra
+            sqs = [abs2(dx) for dx in increments(self, idx)]
+            self._square_sums[idx] = (
+                partial_sums(algebra, sqs)[-1],
+                partial_sums(algebra, (levels[i].expect(sq) for i, sq in zip(idx, sqs)))[-1])
         return self._square_sums[idx]
 
     def __repr__(self) -> str:
@@ -183,10 +191,9 @@ def require_martingale(p: AdaptedProcess, what: str) -> None:
 
 def submartingale_abs2_defect(p: AdaptedProcess) -> float:
     """Worst negative-eigenvalue margin of E_s|X(t)|^2 - |X(s)|^2 over s <= t."""
-    levels, values = p.filtration.levels, p.values
-    sq = [abs2(v) for v in values]
+    levels, sq = p.filtration.levels, p.squares()
     return worst(-min_eigenvalue(levels[s].expect(sq[t]) - sq[s], tol=LOEWNER_HERMITIAN_TOL)
-                 for t in range(1, len(values)) for s in range(t))
+                 for t in range(1, len(sq)) for s in range(t))
 
 
 def as_partition(n_times: int, partition: Iterable[int]) -> tuple[int, ...]:
@@ -210,6 +217,15 @@ def increments(p: AdaptedProcess, partition: Iterable[int]) -> list[AlgElement]:
     """Increments X(t_k) - X(t_{k-1}) over consecutive partition indices."""
     idx = as_partition(len(p.values), partition)
     return [p.values[b] - p.values[a] for a, b in zip(idx, idx[1:])]
+
+
+def partial_sums(algebra: TracialAlgebra, terms: Iterable[AlgElement]) -> list[AlgElement]:
+    """Running sums ``[0, t_1, t_1 + t_2, ...]``, each term added to the sum before
+    it: the one fold of elements, whose last entry is the sum of the terms."""
+    sums = [algebra.zero()]
+    for t in terms:
+        sums.append(sums[-1] + t)
+    return sums
 
 
 RANDOM_KINDS = ("general", "hermitian", "positive", "projection-like")

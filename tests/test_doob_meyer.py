@@ -298,3 +298,28 @@ class TestCrossVariation:
         other = random_martingale(filt, 73)
         with pytest.raises(nc.StructureError):
             nc.cross_variation(worked, other, [0, 1, 2])
+
+
+def same_blocks(a, b):
+    return all(np.all(p == q) for p, q in zip(a.blocks, b.blocks, strict=True))
+
+
+@pytest.mark.parametrize("instances", [None, 3], ids=["one", "stack"])
+@pytest.mark.parametrize("combo", [1, 3, 5])
+def test_one_fold_makes_the_routes_exact(pool, combo, instances):
+    # every sum is partial_sums over the same terms in the same order, so a
+    # process ends bit for bit on its sum; squares() holds abs2 of each value
+    name, filt = pool[combo]
+    draw = lambda seed: (nc.random_element(filt.algebra, seed) if instances is None else
+                         nc.stack([nc.random_element(filt.algebra, seed + 100 * k)
+                                   for k in range(instances)]))
+    x = nc.martingale_from_terminal(filt, draw(80))
+    f = nc.martingale_from_terminal(filt, draw(81))
+    full = nc.full_partition(x)
+    for side, sum_fn in (("left", nc.left_sum), ("right", nc.right_sum)):
+        assert same_blocks(nc.integral_process(x, f, side).values[-1], sum_fn(x, f, full))
+    assert same_blocks(nc.doob_meyer_decompose(x, "bracket").increasing_part.values[-1],
+                       nc.quadratic_variation_sum(x, full))
+    for p in (full, (0, full[-1]), tuple(sorted({*full[::2], full[-1]}))):
+        assert same_blocks(nc.cross_variation(x, x, p), nc.quadratic_variation_sum(x, p))
+    assert all(same_blocks(sq, nc.abs2(v)) for sq, v in zip(x.squares(), x.values, strict=True))

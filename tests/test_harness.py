@@ -154,6 +154,9 @@ MALFORMED = [
     (("algebra", "block_weights"), ["x"], "algebra.block_weights[0]"),
     (("partition_chain",), [["a"]], "partition_chain[0][0]"),
     (("levels", 1, "groups"), 5, "levels[1]"),
+    # a field the level's kind does not read is an error, not dropped
+    (("levels", 1, "basis"), [[{"real": [[0.0, 1.0], [0.0, 0.0]]}]], "levels[1].basis"),
+    (("levels", 0, "groups"), [[[0, 1]]], "levels[0].groups"),
     (("output",), "x", "output"),
     (("terminal",), "x", "terminal"),
     (("p_values",), [math.nan], "p_values[0]"),

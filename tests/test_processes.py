@@ -66,8 +66,9 @@ class TestFiltration:
         assert m2_chain.level_index_at(0.5) == 0
         assert m2_chain.level_index_at(1.0) == 1
         assert m2_chain.level_index_at(7.0) == 2
-        with pytest.raises(nc.DomainError):
-            m2_chain.level_index_at(-0.5)
+        for time in (-0.5, math.nan):  # NaN precedes no time, so a plain < gate passed it
+            with pytest.raises(nc.DomainError):
+                m2_chain.level_index_at(time)
 
 
 class TestAdaptedProcess:
@@ -194,6 +195,15 @@ class TestIncrements:
             nc.increments(m2_martingale, [0, 5])
         with pytest.raises(nc.DomainError):
             nc.increments(m2_martingale, [1])
+
+
+def test_partial_sums_add_each_term_to_the_sum_before_it(m2):
+    terms = [single(m2, [[1, 2], [0, 1]]), single(m2, [[0, 1j], [3, 0]]), m2.identity()]
+    sums = processes.partial_sums(m2, terms)
+    assert len(sums) == 4 and np.all(sums[0].blocks[0] == 0)
+    for k, t in enumerate(terms):
+        assert np.all(sums[k + 1].blocks[0] == sums[k].blocks[0] + t.blocks[0])
+    assert len(processes.partial_sums(m2, [])) == 1
 
 
 class TestRandomElements:

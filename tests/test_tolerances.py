@@ -90,6 +90,11 @@ def test_one_record_path():
     assert callers("CheckRecord") == {("harness/checks.py", "record")}
 
 
+def test_one_fold_of_elements():
+    # every discrete stochastic sum starts from zero in partial_sums and nowhere else
+    assert callers("zero") == {("processes.py", "partial_sums")}
+
+
 # The functions that may tell one element from a stack: the number a kernel
 # returns, the two one-element paths the per-element Chebyshev loop keeps for
 # speed, the fold whose terms may be numbers, and input decoding.
