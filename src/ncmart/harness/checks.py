@@ -9,12 +9,14 @@ identity equates independent routes (the bracket against the quadratic
 variation, the cross variation against its expansion and polarization),
 the routes other than the operation's are computed here.  Formula strings
 describe the identity itself so a failing record is self-explanatory.
-:func:`by_instance` alone turns rows into records, one list per instance:
-:func:`identity_rows` is the identity suite behind ``verify``, run on a
-stack of all instances, :func:`kolmogorov_checks` and
+:func:`by_instance` alone turns rows into a :class:`RecordTable`, the
+records of a batch of instances as one residual column per row, and
+:meth:`RecordTable.records` alone makes :class:`CheckRecord` objects from
+it, on demand: :func:`identity_rows` is the identity suite behind
+``verify``, run on a stack of all instances, :func:`kolmogorov_checks` and
 :func:`refine_checks` give the rows of the other commands, and
-:func:`ratio_checks` and :func:`error_checks` record the ``ratios`` sweep
-and an instance that a numerical error cut short.
+:func:`ratio_checks` and :func:`error_checks` give the one-row tables of
+the ``ratios`` sweep and of an instance that a numerical error cut short.
 Every family acts per element of a stack; complex moduli go through
 :func:`modulus` and squares of norms through ``algebra.squared``, so a
 stacked element gets the bits it gets alone.
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,14 +60,34 @@ def record(check: str, formula: str, residual: float, tolerance: float,
     return CheckRecord(check, formula, residual, tolerance, residual <= tolerance, instance)
 
 
-def by_instance(checks: list[tuple], instances: list[int]) -> list[list[CheckRecord]]:
-    """The records of each instance, from ``(check, formula, residual, tolerance)``
+class RecordTable(NamedTuple):
+    """The records of a batch: one ``(check, formula, tolerance)`` row per
+    check, one column of float residuals per row, over the instances.  Its
+    records run instance by instance, each in row order."""
+    rows: list[tuple[str, str, float]]
+    columns: list[list[float]]
+    instances: list[int]
+
+    @property
+    def all_passed(self) -> bool:
+        return all(r <= tolerance for (_, _, tolerance), column in zip(self.rows, self.columns)
+                   for r in column)
+
+    def records(self) -> list[CheckRecord]:
+        return [record(check, formula, column[k], tolerance, instance)
+                for k, instance in enumerate(self.instances)
+                for (check, formula, tolerance), column in zip(self.rows, self.columns)]
+
+
+def by_instance(checks: list[tuple], instances: list[int]) -> RecordTable:
+    """The record table of the instances, from ``(check, formula, residual, tolerance)``
     rows whose residual is an array over the instances or a number for all of them."""
     n = len(instances)
-    columns = [np.broadcast_to(residual, (n,)).tolist() for _, _, residual, _ in checks]
-    return [[record(check, formula, column[k], tolerance, instance)
-             for (check, formula, _, tolerance), column in zip(checks, columns)]
-            for k, instance in enumerate(instances)]
+    return RecordTable(
+        [(check, formula, tolerance) for check, formula, _, tolerance in checks],
+        [np.broadcast_to(np.asarray(residual, dtype=float), (n,)).tolist()
+         for _, _, residual, _ in checks],
+        list(instances))
 
 
 def modulus(z):
@@ -274,20 +297,22 @@ def identity_rows(filtration: Filtration, x_term: AlgElement, partner: AlgElemen
             + integral_checks(x, y) + doob_meyer_checks(x, y, partner))
 
 
-def error_checks(exc: Exception, instance: int) -> list[CheckRecord]:
-    """The one failing record of an instance that a numerical error cut short."""
+def error_checks(exc: Exception, instance: int) -> RecordTable:
+    """The one-row table of an instance that a numerical error cut short: its
+    one failing record."""
     return by_instance([(
         "instance_completed",
         f"the instance runs without a numerical error; got {type(exc).__name__}: {exc}",
-        math.inf, CHECK_TOL_PREDICATE)], [instance])[0]
+        math.inf, CHECK_TOL_PREDICATE)], [instance])
 
 
-def ratio_checks(rows: list[dict]) -> list[CheckRecord]:
-    """Every observed ratio of the ``ratios`` sweep is finite and nonnegative."""
+def ratio_checks(rows: list[dict]) -> RecordTable:
+    """The one-row table of the ``ratios`` sweep (instance -1): every observed
+    ratio is finite and nonnegative."""
     valid = all(0.0 <= r[key] < math.inf
                 for r in rows for key in ("bg_ratio", "dual_doob_ratio"))
     return by_instance([("ratios_finite", "every observed ratio is finite and nonnegative",
-                         0.0 if valid else math.inf, CHECK_TOL_PREDICATE)], [-1])[0]
+                         0.0 if valid else math.inf, CHECK_TOL_PREDICATE)], [-1])
 
 
 def kolmogorov_checks(cert: ProjectionCertificate) -> tuple[list[tuple], np.ndarray | float]:

@@ -10,6 +10,7 @@ command runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -19,6 +20,7 @@ from .commands import COMMANDS
 from .config import PRESETS, load_config, preset, read_config
 
 
+@functools.cache  # parse_args leaves the parser as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ncmart",
@@ -100,9 +102,8 @@ def main(argv=None) -> int:
     else:
         text = report.to_json() if config.output_format == "json" else report.render_csv()
         print(text)
-    failed = [r for r in report.records if not r.passed]
-    if failed:
-        for r in failed[:10]:
+    if not report.all_passed:
+        for r in [r for r in report.records if not r.passed][:10]:
             print(f"FAIL {r.check} (instance {r.instance}): residual {r.residual:.3e} "
                   f"> {r.tolerance:g} [{r.formula}]", file=sys.stderr)
         return 1

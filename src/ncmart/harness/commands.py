@@ -6,11 +6,12 @@ function once on all of them and keeps rows and records in instance order,
 so reports are deterministic.  Every batch function runs its instances as
 one stack: one stacked draw of terminals from the streams, one stacked
 martingale, each check family once, and one :func:`.checks.by_instance`
-call for the records (``kolmogorov`` makes one per side).  Commands only
-compute; every pass/fail record comes from :mod:`.checks`.  On a numerical
-error (a failed precondition, an unadapted computed process, a LAPACK
-failure) the runner splits the stack in halves and reruns each on new
-streams, which draw that half only, down to the instance that fails alone:
+call, whose record table holds the records of every instance (``kolmogorov``
+puts its left rows before its right ones).  Commands only compute; every
+pass/fail record comes from :mod:`.checks`.  On a numerical error (a failed
+precondition, an unadapted computed process, a LAPACK failure) the runner
+splits the stack in halves and reruns each on new streams, which draw that
+half only, down to the instance that fails alone:
 that one reports only its failing ``instance_completed`` record, and every
 other instance reports whole, with the bits it gets alone.  Floating-point
 warnings are silenced; the report carries the inf and NaN.
@@ -51,18 +52,18 @@ def _terminals(config: ExperimentConfig, drawn: list) -> AlgElement:
 
 
 def _attempt(batch, config: ExperimentConfig, drawn: list) -> tuple[list, list, bool]:
-    """(rows, records, failed) of ``batch``; a numerical error is the first drawn's record."""
+    """(rows, tables, failed) of ``batch``; a numerical error is the first drawn's record."""
     try:
         return (*batch(config, drawn), False)
     except NUMERICAL_ERRORS as exc:
-        return [], error_checks(exc, drawn[0][0]), True
+        return [], [error_checks(exc, drawn[0][0])], True
 
 
 def _contained(batch, config: ExperimentConfig, drawn: list) -> tuple[list, list, bool]:
-    """(rows, records, failed) of ``batch`` on the drawn instances.  A stack that
+    """(rows, tables, failed) of ``batch`` on the drawn instances.  A stack that
     fails is split in halves, each run on new streams, until every half that passes
     reports whole and every instance that fails alone reports its error."""
-    rows, records, failed = _attempt(batch, config, drawn)
+    rows, tables, failed = _attempt(batch, config, drawn)
     if failed and len(drawn) > 1:
         # An error of the stack is some instance's.  One that neither half repeats
         # stays recorded against the stack's first instance, ahead of its reports.
@@ -71,21 +72,21 @@ def _contained(batch, config: ExperimentConfig, drawn: list) -> tuple[list, list
         parts = [_contained(batch, config, [(i, fresh[i]) for i, _ in part])
                  for part in (drawn[:half], drawn[half:])]
         if any(f for _, _, f in parts):
-            records = []
+            tables = []
         rows = [row for part, _, _ in parts for row in part]
-        records += [r for _, part, _ in parts for r in part]
-    return rows, records, failed
+        tables += [t for _, part, _ in parts for t in part]
+    return rows, tables, failed
 
 
 def _sweep(command: str, config: ExperimentConfig, batch,
            summary=lambda report, config, rows: None) -> VerificationReport:
-    """The report of ``batch(config, drawn)``, which returns the rows and records
-    of the drawn instances in instance order; ``summary(report, config, rows)``
+    """The report of ``batch(config, drawn)``, which returns the rows and record
+    tables of the drawn instances in instance order; ``summary(report, config, rows)``
     fills the command's tables and summary entries."""
     t0 = time.perf_counter()
     report = VerificationReport(command, config.to_dict())
     with np.errstate(all="ignore"):
-        rows, report.records, _ = _contained(batch, config, _instance_streams(config))
+        rows, report.record_tables, _ = _contained(batch, config, _instance_streams(config))
         summary(report, config, rows)
     report.summarize()
     report.timing = {"seconds": time.perf_counter() - t0}
@@ -93,12 +94,12 @@ def _sweep(command: str, config: ExperimentConfig, batch,
 
 
 def _identities(config: ExperimentConfig, drawn: list) -> tuple[list, list]:
-    """The identity-suite records of each instance, from one stack of terminals,
-    partners and second terminals."""
+    """The identity-suite record table of the instances, from one stack of
+    terminals, partners and second terminals."""
     x_term = _terminals(config, drawn)
     partner, y_term = partner_draws(config.filtration.algebra, [rng for _, rng in drawn])
     rows = identity_rows(config.filtration, x_term, partner, y_term)
-    return [], [r for records in by_instance(rows, [i for i, _ in drawn]) for r in records]
+    return [], [by_instance(rows, [i for i, _ in drawn])]
 
 
 def cmd_verify(config: ExperimentConfig) -> VerificationReport:
@@ -134,9 +135,9 @@ def _ratio_summary(report: VerificationReport, config: ExperimentConfig, rows) -
                 "q50": float(np.quantile(arr, 0.5)), "q90": float(np.quantile(arr, 0.9)),
             })
     report.summary["ratio_statistics"] = statistics
-    [finite] = ratio_checks(rows)
-    report.summary["all_finite"] = finite.passed
-    report.records.append(finite)
+    finite = ratio_checks(rows)
+    report.summary["all_finite"] = finite.all_passed
+    report.record_tables.append(finite)
 
 
 def cmd_ratios(config: ExperimentConfig) -> VerificationReport:
@@ -146,24 +147,25 @@ def cmd_ratios(config: ExperimentConfig) -> VerificationReport:
 
 
 def _certificates(config: ExperimentConfig, drawn: list) -> tuple[list, list]:
-    """The left and right certificate rows and records of each instance, from one
-    stacked martingale."""
+    """The left and right certificate rows of each instance and their record
+    table, from one stacked martingale."""
     instances, n = [i for i, _ in drawn], len(drawn)
     x = martingale_from_terminal(config.filtration, _terminals(config, drawn))
     eps = config.epsilon_value if config.epsilon_mode == "fixed" else \
         epsilon_from_percentile(x, config.epsilon_value)
     epsilon = np.broadcast_to(eps, (n,)).tolist()
-    sides = []
+    sides, checks = [], []
     for side in ("left", "right"):
         cert = kolmogorov_projection(x, eps, side)
-        checks, chain_min = kolmogorov_checks(cert)
-        sides.append((side, by_instance(checks, instances), [column.tolist() for column in (
+        side_checks, chain_min = kolmogorov_checks(cert)
+        checks += side_checks
+        sides.append((side, [column.tolist() for column in (
             cert.trace_defect, cert.trace_bound, cert.trace_bound - cert.trace_defect,
             trace(cert.projection.element).real, np.broadcast_to(chain_min, (n,)),
             *cert.sup_norms)]))
-    rows, out = [], []
+    rows = []
     for k, i in enumerate(instances):
-        for side, records, (defect, bound, slack, projection, chain, *sups) in sides:
+        for side, (defect, bound, slack, projection, chain, *sups) in sides:
             sup = max(s[k] for s in sups)
             rows.append({
                 "instance": i, "side": side, "epsilon": epsilon[k],
@@ -172,8 +174,7 @@ def _certificates(config: ExperimentConfig, drawn: list) -> tuple[list, list]:
                 "projection_trace": projection[k], "chain_min_eigenvalue": chain[k],
                 "seed": config.seed,
             })
-            out += records[k]
-    return rows, out
+    return rows, [by_instance(checks, instances)]
 
 
 def _slack_summary(report: VerificationReport, config: ExperimentConfig, rows) -> None:
@@ -192,7 +193,7 @@ def cmd_kolmogorov(config: ExperimentConfig) -> VerificationReport:
 
 def _refinements(config: ExperimentConfig, drawn: list) -> tuple[list, list]:
     """Per instance, a row (instance, decay rows, integrand bound, Segal
-    modulus), and its records, from one stacked martingale."""
+    modulus), and their record table, from one stacked martingale."""
     chain, instances = config.chain, [i for i, _ in drawn]
     column = lambda v: np.broadcast_to(v, (len(drawn),)).tolist()
     x = martingale_from_terminal(config.filtration, _terminals(config, drawn))
@@ -203,7 +204,7 @@ def _refinements(config: ExperimentConfig, drawn: list) -> tuple[list, list]:
     eps = epsilon_from_percentile(proc, 50.0)
     cert = kolmogorov_projection(proc, eps, "left")
     modulus = [(g, column(m)) for g, m in segal_modulus(proc, cert.projection, "left")]
-    records = by_instance(refine_checks(decay, [res for _, res in gaps], cert), instances)
+    table = by_instance(refine_checks(decay, [res for _, res in gaps], cert), instances)
     by_level = [(len(part), column(d), column(g)) for part, d, (g, _) in zip(chain, decay, gaps)]
     bound = column(integrand_bound(x))
     rows = [(i, [{"instance": i, "chain_level": lvl, "partition_size": size,
@@ -211,7 +212,7 @@ def _refinements(config: ExperimentConfig, drawn: list) -> tuple[list, list]:
                  for lvl, (size, d, g) in enumerate(by_level)],
              bound[k], [[g, m[k]] for g, m in modulus])
             for k, i in enumerate(instances)]
-    return rows, [r for rs in records for r in rs]
+    return rows, [table]
 
 
 def _refine_summary(report: VerificationReport, config: ExperimentConfig, rows) -> None:

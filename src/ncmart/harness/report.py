@@ -15,22 +15,27 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..tolerances import worst
-from .checks import CheckRecord
+from .checks import CheckRecord, RecordTable
 
 
 @dataclass
 class VerificationReport:
     command: str
     config: dict
-    records: list[CheckRecord] = field(default_factory=list)
+    record_tables: list[RecordTable] = field(default_factory=list)
     tables: dict = field(default_factory=dict)
     certificates: list = field(default_factory=list)
     summary: dict = field(default_factory=dict)
     timing: dict = field(default_factory=dict)
 
     @property
+    def records(self) -> list[CheckRecord]:
+        """Every record, table after table, made on demand."""
+        return [r for table in self.record_tables for r in table.records()]
+
+    @property
     def all_passed(self) -> bool:
-        return all(r.passed for r in self.records)
+        return all(table.all_passed for table in self.record_tables)
 
     def numeric_payload(self) -> dict:
         """Everything except timing; identical across identical seeded runs."""
@@ -51,23 +56,26 @@ class VerificationReport:
     def to_json(self) -> str:
         """The report as compact, strict JSON: a non-finite float (the
         ``inf`` residual of a contained instance, a NaN ratio) is written as
-        the string ``"inf"``, ``"-inf"`` or ``"nan"``."""
-        data = self.to_dict()
-        try:
-            return json.dumps(data, separators=(",", ":"), allow_nan=False)
-        except ValueError:
-            return json.dumps(_strict(data), separators=(",", ":"), allow_nan=False)
+        the string ``"inf"``, ``"-inf"`` or ``"nan"``.  The records array is
+        written from the tables, between the keys before and after it."""
+        head = _dumps({"command": self.command, "config": self.config, "summary": self.summary})
+        tail = _dumps({"tables": self.tables, "certificates": self.certificates,
+                       "timing": self.timing})
+        return f'{head[:-1]},"records":{_records_json(self.record_tables)},{tail[1:]}'
 
     def summarize(self) -> None:
-        """Aggregate per-check worst residuals and pass counts."""
-        by_check: dict[str, list[CheckRecord]] = {}
-        for r in self.records:
-            by_check.setdefault(r.check, []).append(r)
+        """Aggregate per-check worst residuals and pass counts, each check in
+        the order it first appears."""
+        by_check: dict[str, list] = {}
+        for table in self.record_tables:
+            for row, column in zip(table.rows, table.columns):
+                by_check.setdefault(row[0], []).append((row, column))
         self.summary["checks"] = {check: {
-            "formula": rs[0].formula, "tolerance": rs[0].tolerance,
-            "max_residual": worst(r.residual for r in rs), "count": len(rs),
-            "failures": sum(not r.passed for r in rs),
-        } for check, rs in by_check.items()}
+            "formula": columns[0][0][1], "tolerance": columns[0][0][2],
+            "max_residual": worst(r for _, column in columns for r in column),
+            "count": sum(len(column) for _, column in columns),
+            "failures": sum(not r <= tol for (_, _, tol), column in columns for r in column),
+        } for check, columns in by_check.items()}
         self.summary["all_passed"] = self.all_passed
 
     # -- output -----------------------------------------------------------
@@ -109,3 +117,31 @@ def _strict(obj):
     if isinstance(obj, (list, tuple)):
         return [_strict(value) for value in obj]
     return obj
+
+
+def _dumps(obj) -> str:
+    """obj as compact JSON, each non-finite float written as by :func:`_strict`."""
+    try:
+        return json.dumps(obj, separators=(",", ":"), allow_nan=False)
+    except ValueError:
+        return json.dumps(_strict(obj), separators=(",", ":"), allow_nan=False)
+
+
+_NON_FINITE = {"inf": '"inf"', "-inf": '"-inf"', "nan": '"nan"'}
+
+
+def _records_json(tables: list[RecordTable]) -> str:
+    """The records array of the tables, as :func:`_dumps` writes the record
+    dicts: one JSON prefix per row, and a float ``repr`` per residual."""
+    out = []
+    for table in tables:
+        cells = []
+        for (check, formula, tolerance), column in zip(table.rows, table.columns):
+            head = f'{{"check":{_dumps(check)},"formula":{_dumps(formula)},"residual":'
+            tail = f',"tolerance":{_dumps(tolerance)},"passed":'
+            cells.append([f'{head}{_NON_FINITE.get(text, text)}{tail}'
+                          f'{"true" if r <= tolerance else "false"}'
+                          for r, text in zip(column, map(repr, column))])
+        ends = [f',"instance":{instance}}}' for instance in table.instances]
+        out += [cell + end for end, row in zip(ends, zip(*cells)) for cell in row]
+    return f'[{",".join(out)}]'

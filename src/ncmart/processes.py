@@ -176,7 +176,10 @@ class AdaptedProcess:
 
 
 def martingale_from_terminal(filtration: Filtration, x_terminal: AlgElement) -> AdaptedProcess:
-    """Closed martingale X(t_k) = E_k(x); a martingale by the tower property."""
+    """Closed martingale X(t_k) = E_k(x); a martingale by the tower property.
+    A terminal (any element of a stack) with a non-finite entry is a DomainError."""
+    if not all(np.isfinite(b).all() for b in x_terminal.blocks):
+        raise DomainError("a martingale needs a finite terminal")
     values = [lv.expect(x_terminal) for lv in filtration.levels]
     return AdaptedProcess(filtration, values, validate=False)
 

@@ -44,8 +44,7 @@ def identity_run():
         rngs = nc.spawn_generators(1000 + combo_index, INSTANCES_PER_COMBO)
         x_term = nc.random_stack(filt.algebra, rngs)
         rows = identity_rows(filt, x_term, *partner_draws(filt.algebra, rngs))
-        for instance_records in by_instance(rows, list(range(instance, instance + len(rngs)))):
-            records.extend(instance_records)
+        records += by_instance(rows, list(range(instance, instance + len(rngs)))).records()
         instance += len(rngs)
     elapsed = time.perf_counter() - t0
     return {"records": records, "instances": instance, "elapsed": elapsed, "pool": pool}

@@ -18,7 +18,9 @@ from ncmart.harness import (ExperimentConfig, cmd_kolmogorov, cmd_ratios, cmd_re
 from ncmart.harness import commands
 from ncmart.harness.cli import main
 from ncmart.harness.config import MAX_ALGEBRA_DIM, MAX_INSTANCES
-from ncmart.harness.report import VerificationReport
+from ncmart.harness import checks
+from ncmart.harness.report import VerificationReport, _strict
+from ncmart.tolerances import worst
 from conftest import structures
 
 PINS = Path(__file__).parent / "data" / "payload_pins.json"
@@ -661,3 +663,101 @@ class TestPayloadPins:
         header = out.read_text().splitlines()[0]
         assert header == ("instance,side,epsilon,trace_defect,trace_bound,trace_slack,"
                           "max_sup_norm,sup_slack,projection_trace,chain_min_eigenvalue,seed")
+
+
+ESCAPED = ValueError('a "quoted" word, a back\\slash,\na newline and non-ASCII: é ≥ ∞')
+
+# Record tables whose writing needs care, each as the report would hold them.
+WRITER_CASES = {
+    "inf_residual": lambda: [checks.error_checks(nc.DomainError("not Hermitian"), 2)],
+    "nan_residual": lambda: [checks.by_instance(
+        [("a", "f", np.array([1e-12, math.nan, 1e-11]), 1e-10)], [0, 1, 2])],
+    "negative_zero": lambda: [checks.by_instance(
+        [("a", "f", -0.0, 1e-10), ("b", "f", np.array([-0.0, 0.0]), 0.0)], [0, 1])],
+    "integer_residual": lambda: [checks.by_instance(
+        [("a", "f", 0, 0.0), ("b", "f", np.array([0, 1]), 0.0)], [0, 1])],
+    "sweep_instance": lambda: [
+        checks.ratio_checks([{"bg_ratio": 1.0, "dual_doob_ratio": 2.0}]),
+        checks.ratio_checks([{"bg_ratio": math.nan, "dual_doob_ratio": 2.0}])],
+    "escaped_formula": lambda: [checks.error_checks(ESCAPED, 3)],
+    # as kolmogorov: the left rows, then the same checks for the right side
+    "repeated_checks": lambda: [
+        checks.by_instance([("a", "f", np.array([1e-12, 2e-9]), 1e-10),
+                            ("b", "g", -math.inf, 0.0),
+                            ("a", "f", np.array([3e-11, 1e-13]), 1e-10),
+                            ("b", "g", np.array([0.0, 1.0]), 0.0)], [4, 5]),
+        checks.by_instance([("a", "f", 5e-11, 1e-10)], [6])],
+}
+
+
+def record_summary(records):
+    """The per-check summary folded from the records one by one."""
+    by_check = {}
+    for r in records:
+        by_check.setdefault(r.check, []).append(r)
+    return {check: {"formula": rs[0].formula, "tolerance": rs[0].tolerance,
+                    "max_residual": worst(r.residual for r in rs), "count": len(rs),
+                    "failures": sum(not r.passed for r in rs)}
+            for check, rs in by_check.items()}
+
+
+def assert_written_as_its_dict(report):
+    """to_json() is byte for byte the strict compact dump of to_dict(), and the
+    summary is the fold of the records."""
+    dump = lambda data: json.dumps(_strict(data), separators=(",", ":"), allow_nan=False)
+    assert report.to_json() == dump(report.to_dict())
+    assert dump(report.summary["checks"]) == dump(record_summary(report.records))
+    assert report.all_passed is report.summary["all_passed"] \
+        is all(r.passed for r in report.records)
+
+
+class TestRecordWriter:
+    """The report writes its records from the record tables, as the strict
+    JSON dump of the record dicts would write them."""
+
+    @pytest.mark.parametrize("case", sorted(WRITER_CASES))
+    def test_edge_records(self, case):
+        report = VerificationReport("verify", {"seed": 0})
+        report.record_tables = WRITER_CASES[case]()
+        report.summarize()
+        report.timing = {"seconds": 0.25}
+        assert_written_as_its_dict(report)
+
+    def test_named_values(self):
+        texts = {}
+        for case, tables in WRITER_CASES.items():
+            report = VerificationReport("verify", {})
+            report.record_tables = tables()
+            texts[case] = report.to_json()
+        assert '"residual":"inf"' in texts["inf_residual"]
+        assert '"residual":"-inf"' in texts["repeated_checks"]
+        assert '"residual":"nan","tolerance":1e-10,"passed":false' in texts["nan_residual"]
+        assert '"residual":-0.0,"tolerance":1e-10,"passed":true' in texts["negative_zero"]
+        assert '"residual":0.0,"tolerance":0.0,"passed":true' in texts["integer_residual"]
+        assert '"residual":1.0,"tolerance":0.0,"passed":false' in texts["integer_residual"]
+        assert '"passed":true,"instance":-1}' in texts["sweep_instance"]
+        assert json.loads(texts["escaped_formula"])["records"][0]["formula"].endswith(
+            f"ValueError: {ESCAPED}")
+
+    def test_repeated_checks_keep_the_record_order(self):
+        report = VerificationReport("kolmogorov", {})
+        report.record_tables = WRITER_CASES["repeated_checks"]()
+        assert [(r.check, r.instance) for r in report.records] == [
+            ("a", 4), ("b", 4), ("a", 4), ("b", 4), ("a", 5), ("b", 5), ("a", 5), ("b", 5),
+            ("a", 6)]
+        report.summarize()
+        assert report.summary["checks"]["a"]["count"] == 5
+        assert report.summary["checks"]["a"]["failures"] == 1
+        assert report.summary["checks"]["b"]["failures"] == 1
+
+    @pytest.mark.parametrize("nan_instance", [None, 1])
+    @pytest.mark.parametrize("command", sorted(commands.COMMANDS))
+    def test_command_reports(self, monkeypatch, command, nan_instance):
+        real = commands._terminals
+        monkeypatch.setattr(commands, "_terminals", lambda config, drawn: real(config, drawn)
+                            * (math.nan if any(i == nan_instance for i, _ in drawn) else 1.0))
+        data = preset("m4-random")
+        data["instances"] = 3
+        report = commands.COMMANDS[command](load_config(data))
+        assert report.all_passed is (nan_instance is None)
+        assert_written_as_its_dict(report)

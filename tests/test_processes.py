@@ -110,6 +110,19 @@ class TestMartingaleGeneration:
     def test_generated_martingale_passes(self, m2_martingale):
         assert m2_martingale.martingale_residual() <= 1e-10
 
+    def test_non_finite_terminal_rejected(self, m2_chain, m2, m2_terminal):
+        # one element, and a stack in which only the middle element is NaN
+        for terminal in (nan_element(m2), nc.stack([m2_terminal, nan_element(m2), m2_terminal])):
+            with pytest.raises(nc.DomainError, match="finite terminal"):
+                nc.martingale_from_terminal(m2_chain, terminal)
+
+    def test_non_finite_entry_in_the_last_block_rejected(self, pool):
+        for _, filt in pool:
+            blocks = [np.zeros((n, n), dtype=complex) for n in filt.algebra.block_dims]
+            blocks[-1][-1, 0] = math.inf
+            with pytest.raises(nc.DomainError, match="finite terminal"):
+                nc.martingale_from_terminal(filt, filt.algebra.element(blocks))
+
 
 class TestMartingaleCheck:
     def test_non_martingale_detected(self, m2_chain, m2):

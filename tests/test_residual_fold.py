@@ -8,6 +8,8 @@ precondition gate or a LAPACK error, the term itself is stood in by NaN.
 import dataclasses
 import math
 
+import numpy as np
+
 import pytest
 
 import ncmart as nc
@@ -19,7 +21,7 @@ from conftest import nan_element, nan_on_call, nan_tolerant, single
 
 def as_records(rows):
     """The records of one instance from a check family's rows."""
-    return checks.by_instance(rows, [0])[0]
+    return checks.by_instance(rows, [0]).records()
 
 
 def nan_records(rows):
@@ -134,9 +136,9 @@ class TestDoobMeyerChecks:
 class TestSummary:
     def test_nan_residual_is_the_max_residual(self):
         report = VerificationReport("verify", {})
-        report.records = [checks.record("a", "", r, 1e-10, i)
-                          for i, r in enumerate((1e-12, math.nan, 1e-11))]
-        report.records.append(checks.record("b", "", 1e-12, 1e-10, 0))
+        report.record_tables = [
+            checks.by_instance([("a", "", np.array([1e-12, math.nan, 1e-11]), 1e-10)], [0, 1, 2]),
+            checks.by_instance([("b", "", 1e-12, 1e-10)], [0])]
         report.summarize()
         a, b = report.summary["checks"]["a"], report.summary["checks"]["b"]
         assert math.isnan(a["max_residual"])

@@ -58,7 +58,7 @@ def per_instance_report(config):
                 rows.append({"p": p, "instance": i, "bg_ratio": bg,
                              "dual_doob_ratio": dd, "seed": config.seed})
         except (nc.DomainError, np.linalg.LinAlgError) as exc:
-            records += [vars(r) for r in error_checks(exc, i)]
+            records += [vars(r) for r in error_checks(exc, i).records()]
     return rows, records
 
 
@@ -266,12 +266,21 @@ class TestContainmentInAStack:
         assert report.all_passed
         assert {r["instance"] for r in report.tables["ratios"]} == {0, 2, 3}
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow, run alone
     def test_lapack_failure_is_that_instance_s_record(self, config, monkeypatch):
+        # a finite terminal whose squares overflow; a NaN one stops at its gate
+        replace_terminal(monkeypatch, 3, lambda t: t * 1e300)
+        report = assert_sweep_matches_per_instance(config)
+        [rec] = [r for r in report.records if not r.passed]
+        assert (rec.check, rec.instance) == ("instance_completed", 3)
+        assert "LinAlgError: SVD did not converge" in rec.formula
+
+    def test_non_finite_terminal_is_that_instance_s_record(self, config, monkeypatch):
         replace_terminal(monkeypatch, 3, lambda t: t * math.nan)
         report = assert_sweep_matches_per_instance(config)
         [rec] = [r for r in report.records if not r.passed]
         assert (rec.check, rec.instance) == ("instance_completed", 3)
-        assert "LinAlgError" in rec.formula
+        assert "DomainError: a martingale needs a finite terminal" in rec.formula
         assert {r["instance"] for r in report.tables["ratios"]} == {0, 1, 2}
 
 
@@ -312,11 +321,9 @@ class TestEachInstanceWholeOrNotAtAll:
     per-instance runs."""
 
     @pytest.mark.parametrize("command, name, when", [
-        # by_instance(checks, instances) makes the records of the instances listed,
-        # once per side, left before right: instance k's left certificate and its
-        # records succeed before its right records fail
-        ("kolmogorov", "by_instance",
-         lambda calls, k: k in calls[-1][1] and len(calls) % 2 == 0),
+        # by_instance(checks, instances) makes the record table of the instances
+        # listed, once, after the certificates of both sides
+        ("kolmogorov", "by_instance", lambda calls, k: k in calls[-1][1]),
         # by_instance(checks, instances) makes the records of the instances listed,
         # after their decay rows, integral process and certificate
         ("refine", "by_instance", lambda calls, k: k in calls[-1][1])])
@@ -325,9 +332,9 @@ class TestEachInstanceWholeOrNotAtAll:
         k = 2
         calls = raise_for_instance(monkeypatch, name, k, when)
         report = commands.COMMANDS[command](config)
-        if command == "kolmogorov":  # the rerun of instance k alone got past its left side
+        if command == "kolmogorov":  # the rerun of instance k alone makes one table
             alone = [args[0] for args in calls if args[1] == [k]]
-            assert len(alone) == 2
+            assert len(alone) == 1
         [rec] = [r for r in report.records if r.instance == k]
         assert (rec.check, rec.passed) == ("instance_completed", False)
         assert "LinAlgError: eigenvalues did not converge" in rec.formula

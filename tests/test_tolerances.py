@@ -85,8 +85,10 @@ def callers(name):
 
 
 def test_one_record_path():
-    # every check family returns rows, and by_instance alone turns them into records
-    assert callers("record") == {("harness/checks.py", "by_instance")}
+    # every check family returns rows, by_instance alone turns them into a record
+    # table, and the table alone makes its records
+    assert callers("RecordTable") == {("harness/checks.py", "by_instance")}
+    assert callers("record") == {("harness/checks.py", "records")}
     assert callers("CheckRecord") == {("harness/checks.py", "record")}
 
 
