@@ -7,7 +7,8 @@ variation computed from the integral sums.  Their difference is surfaced
 through :func:`naturality_gap` rather than hidden; the naturality pairing
 and the trace identity behind uniqueness are exposed as numbers.  Every
 sum here folds its terms through :func:`ncmart.processes.partial_sums`
-and takes |X(t)|^2 from :meth:`AdaptedProcess.squares`.  Each
+and takes |X(t)|^2 and |dX_k|^2 from :meth:`AdaptedProcess.squares` and
+:meth:`AdaptedProcess.increment_squares`.  Each
 function also takes stacked processes (see :mod:`ncmart.algebra`), and its
 numbers and gates then act per element of the stack.
 """
@@ -37,7 +38,7 @@ class Decomposition:
 
 def quadratic_variation_sum(x: AdaptedProcess, partition: Iterable[int]) -> AlgElement:
     """sum_k |X(t_k) - X(t_{k-1})|^2 over consecutive partition points."""
-    return partial_sums(x.filtration.algebra, (abs2(dx) for dx in increments(x, partition)))[-1]
+    return partial_sums(x.filtration.algebra, x.increment_squares(partition))[-1]
 
 
 def bracket_via_integrals(x: AdaptedProcess, partition: Iterable[int]) -> AlgElement:
@@ -85,7 +86,7 @@ def doob_meyer_decompose(x: AdaptedProcess, variant: str = "predictable") -> Dec
         a = compensator(x)
     else:
         a = AdaptedProcess(x.filtration, partial_sums(
-            x.filtration.algebra, (abs2(dx) for dx in increments(x, full_partition(x)))))
+            x.filtration.algebra, x.increment_squares(full_partition(x))))
     m = AdaptedProcess(x.filtration, [s - av for s, av in zip(sq, a.values)], validate=False)
 
     residuals = {
@@ -129,7 +130,7 @@ def naturality_gap(x: AdaptedProcess, partition: Iterable[int]) -> tuple[float, 
     """
     idx = as_partition(len(x.values), partition)
     levels = x.filtration.levels
-    sqs = [abs2(dx) for dx in increments(x, idx)]
+    sqs = x.increment_squares(idx)
     terms = [sq - levels[i].expect(sq) for i, sq in zip(idx, sqs)]
     fourth = sum(trace(sq @ sq).real for sq in sqs)
     g = lp_norm(partial_sums(x.filtration.algebra, terms)[-1], 2)

@@ -96,25 +96,25 @@ def modulus(z):
     return np.hypot(z.real, z.imag)
 
 
-def conditional_expectation_checks(filtration: Filtration, x: AlgElement,
+def conditional_expectation_checks(x: AdaptedProcess, x_term: AlgElement,
                                    y: AlgElement) -> list[tuple]:
-    """Trace duality/preservation, tower, module, Schwarz, contraction, engines."""
-    levels = filtration.levels
-    rows = []  # per level: the worst term of each of the seven checks below
-    for k, level in enumerate(levels):
-        ex = level.expect(x)
+    """Trace duality/preservation, tower, module, Schwarz, contraction, engines of x_term
+    and y; E_t x_term, |E_t x_term|^2 and the tower residual come from the martingale x."""
+    xy, x2 = x_term @ y, abs2(x_term)
+    rows = []  # per level: the worst term of each of the six checks below
+    for level, ex, ex2 in zip(x.filtration.levels, x.values, x.squares()):
         a = level.expect(y)
-        b = level.expect(x @ y)
+        b = level.expect(xy)
         rows.append((
-            modulus(trace(ex @ y) - trace(x @ a)),
-            modulus(trace(ex) - trace(x)),
-            worst(lp_norm(levels[s].expect(ex) - levels[s].expect(x), 2) for s in range(k)),
-            lp_norm(level.expect(a @ x @ b) - a @ ex @ b, 2),
-            -min_eigenvalue(level.expect(abs2(x)) - abs2(ex), tol=LOEWNER_HERMITIAN_TOL),
-            worst(lp_norm(ex, p) - lp_norm(x, p) for p in (1.0, 2.0, 4.0, math.inf)),
-            lp_norm(ex - level.as_general().expect(x), 2) if level.kind != "general" else 0.0,
+            modulus(trace(ex @ y) - trace(x_term @ a)),
+            modulus(trace(ex) - trace(x_term)),
+            lp_norm(level.expect(a @ x_term @ b) - a @ ex @ b, 2),
+            -min_eigenvalue(level.expect(x2) - ex2, tol=LOEWNER_HERMITIAN_TOL),
+            worst(lp_norm(ex, p) - lp_norm(x_term, p) for p in (1.0, 2.0, 4.0, math.inf)),
+            lp_norm(ex - level.as_general().expect(x_term), 2) if level.kind != "general" else 0.0,
         ))
-    duality, preserve, tower, module, schwarz, contraction, engines = map(worst, zip(*rows))
+    duality, preserve, module, schwarz, contraction, engines = map(worst, zip(*rows))
+    tower = x.martingale_residual()
     return [
         ("trace_duality", "tau((E_t x) y) == tau(x E_t y)", duality, CHECK_TOL),
         ("trace_preservation", "tau(E_t x) == tau(x)", preserve, CHECK_TOL),
@@ -131,8 +131,7 @@ def conditional_expectation_checks(filtration: Filtration, x: AlgElement,
 def martingale_checks(x: AdaptedProcess) -> list[tuple]:
     levels = x.filtration.levels
     grid = full_partition(x)
-    dxs = increments(x, grid)
-    dsq, sq = [abs2(dx) for dx in dxs], x.squares()
+    dxs, dsq, sq = increments(x, grid), x.increment_squares(grid), x.squares()
 
     null_inc = worst(lp_norm(levels[k - 1].expect(dx), 2) for k, dx in enumerate(dxs, 1))
     proj_id = worst(
@@ -293,7 +292,7 @@ def identity_rows(filtration: Filtration, x_term: AlgElement, partner: AlgElemen
     each a stack over the instances (or one element)."""
     x = martingale_from_terminal(filtration, x_term)
     y = martingale_from_terminal(filtration, y_term)
-    return (conditional_expectation_checks(filtration, x_term, partner) + martingale_checks(x)
+    return (conditional_expectation_checks(x, x_term, partner) + martingale_checks(x)
             + integral_checks(x, y) + doob_meyer_checks(x, y, partner))
 
 
@@ -306,11 +305,11 @@ def error_checks(exc: Exception, instance: int) -> RecordTable:
         math.inf, CHECK_TOL_PREDICATE)], [instance])
 
 
-def ratio_checks(rows: list[dict]) -> RecordTable:
+def ratio_checks(ratios: np.ndarray | list[float]) -> RecordTable:
     """The one-row table of the ``ratios`` sweep (instance -1): every observed
     ratio is finite and nonnegative."""
-    valid = all(0.0 <= r[key] < math.inf
-                for r in rows for key in ("bg_ratio", "dual_doob_ratio"))
+    ratios = np.asarray(ratios, dtype=float)
+    valid = bool(np.all((ratios >= 0.0) & (ratios < math.inf)))  # NaN fails
     return by_instance([("ratios_finite", "every observed ratio is finite and nonnegative",
                          0.0 if valid else math.inf, CHECK_TOL_PREDICATE)], [-1])
 

@@ -2,13 +2,14 @@
 
 Each command is a batch function and a summary, run by one runner that
 gives every instance its own counter-based stream, calls the batch
-function once on all of them and keeps rows and records in instance order,
-so reports are deterministic.  Every batch function runs its instances as
-one stack: one stacked draw of terminals from the streams, one stacked
-martingale, each check family once, and one :func:`.checks.by_instance`
-call, whose record table holds the records of every instance (``kolmogorov``
-puts its left rows before its right ones).  Commands only compute; every
-pass/fail record comes from :mod:`.checks`.  On a numerical error (a failed
+function once on all of them and keeps row and record tables in instance
+order, so reports are deterministic.  Every batch function runs its instances
+as one stack: one stacked draw of terminals from the streams, one stacked
+martingale, each check family once, one :class:`.report.RowTable` of its rows
+made from the stacked arrays, and one :func:`.checks.by_instance` call, whose
+record table holds the records of every instance (``kolmogorov`` puts its
+left rows before its right ones).  Commands only compute; every pass/fail
+record comes from :mod:`.checks`.  On a numerical error (a failed
 precondition, an unadapted computed process, a LAPACK failure) the runner
 splits the stack in halves and reruns each on new streams, which draw that
 half only, down to the instance that fails alone:
@@ -33,7 +34,7 @@ from ..processes import full_partition, martingale_from_terminal, random_stack, 
 from .checks import (by_instance, error_checks, identity_rows, kolmogorov_checks,
                      partner_draws, ratio_checks, refine_checks)
 from .config import ExperimentConfig
-from .report import VerificationReport
+from .report import RowTable, VerificationReport, joined
 
 NUMERICAL_ERRORS = (DomainError, StructureError, np.linalg.LinAlgError)
 
@@ -80,9 +81,9 @@ def _contained(batch, config: ExperimentConfig, drawn: list) -> tuple[list, list
 
 def _sweep(command: str, config: ExperimentConfig, batch,
            summary=lambda report, config, rows: None) -> VerificationReport:
-    """The report of ``batch(config, drawn)``, which returns the rows and record
-    tables of the drawn instances in instance order; ``summary(report, config, rows)``
-    fills the command's tables and summary entries."""
+    """The report of ``batch(config, drawn)``, which returns the row tables and
+    record tables of the drawn instances in instance order; ``summary(report,
+    config, rows)`` joins the row tables and fills the command's summary entries."""
     t0 = time.perf_counter()
     report = VerificationReport(command, config.to_dict())
     with np.errstate(all="ignore"):
@@ -107,35 +108,41 @@ def cmd_verify(config: ExperimentConfig) -> VerificationReport:
     return _sweep("verify", config, _identities)
 
 
+def _instance_major(columns: list[list]) -> list:
+    """The entries of per-instance columns, instance by instance, each in column order."""
+    return [v for row in zip(*columns) for v in row]
+
+
 def _ratio_rows(config: ExperimentConfig, drawn: list) -> tuple[list, list]:
-    """The ratio rows of the drawn instances, in instance order, from one
-    stacked martingale; the sweep's one record comes from its summary."""
+    """The ratio rows of the drawn instances, p by p within each instance where
+    both ratios are defined, from one stacked martingale; the sweep's one
+    record comes from its summary."""
     x = martingale_from_terminal(config.filtration, _terminals(config, drawn))
     grid = full_partition(config.filtration)
-    table = [(p, *square_function_ratios(x, grid, p)) for p in config.p_values]
-    return [{"p": p, "instance": i, "bg_ratio": float(bg[k]),
-             "dual_doob_ratio": float(dd[k]), "seed": config.seed}
-            for k, (i, _) in enumerate(drawn)
-            for p, bg, dd, defined in table if defined[k]], []
+    bg, dd, defined = map(np.column_stack, zip(*(square_function_ratios(x, grid, p)
+                                                 for p in config.p_values)))
+    p, instance = np.broadcast_arrays(config.p_values, np.array([i for i, _ in drawn])[:, None])
+    return [RowTable.of(p=p[defined].tolist(), instance=instance[defined].tolist(),
+                        bg_ratio=bg[defined].tolist(), dual_doob_ratio=dd[defined].tolist(),
+                        seed=[config.seed] * int(defined.sum()))], []
 
 
 def _ratio_summary(report: VerificationReport, config: ExperimentConfig, rows) -> None:
-    report.tables["ratios"] = rows
-    report.tables["csv_table"] = "ratios"
+    report.csv_table, report.row_table = "ratios", joined(rows)
+    kinds = ("bg_ratio", "dual_doob_ratio")
+    ps = np.array(report.row_table.column("p"))
+    ratios = np.array([report.row_table.column(key) for key in kinds])
     statistics = []
     for p in config.p_values:
-        for key in ("bg_ratio", "dual_doob_ratio"):
-            vals = [r[key] for r in rows if r["p"] == p]
-            if not vals:
-                continue
-            arr = np.array(vals)
-            statistics.append({
-                "p": p, "ratio_kind": key, "instance_count": len(vals),
-                "mean": float(arr.mean()), "max": float(arr.max()),
-                "q50": float(np.quantile(arr, 0.5)), "q90": float(np.quantile(arr, 0.9)),
-            })
+        arr = ratios[:, ps == p]  # a repeated p pools its rows, in row order
+        if not arr.size:
+            continue
+        for key, values, q50, q90 in zip(kinds, arr, *np.quantile(arr, [0.5, 0.9], axis=1)):
+            statistics.append({"p": p, "ratio_kind": key, "instance_count": len(values),
+                               "mean": float(values.mean()), "max": float(values.max()),
+                               "q50": float(q50), "q90": float(q90)})
     report.summary["ratio_statistics"] = statistics
-    finite = ratio_checks(rows)
+    finite = ratio_checks(ratios)
     report.summary["all_finite"] = finite.all_passed
     report.record_tables.append(finite)
 
@@ -159,31 +166,26 @@ def _certificates(config: ExperimentConfig, drawn: list) -> tuple[list, list]:
         cert = kolmogorov_projection(x, eps, side)
         side_checks, chain_min = kolmogorov_checks(cert)
         checks += side_checks
-        sides.append((side, [column.tolist() for column in (
+        sup = [max(steps) for steps in zip(*(s.tolist() for s in cert.sup_norms))]
+        defect, bound, slack, projection, chain = (np.broadcast_to(c, (n,)).tolist() for c in (
             cert.trace_defect, cert.trace_bound, cert.trace_bound - cert.trace_defect,
-            trace(cert.projection.element).real, np.broadcast_to(chain_min, (n,)),
-            *cert.sup_norms)]))
-    rows = []
-    for k, i in enumerate(instances):
-        for side, (defect, bound, slack, projection, chain, *sups) in sides:
-            sup = max(s[k] for s in sups)
-            rows.append({
-                "instance": i, "side": side, "epsilon": epsilon[k],
-                "trace_defect": defect[k], "trace_bound": bound[k], "trace_slack": slack[k],
-                "max_sup_norm": sup, "sup_slack": epsilon[k] - sup,
-                "projection_trace": projection[k], "chain_min_eigenvalue": chain[k],
-                "seed": config.seed,
-            })
-    return rows, [by_instance(checks, instances)]
+            trace(cert.projection.element).real, chain_min))
+        sides.append(dict(
+            instance=instances, side=[side] * n, epsilon=epsilon, trace_defect=defect,
+            trace_bound=bound, trace_slack=slack, max_sup_norm=sup,
+            sup_slack=[e - s for e, s in zip(epsilon, sup)], projection_trace=projection,
+            chain_min_eigenvalue=chain, seed=[config.seed] * n))
+    left, right = sides  # instance by instance, the left row before the right
+    return [RowTable.of(**{key: _instance_major([left[key], right[key]]) for key in left})], \
+        [by_instance(checks, instances)]
 
 
 def _slack_summary(report: VerificationReport, config: ExperimentConfig, rows) -> None:
-    report.certificates = rows
-    report.tables["csv_table"] = "certificates"
-    slacks = np.array([r["trace_slack"] for r in rows])
-    report.summary["bound_slack"] = {"count": len(rows),
-                                     "min": float(slacks.min()) if rows else 0.0,
-                                     "mean": float(slacks.mean()) if rows else 0.0}
+    report.csv_table, report.row_table = "certificates", joined(rows)
+    slacks = np.array(report.row_table.column("trace_slack"))
+    report.summary["bound_slack"] = {"count": len(slacks),
+                                     "min": float(slacks.min()) if len(slacks) else 0.0,
+                                     "mean": float(slacks.mean()) if len(slacks) else 0.0}
 
 
 def cmd_kolmogorov(config: ExperimentConfig) -> VerificationReport:
@@ -192,35 +194,38 @@ def cmd_kolmogorov(config: ExperimentConfig) -> VerificationReport:
 
 
 def _refinements(config: ExperimentConfig, drawn: list) -> tuple[list, list]:
-    """Per instance, a row (instance, decay rows, integrand bound, Segal
-    modulus), and their record table, from one stacked martingale."""
-    chain, instances = config.chain, [i for i, _ in drawn]
-    column = lambda v: np.broadcast_to(v, (len(drawn),)).tolist()
+    """The decay rows (chain level inner) and (instance, integrand bound, Segal modulus)
+    of each drawn instance, and their record table, from one stacked martingale."""
+    chain, instances, n = config.chain, [i for i, _ in drawn], len(drawn)
+    column = lambda v: np.broadcast_to(v, (n,)).tolist()
     x = martingale_from_terminal(config.filtration, _terminals(config, drawn))
     decay = refinement_table(x, x, "left", chain)
-    gaps = [naturality_gap(x, part) for part in chain]
     # continuity diagnostics of the integral process; the modulus has no threshold
     proc = integral_process(x, x, "left")
     eps = epsilon_from_percentile(proc, 50.0)
     cert = kolmogorov_projection(proc, eps, "left")
     modulus = [(g, column(m)) for g, m in segal_modulus(proc, cert.projection, "left")]
+    # last: x keeps the squared increments of its full grid, off the certificate's peak
+    gaps = [naturality_gap(x, part) for part in chain]
     table = by_instance(refine_checks(decay, [res for _, res in gaps], cert), instances)
-    by_level = [(len(part), column(d), column(g)) for part, d, (g, _) in zip(chain, decay, gaps)]
+    levels = list(zip(chain, decay, gaps))
+    rows = RowTable.of(
+        instance=[i for i in instances for _ in levels], chain_level=list(range(len(levels))) * n,
+        partition_size=[len(part) for part, _, _ in levels] * n,
+        decay=_instance_major([column(d) for _, d, _ in levels]),
+        naturality_gap=_instance_major([column(g) for _, _, (g, _) in levels]),
+        seed=[config.seed] * (n * len(levels)))
     bound = column(integrand_bound(x))
-    rows = [(i, [{"instance": i, "chain_level": lvl, "partition_size": size,
-                  "decay": d[k], "naturality_gap": g[k], "seed": config.seed}
-                 for lvl, (size, d, g) in enumerate(by_level)],
-             bound[k], [[g, m[k]] for g, m in modulus])
-            for k, i in enumerate(instances)]
-    return rows, [table]
+    return [(rows, [(str(i), bound[k], [[g, m[k]] for g, m in modulus])
+                    for k, i in enumerate(instances)])], [table]
 
 
 def _refine_summary(report: VerificationReport, config: ExperimentConfig, rows) -> None:
-    report.tables["refinement"] = [row for _, table, _, _ in rows for row in table]
-    report.tables["csv_table"] = "refinement"
-    if rows:
-        report.summary["integrand_bound"] = {str(i): bound for i, _, bound, _ in rows}
-        report.summary["segal_modulus"] = {str(i): modulus for i, _, _, modulus in rows}
+    report.csv_table, report.row_table = "refinement", joined(table for table, _ in rows)
+    instances = [instance for _, batch in rows for instance in batch]
+    if instances:
+        report.summary["integrand_bound"] = {i: bound for i, bound, _ in instances}
+        report.summary["segal_modulus"] = {i: modulus for i, _, modulus in instances}
 
 
 def cmd_refine(config: ExperimentConfig) -> VerificationReport:

@@ -2,20 +2,46 @@
 
 The numeric payload of a report is deterministic for a fixed config and
 seed; wall-clock timing is kept in a separate top-level key so two runs
-can be compared byte for byte after dropping it.
+can be compared byte for byte after dropping it.  Records and sweep rows are
+kept as tables of columns; ``to_json`` writes them and their dicts are made on demand.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from ..tolerances import worst
 from .checks import CheckRecord, RecordTable
+
+
+class RowTable(NamedTuple):
+    """The rows of a sweep as columns: one list of Python values per field."""
+    fields: tuple[str, ...]
+    columns: list[list]
+
+    @classmethod
+    def of(cls, **columns: list) -> RowTable:
+        return cls(tuple(columns), list(columns.values()))
+
+    def column(self, name: str) -> list:  # empty in the empty join of no tables
+        return self.columns[self.fields.index(name)] if name in self.fields else []
+
+    def rows(self) -> list[dict]:
+        return [dict(zip(self.fields, row)) for row in zip(*self.columns)]
+
+
+def joined(tables) -> RowTable:
+    """The rows of the tables, table after table, as one table."""
+    tables = list(tables)
+    return RowTable(tables[0].fields if tables else (),
+                    [list(itertools.chain(*c)) for c in zip(*(t.columns for t in tables))])
 
 
 @dataclass
@@ -23,8 +49,8 @@ class VerificationReport:
     command: str
     config: dict
     record_tables: list[RecordTable] = field(default_factory=list)
-    tables: dict = field(default_factory=dict)
-    certificates: list = field(default_factory=list)
+    csv_table: str | None = None  # the name of row_table: a key of tables, or "certificates"
+    row_table: RowTable = RowTable((), [])
     summary: dict = field(default_factory=dict)
     timing: dict = field(default_factory=dict)
 
@@ -32,6 +58,17 @@ class VerificationReport:
     def records(self) -> list[CheckRecord]:
         """Every record, table after table, made on demand."""
         return [r for table in self.record_tables for r in table.records()]
+
+    @property
+    def tables(self) -> dict:
+        """The sweep's rows under its name, then ``csv_table``, made on demand."""
+        name = self.csv_table
+        rows = {} if name in (None, "certificates") else {name: self.row_table.rows()}
+        return {**rows, "csv_table": name} if name else {}
+
+    @property
+    def certificates(self) -> list[dict]:
+        return self.row_table.rows() if self.csv_table == "certificates" else []
 
     @property
     def all_passed(self) -> bool:
@@ -56,12 +93,17 @@ class VerificationReport:
     def to_json(self) -> str:
         """The report as compact, strict JSON: a non-finite float (the
         ``inf`` residual of a contained instance, a NaN ratio) is written as
-        the string ``"inf"``, ``"-inf"`` or ``"nan"``.  The records array is
-        written from the tables, between the keys before and after it."""
+        the string ``"inf"``, ``"-inf"`` or ``"nan"``.  The records and the
+        sweep's rows are written from their tables, between the keys around them."""
         head = _dumps({"command": self.command, "config": self.config, "summary": self.summary})
-        tail = _dumps({"tables": self.tables, "certificates": self.certificates,
-                       "timing": self.timing})
-        return f'{head[:-1]},"records":{_records_json(self.record_tables)},{tail[1:]}'
+        tables, certificates = "{}", "[]"
+        if self.csv_table == "certificates":
+            tables, certificates = '{"csv_table":"certificates"}', _rows_json(self.row_table)
+        elif self.csv_table is not None:
+            name = _dumps(self.csv_table)
+            tables = f'{{{name}:{_rows_json(self.row_table)},"csv_table":{name}}}'
+        return (f'{head[:-1]},"records":{_records_json(self.record_tables)},"tables":{tables},'
+                f'"certificates":{certificates},"timing":{_dumps(self.timing)}}}')
 
     def summarize(self) -> None:
         """Aggregate per-check worst residuals and pass counts, each check in
@@ -82,13 +124,7 @@ class VerificationReport:
 
     def csv_rows(self) -> tuple[list[str], list[dict]]:
         """The command's sweep table as (columns, rows) for CSV output."""
-        name = self.tables.get("csv_table")
-        if name == "certificates":
-            rows = self.certificates
-        elif name in self.tables:
-            rows = self.tables[name]
-        else:
-            rows = [dict(vars(r)) for r in self.records]
+        rows = self.row_table.rows() if self.csv_table else [dict(vars(r)) for r in self.records]
         if not rows:
             return [], []
         return list(rows[0].keys()), rows
@@ -128,6 +164,17 @@ def _dumps(obj) -> str:
 
 
 _NON_FINITE = {"inf": '"inf"', "-inf": '"-inf"', "nan": '"nan"'}
+
+
+def _rows_json(table: RowTable) -> str:
+    """The rows of the table, as :func:`_dumps` writes the row dicts: a template of the
+    field names filled with the ``repr`` of each number or the JSON of each string."""
+    template = "{%s}" % ",".join(_dumps(name).replace("%", "%%") + ":%s" for name in table.fields)
+    cells = [list(map({v: _dumps(v) for v in set(column)}.__getitem__, column))
+             if column and isinstance(column[0], str) else
+             [_NON_FINITE.get(text, text) for text in map(repr, column)]
+             for column in table.columns]
+    return "[%s]" % ",".join(map(template.__mod__, zip(*cells)))
 
 
 def _records_json(tables: list[RecordTable]) -> str:

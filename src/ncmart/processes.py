@@ -92,8 +92,8 @@ class AdaptedProcess:
     expectation within ``ADAPTED_TOL``, for every element of a stack.
     Supports pointwise linear arithmetic between processes on the same
     filtration and the pointwise adjoint.  A process
-    never changes, so its martingale residual, its squares and its square
-    sums are computed once and kept.
+    never changes, so its martingale residual, its squares, its squared
+    increments over the full grid and its square sums are computed once and kept.
     """
 
     def __init__(self, filtration: Filtration, values: Sequence[AlgElement],
@@ -114,6 +114,7 @@ class AdaptedProcess:
         self.values = values
         self._mart_residual: float | None = None
         self._squares: tuple[AlgElement, ...] | None = None
+        self._increment_squares: tuple[AlgElement, ...] | None = None
         self._square_sums: dict[tuple[int, ...], tuple[AlgElement, AlgElement]] = {}
 
     def _combine(self, other: "AdaptedProcess", op) -> "AdaptedProcess":
@@ -157,15 +158,21 @@ class AdaptedProcess:
             self._squares = tuple(abs2(v) for v in self.values)
         return self._squares
 
-    def square_sums(self, partition: Iterable[int]) -> tuple[AlgElement, AlgElement]:
-        """(sum_k |dX_k|^2, sum_k E_{k-1}|dX_k|^2) over the partition (cached).
+    def increment_squares(self, partition: Iterable[int]) -> tuple[AlgElement, ...]:
+        """|dX_k|^2 over the partition, kept only for the full grid, which checks reread."""
+        idx = as_partition(len(self.values), partition)
+        if len(idx) < len(self.values):
+            return tuple(abs2(dx) for dx in increments(self, idx))
+        if self._increment_squares is None:
+            self._increment_squares = tuple(abs2(dx) for dx in increments(self, idx))
+        return self._increment_squares
 
-        Both sums share the squared increments, so every increment is squared once.
-        """
+    def square_sums(self, partition: Iterable[int]) -> tuple[AlgElement, AlgElement]:
+        """(sum_k |dX_k|^2, sum_k E_{k-1}|dX_k|^2) over the partition (cached)."""
         idx = as_partition(len(self.values), partition)
         if idx not in self._square_sums:
             levels, algebra = self.filtration.levels, self.filtration.algebra
-            sqs = [abs2(dx) for dx in increments(self, idx)]
+            sqs = self.increment_squares(idx)
             self._square_sums[idx] = (
                 partial_sums(algebra, sqs)[-1],
                 partial_sums(algebra, (levels[i].expect(sq) for i, sq in zip(idx, sqs)))[-1])

@@ -1,7 +1,9 @@
 """Config validation, presets, commands, CLI surface, determinism, containment
 and pinned payloads."""
 
+import csv
 import dataclasses
+import io
 import json
 import math
 import warnings
@@ -677,8 +679,7 @@ WRITER_CASES = {
     "integer_residual": lambda: [checks.by_instance(
         [("a", "f", 0, 0.0), ("b", "f", np.array([0, 1]), 0.0)], [0, 1])],
     "sweep_instance": lambda: [
-        checks.ratio_checks([{"bg_ratio": 1.0, "dual_doob_ratio": 2.0}]),
-        checks.ratio_checks([{"bg_ratio": math.nan, "dual_doob_ratio": 2.0}])],
+        checks.ratio_checks([1.0, 2.0]), checks.ratio_checks([math.nan, 2.0])],
     "escaped_formula": lambda: [checks.error_checks(ESCAPED, 3)],
     # as kolmogorov: the left rows, then the same checks for the right side
     "repeated_checks": lambda: [
@@ -761,3 +762,166 @@ class TestRecordWriter:
         report = commands.COMMANDS[command](load_config(data))
         assert report.all_passed is (nan_instance is None)
         assert_written_as_its_dict(report)
+
+
+def scale_terminals(monkeypatch, factors):
+    """Scale the terminal of instance i by ``factors[i]`` (default 1), in every
+    stack that holds it: 0 makes every ratio of i undefined, NaN makes i fail."""
+    real = commands._terminals
+
+    def scaled(config, drawn):
+        stacked = real(config, drawn)
+        scale = np.array([factors.get(i, 1.0) for i, _ in drawn])[:, None, None]
+        return nc.AlgElement(stacked.algebra, [b * scale for b in stacked.blocks])
+    monkeypatch.setattr(commands, "_terminals", scaled)
+
+
+SPECIAL = np.array([math.nan, math.inf, -0.0])
+
+
+def special_cells(monkeypatch, command):
+    """Make a NaN, an inf and a -0.0 cell in the first float column of the
+    command's rows, over a stack of three instances."""
+    if command == "ratios":
+        real = commands.square_function_ratios
+        monkeypatch.setattr(commands, "square_function_ratios",
+                            lambda *args: (SPECIAL, *real(*args)[1:]))
+    elif command == "kolmogorov":
+        real = commands.kolmogorov_projection
+        monkeypatch.setattr(commands, "kolmogorov_projection", lambda *args: dataclasses.replace(
+            real(*args), trace_defect=SPECIAL))
+    else:
+        real = commands.refinement_table
+        monkeypatch.setattr(commands, "refinement_table",
+                            lambda *args: [SPECIAL, *real(*args)[1:]])
+
+
+# The column of each command's rows that special_cells fills.
+SPECIAL_COLUMN = {"ratios": "bg_ratio", "kolmogorov": "trace_defect", "refine": "decay"}
+
+
+def sweep_rows(report):
+    return report.certificates if report.command == "kolmogorov" else \
+        report.tables[report.tables["csv_table"]]
+
+
+def assert_csv_of_its_rows(report):
+    """render_csv() writes the rows of the report's dict, a header of their keys first."""
+    rows = sweep_rows(report)
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=list(rows[0]) if rows else [], lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
+    assert report.render_csv() == buf.getvalue()
+
+
+def library_certificates(config):
+    """(instance, side, trace defect, largest sup norm) of each instance alone,
+    through the library, the left certificate before the right."""
+    drawn = commands._instance_streams(config)
+    stacked = commands._terminals(config, drawn)
+    out = []
+    for k, (i, _) in enumerate(drawn):
+        term = nc.AlgElement(stacked.algebra, [b[k] for b in stacked.blocks])
+        x = nc.martingale_from_terminal(config.filtration, term)
+        eps = nc.epsilon_from_percentile(x, config.epsilon_value)
+        for side in ("left", "right"):
+            cert = nc.kolmogorov_projection(x, eps, side)
+            out.append((i, side, float(cert.trace_defect), float(max(cert.sup_norms))))
+    return out
+
+
+class TestRowWriter:
+    """The sweeps write their rows from the row table, as the strict JSON dump
+    and the CSV writer of the row dicts would write them, in instance order."""
+
+    @staticmethod
+    def config(instances=3, **overrides):
+        data = preset("m4-random")
+        data.update(instances=instances, **overrides)
+        return load_config(data)
+
+    @pytest.mark.parametrize("command", ["ratios", "kolmogorov", "refine"])
+    def test_nan_inf_and_negative_zero_cells(self, monkeypatch, command):
+        special_cells(monkeypatch, command)
+        report = commands.COMMANDS[command](self.config())
+        assert_written_as_its_dict(report)
+        assert_csv_of_its_rows(report)
+        text, key = report.to_json(), SPECIAL_COLUMN[command]
+        for cell in ('"nan"', '"inf"', "-0.0"):
+            assert f'"{key}":{cell},' in text
+
+    def test_every_ratio_undefined(self, monkeypatch):
+        scale_terminals(monkeypatch, {0: 0.0, 1: 0.0, 2: 0.0})
+        report = cmd_ratios(self.config())
+        assert report.tables == {"ratios": [], "csv_table": "ratios"}
+        assert report.summary["ratio_statistics"] == []
+        assert report.all_passed and report.summary["all_finite"]
+        assert report.render_csv() == "\n"
+        assert_written_as_its_dict(report)
+
+    def test_undefined_ratios_have_no_rows(self, monkeypatch):
+        scale_terminals(monkeypatch, {1: 0.0})
+        config = self.config()
+        report = cmd_ratios(config)
+        assert [(r["instance"], r["p"]) for r in report.tables["ratios"]] == \
+            [(i, p) for i in (0, 2) for p in config.p_values]
+        assert [s["instance_count"] for s in report.summary["ratio_statistics"]] == [2] * 6
+        assert_written_as_its_dict(report)
+        assert_csv_of_its_rows(report)
+
+    def test_certificates_are_left_then_right_per_instance(self):
+        config = self.config()
+        report = cmd_kolmogorov(config)
+        assert [(c["instance"], c["side"], c["trace_defect"], c["max_sup_norm"])
+                for c in report.certificates] == library_certificates(config)
+        assert report.tables == {"csv_table": "certificates"}
+        assert_csv_of_its_rows(report)
+
+    @pytest.mark.parametrize("command", ["ratios", "kolmogorov", "refine"])
+    def test_split_stack_keeps_the_halves_in_order(self, monkeypatch, command):
+        scale_terminals(monkeypatch, {1: math.nan})
+        report = commands.COMMANDS[command](self.config(instances=6))
+        rows = sweep_rows(report)
+        order = [r["instance"] for r in rows]
+        assert order == sorted(order) and set(order) == {0, 2, 3, 4, 5}
+        assert [r.instance for r in report.records if not r.passed] == [1]
+        assert_written_as_its_dict(report)
+        assert_csv_of_its_rows(report)
+
+    def test_a_repeated_p_pools_its_rows(self):
+        report = cmd_ratios(self.config(p_values=[3.0, 3.0]))
+        rows = report.tables["ratios"]
+        assert [(r["instance"], r["p"]) for r in rows] == [(i, 3.0) for i in range(3)
+                                                          for _ in range(2)]
+        statistics = report.summary["ratio_statistics"]
+        assert [(s["ratio_kind"], s["instance_count"]) for s in statistics] == \
+            [("bg_ratio", 6), ("dual_doob_ratio", 6)] * 2
+        for s in statistics:  # the statistics of the rows, one by one in row order
+            values = np.array([r[s["ratio_kind"]] for r in rows])
+            assert (s["mean"], s["max"], s["q50"], s["q90"]) == (
+                float(values.mean()), float(values.max()), float(np.quantile(values, 0.5)),
+                float(np.quantile(values, 0.9)))
+        assert_written_as_its_dict(report)
+        assert_csv_of_its_rows(report)
+
+
+def test_verify_squares_each_increment_once(monkeypatch):
+    # martingale_checks, quadratic_variation_sum, naturality_gap and the bracket
+    # decomposition all read the squared increments the process keeps
+    config = load_config(dict(preset("m4-random"), instances=3))
+    rngs = [rng for _, rng in commands._instance_streams(config)]
+    x_term = nc.random_stack(config.filtration.algebra, rngs)
+    partner, y_term = checks.partner_draws(config.filtration.algebra, rngs)
+    squared = []
+    for module in (nc.algebra, nc.processes, nc.doob_meyer, nc.inequalities, nc.integrals,
+                   checks):
+        if hasattr(module, "abs2"):
+            real = module.abs2
+            monkeypatch.setattr(module, "abs2", lambda v, real=real: (
+                squared.append(b"".join(b.tobytes() for b in v.blocks)), real(v))[1])
+    checks.identity_rows(config.filtration, x_term, partner, y_term)
+    x = nc.martingale_from_terminal(config.filtration, x_term)
+    dxs = nc.increments(x, nc.full_partition(x))
+    assert [squared.count(b"".join(b.tobytes() for b in dx.blocks)) for dx in dxs] == \
+        [1] * len(dxs)

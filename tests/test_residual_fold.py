@@ -49,13 +49,18 @@ class TestConditionalExpectationChecks:
            "schwarz_positivity", "norm_contraction", "engine_agreement"}
 
     def test_nan_partner(self, m2_chain, m2_terminal, m2):
-        rows = checks.conditional_expectation_checks(m2_chain, m2_terminal, nan_element(m2))
+        x = nc.martingale_from_terminal(m2_chain, m2_terminal)
+        rows = checks.conditional_expectation_checks(x, m2_terminal, nan_element(m2))
         assert nan_records(rows) == {"trace_duality", "module_property"}
 
     def test_nan_element(self, m2_chain, m2, partner, monkeypatch):
         nan_tolerant(monkeypatch, checks, "min_eigenvalue")
         nan_tolerant(monkeypatch, checks, "lp_norm")
-        rows = checks.conditional_expectation_checks(m2_chain, nan_element(m2), partner)
+        # E_t x of a NaN terminal, which martingale_from_terminal rejects
+        x = nan_element(m2)
+        ex = nc.AdaptedProcess(m2_chain, [level.expect(x) for level in m2_chain.levels],
+                               validate=False)
+        rows = checks.conditional_expectation_checks(ex, x, partner)
         assert nan_records(rows) == self.ALL
 
 
