@@ -1,10 +1,13 @@
-"""Print two sha256 per command x preset of the ncmart CLI.
+"""Print two sha256 per command x preset of the ncmart CLI, and one per
+library sweep that no preset runs.
 
 The first digest covers the JSON numeric payload (the report without its
 timing) and the CSV output of one direct command call at the preset's
 default seed and instance count.  The second runs the same preset through
 the command line, ``ncmart COMMAND --config FILE --out REPORT``, and
-covers the written report without its timing.  Run it in two checkouts
+covers the written report without its timing.  The last line covers the
+Chebyshev certificates of seeded positive elements of M_2 ... M_8 at the
+benchmark's 50 thresholds each.  Run it in two checkouts
 to show that a change leaves every payload byte-identical:
 
     python scripts/payload_digest.py > before.txt         # in the old checkout
@@ -24,13 +27,17 @@ import argparse
 import hashlib
 import itertools
 import json
+import math
 import os
 import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+import ncmart as nc  # noqa: E402
 from ncmart.harness.cli import main as cli_main  # noqa: E402
 from ncmart.harness.commands import COMMANDS  # noqa: E402
 from ncmart.harness.config import PRESETS, load_config, preset  # noqa: E402
@@ -57,8 +64,30 @@ def cli_digest(command: str, preset_name: str) -> str:
     return sha256(f"exit {code}\n" + json.dumps(report, indent=2))
 
 
+def chebyshev_digest() -> str:
+    """Every certificate's eta, trace value, trace bound, tail norm and
+    projection blocks, for ten seeded positive elements of each of M_2 ...
+    M_8, at 50 thresholds from ||x||/50 to 1.05 ||x|| as in the benchmark."""
+    h = hashlib.sha256()
+    for dim in range(2, 9):
+        for seed in range(10):
+            rng = np.random.Generator(np.random.Philox(seed))
+            x = nc.random_element(nc.TracialAlgebra([dim]), rng, "positive")
+            top = nc.lp_norm(x, math.inf)
+            for eta in np.linspace(top / 50.0, 1.05 * top, 50).tolist():
+                c = nc.chebyshev_projection(x, eta)
+                h.update(repr((c.eta, c.trace_value, c.trace_bound, c.tail_norm)).encode())
+                for block in c.projection.element.blocks:
+                    h.update(block.tobytes())
+    return h.hexdigest()
+
+
+LIBRARY_SWEEPS = {"chebyshev M_2..M_8": chebyshev_digest}
+
+
 def digest_lines():
-    """Every digest line, direct calls first, then the command-line runs."""
+    """Every digest line: direct calls, then the command-line runs, then the
+    library sweeps."""
     for command in COMMANDS:
         for preset_name in sorted(PRESETS):
             yield f"{digest(command, preset_name)}  {command} {preset_name}"
@@ -71,6 +100,8 @@ def digest_lines():
                     yield f"{cli_digest(command, preset_name)}  {command} --config {preset_name}"
         finally:
             os.chdir(cwd)
+    for name, sweep in LIBRARY_SWEEPS.items():
+        yield f"{sweep()}  {name}"
 
 
 def main(argv=None) -> int:

@@ -193,6 +193,14 @@ def cmd_kolmogorov(config: ExperimentConfig) -> VerificationReport:
     return _sweep("kolmogorov", config, _certificates, _slack_summary)
 
 
+def _integral_diagnostics(x) -> tuple:
+    """The certificate and Segal modulus (no threshold) of x's integral
+    process, which is freed on return, before the naturality gaps."""
+    proc = integral_process(x, x, "left")
+    cert = kolmogorov_projection(proc, epsilon_from_percentile(proc, 50.0), "left")
+    return cert, segal_modulus(proc, cert.projection, "left")
+
+
 def _refinements(config: ExperimentConfig, drawn: list) -> tuple[list, list]:
     """The decay rows (chain level inner) and (instance, integrand bound, Segal modulus)
     of each drawn instance, and their record table, from one stacked martingale."""
@@ -200,11 +208,7 @@ def _refinements(config: ExperimentConfig, drawn: list) -> tuple[list, list]:
     column = lambda v: np.broadcast_to(v, (n,)).tolist()
     x = martingale_from_terminal(config.filtration, _terminals(config, drawn))
     decay = refinement_table(x, x, "left", chain)
-    # continuity diagnostics of the integral process; the modulus has no threshold
-    proc = integral_process(x, x, "left")
-    eps = epsilon_from_percentile(proc, 50.0)
-    cert = kolmogorov_projection(proc, eps, "left")
-    modulus = [(g, column(m)) for g, m in segal_modulus(proc, cert.projection, "left")]
+    cert, modulus = _integral_diagnostics(x)
     # last: x keeps the squared increments of its full grid, off the certificate's peak
     gaps = [naturality_gap(x, part) for part in chain]
     table = by_instance(refine_checks(decay, [res for _, res in gaps], cert), instances)
@@ -216,6 +220,7 @@ def _refinements(config: ExperimentConfig, drawn: list) -> tuple[list, list]:
         naturality_gap=_instance_major([column(g) for _, _, (g, _) in levels]),
         seed=[config.seed] * (n * len(levels)))
     bound = column(integrand_bound(x))
+    modulus = [(g, column(m)) for g, m in modulus]
     return [(rows, [(str(i), bound[k], [[g, m[k]] for g, m in modulus])
                     for k, i in enumerate(instances)])], [table]
 

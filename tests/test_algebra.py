@@ -328,3 +328,77 @@ class TestSpectralMemo:
         for name in ("blocks", "algebra", "_spectral"):
             with pytest.raises(AttributeError):
                 setattr(x, name, None)
+
+
+class TestProjectionMemo:
+    """A spectral projection is memoized per selection pattern on its element,
+    and a projection's complement on the projection's element."""
+
+    @staticmethod
+    def gaps(h):
+        """The pairs of consecutive distinct eigenvalues of h, over all blocks."""
+        eigs = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in h.blocks]))
+        return [(a, b) for a, b in zip(eigs, eigs[1:]) if b - a > 1e-6]
+
+    def test_cuts_with_one_pattern_share_one_projection(self, m23):
+        h = rand(m23, 30, "positive")
+        lo, hi = self.gaps(h)[1]
+        e = nc.spectral_projection(h, (lo + 0.25 * (hi - lo), math.inf))
+        assert nc.spectral_projection(h, (lo + 0.75 * (hi - lo), math.inf)) is e
+        assert nc.spectral_projection(h, (hi - 1e-3 * (hi - lo), 1e6)) is e
+
+    def test_cuts_with_other_patterns_do_not(self, m23):
+        h = rand(m23, 31, "positive")
+        projections = [nc.spectral_projection(h, ((lo + hi) / 2, math.inf))
+                       for lo, hi in self.gaps(h)]
+        assert len(projections) == 4
+        assert len({id(e) for e in projections}) == len(projections)
+        traces = [nc.trace(e.element).real for e in projections]
+        assert traces == sorted(traces, reverse=True) and len(set(traces)) == len(traces)
+
+    def test_complement_is_one_object_equal_to_one_minus_e(self, m23):
+        e = nc.spectral_projection(rand(m23, 32, "positive"), (1.0, math.inf))
+        c = e.complement()
+        assert e.complement() is c
+        want = m23.identity() - e.element
+        assert all(np.array_equal(a, b) for a, b in zip(c.element.blocks, want.blocks))
+
+    def test_certificates_after_other_thresholds_equal_fresh_ones(self, m23):
+        x = rand(m23, 33, "positive")
+        top = nc.lp_norm(x, math.inf)
+        for eta in np.linspace(top / 50.0, 1.05 * top, 50).tolist():
+            swept = nc.chebyshev_projection(x, eta)
+            fresh = nc.chebyshev_projection(m23.element(x.blocks), eta)
+            assert (swept.eta, swept.trace_value, swept.trace_bound, swept.tail_norm) == \
+                (fresh.eta, fresh.trace_value, fresh.trace_bound, fresh.tail_norm)
+            for a, b in zip(swept.projection.element.blocks, fresh.projection.element.blocks):
+                assert np.array_equal(a, b)
+
+    def test_stacked_projections_after_other_cuts_equal_fresh_ones(self, m23):
+        h = nc.stack([rand(m23, 40 + k, "positive") for k in range(6)])
+        top = nc.lp_norm(h, math.inf)
+        for scale in np.linspace(0.02, 1.05, 50).tolist():
+            cut = top * scale
+            swept = nc.spectral_projection(h, (0.0, cut))
+            fresh = nc.spectral_projection(m23.element(h.blocks), (0.0, cut))
+            for e, f in ((swept, fresh), (swept.complement(), fresh.complement())):
+                assert all(np.array_equal(a, b)
+                           for a, b in zip(e.element.blocks, f.element.blocks))
+        assert nc.spectral_projection(h, (0.0, cut)) is swept
+
+    def test_preconditions_still_raise_on_a_second_call(self, m23):
+        h = rand(m23, 34, "positive")
+        nc.spectral_projection(h, (1.0, math.inf))
+        stacked = nc.stack([h, h])
+        nc.spectral_projection(stacked, (0.0, np.array([1.0, 2.0])))
+        for _ in range(2):
+            with pytest.raises(nc.DomainError, match="empty interval"):
+                nc.spectral_projection(h, (1.0, 1.0))
+            with pytest.raises(nc.DomainError, match="empty interval"):
+                nc.spectral_projection(stacked, (0.0, np.array([1.0, 0.0])))
+        # a gate this loose memoizes the eigendecomposition; the projection's gate still fails
+        x = m23.element([np.array([[0, 1], [0, 0]]), np.eye(3)])
+        nc.min_eigenvalue(x, 10.0)
+        for _ in range(2):
+            with pytest.raises(nc.DomainError, match="not Hermitian"):
+                nc.spectral_projection(x, (0.0, math.inf))

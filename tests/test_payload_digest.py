@@ -17,6 +17,7 @@ def digest(monkeypatch):
     spec.loader.exec_module(module)
     monkeypatch.setattr(module, "COMMANDS", {"ratios": module.COMMANDS["ratios"]})
     monkeypatch.setattr(module, "PRESETS", ["m2-worked-example"])
+    monkeypatch.setattr(module, "LIBRARY_SWEEPS", {})
     return module
 
 
