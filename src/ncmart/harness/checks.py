@@ -10,7 +10,7 @@ variation, the cross variation against its expansion and polarization),
 the routes other than the operation's are computed here.  Formula strings
 describe the identity itself so a failing record is self-explanatory.
 :func:`by_instance` alone turns rows into a :class:`RecordTable`, the
-records of a batch of instances as one residual column per row, and
+records of a batch as one residual and one verdict column per row, and
 :meth:`RecordTable.records` alone makes :class:`CheckRecord` objects from
 it, on demand: :func:`identity_rows` is the identity suite behind
 ``verify``, run on a stack of all instances, :func:`kolmogorov_checks` and
@@ -54,39 +54,43 @@ class CheckRecord:
     instance: int
 
 
-def record(check: str, formula: str, residual: float, tolerance: float,
+def record(check: str, formula: str, residual: float, tolerance: float, passed: bool,
            instance: int) -> CheckRecord:
-    residual = float(residual)
-    return CheckRecord(check, formula, residual, tolerance, residual <= tolerance, instance)
+    return CheckRecord(check, formula, residual, tolerance, passed, instance)
 
 
 class RecordTable(NamedTuple):
     """The records of a batch: one ``(check, formula, tolerance)`` row per
-    check, one column of float residuals per row, over the instances.  Its
-    records run instance by instance, each in row order."""
+    check, one column of float residuals and one of verdicts per row, over the
+    instances.  Its records run instance by instance, each in row order."""
     rows: list[tuple[str, str, float]]
     columns: list[list[float]]
+    verdicts: list[list[bool]]
     instances: list[int]
 
     @property
     def all_passed(self) -> bool:
-        return all(r <= tolerance for (_, _, tolerance), column in zip(self.rows, self.columns)
-                   for r in column)
+        return all(map(all, self.verdicts))
 
     def records(self) -> list[CheckRecord]:
-        return [record(check, formula, column[k], tolerance, instance)
+        return [record(check, formula, column[k], tolerance, verdict[k], instance)
                 for k, instance in enumerate(self.instances)
-                for (check, formula, tolerance), column in zip(self.rows, self.columns)]
+                for (check, formula, tolerance), column, verdict
+                in zip(self.rows, self.columns, self.verdicts)]
 
 
 def by_instance(checks: list[tuple], instances: list[int]) -> RecordTable:
     """The record table of the instances, from ``(check, formula, residual, tolerance)``
-    rows whose residual is an array over the instances or a number for all of them."""
+    rows whose residual is an array over the instances or a number for all of them.
+    The one judgement of every record is made here: a residual passes when it is at
+    most its tolerance, so a NaN residual fails."""
     n = len(instances)
+    columns = [np.broadcast_to(np.asarray(residual, dtype=float), (n,)).tolist()
+               for _, _, residual, _ in checks]
     return RecordTable(
         [(check, formula, tolerance) for check, formula, _, tolerance in checks],
-        [np.broadcast_to(np.asarray(residual, dtype=float), (n,)).tolist()
-         for _, _, residual, _ in checks],
+        columns,
+        [[r <= tolerance for r in column] for (*_, tolerance), column in zip(checks, columns)],
         list(instances))
 
 

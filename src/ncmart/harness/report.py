@@ -110,32 +110,26 @@ class VerificationReport:
         the order it first appears."""
         by_check: dict[str, list] = {}
         for table in self.record_tables:
-            for row, column in zip(table.rows, table.columns):
-                by_check.setdefault(row[0], []).append((row, column))
+            for row, column, verdict in zip(table.rows, table.columns, table.verdicts):
+                by_check.setdefault(row[0], []).append((row, column, verdict))
         self.summary["checks"] = {check: {
-            "formula": columns[0][0][1], "tolerance": columns[0][0][2],
-            "max_residual": worst(r for _, column in columns for r in column),
-            "count": sum(len(column) for _, column in columns),
-            "failures": sum(not r <= tol for (_, _, tol), column in columns for r in column),
-        } for check, columns in by_check.items()}
+            "formula": rows[0][0][1], "tolerance": rows[0][0][2],
+            "max_residual": worst(r for _, column, _ in rows for r in column),
+            "count": sum(len(column) for _, column, _ in rows),
+            "failures": sum(verdict.count(False) for *_, verdict in rows),
+        } for check, rows in by_check.items()}
         self.summary["all_passed"] = self.all_passed
 
     # -- output -----------------------------------------------------------
 
-    def csv_rows(self) -> tuple[list[str], list[dict]]:
-        """The command's sweep table as (columns, rows) for CSV output."""
-        rows = self.row_table.rows() if self.csv_table else [dict(vars(r)) for r in self.records]
-        if not rows:
-            return [], []
-        return list(rows[0].keys()), rows
-
     def render_csv(self) -> str:
-        columns, rows = self.csv_rows()
+        """The command's sweep table, or else its records, as CSV."""
+        rows = self.row_table.rows() if self.csv_table else [dict(vars(r)) for r in self.records]
         buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=columns, lineterminator="\n")
+        writer = csv.DictWriter(buf, fieldnames=list(rows[0]) if rows else [],
+                                lineterminator="\n")
         writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
         return buf.getvalue()
 
     def write(self, path: str | Path, fmt: str = "json") -> None:
@@ -179,16 +173,17 @@ def _rows_json(table: RowTable) -> str:
 
 def _records_json(tables: list[RecordTable]) -> str:
     """The records array of the tables, as :func:`_dumps` writes the record
-    dicts: one JSON prefix per row, and a float ``repr`` per residual."""
+    dicts: one JSON prefix per row, a float ``repr`` per residual and its verdict."""
     out = []
     for table in tables:
         cells = []
-        for (check, formula, tolerance), column in zip(table.rows, table.columns):
+        for (check, formula, tolerance), column, verdict in zip(table.rows, table.columns,
+                                                                 table.verdicts):
             head = f'{{"check":{_dumps(check)},"formula":{_dumps(formula)},"residual":'
             tail = f',"tolerance":{_dumps(tolerance)},"passed":'
             cells.append([f'{head}{_NON_FINITE.get(text, text)}{tail}'
-                          f'{"true" if r <= tolerance else "false"}'
-                          for r, text in zip(column, map(repr, column))])
+                          f'{"true" if passed else "false"}'
+                          for text, passed in zip(map(repr, column), verdict)])
         ends = [f',"instance":{instance}}}' for instance in table.instances]
         out += [cell + end for end, row in zip(ends, zip(*cells)) for cell in row]
     return f'[{",".join(out)}]'

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .algebra import AlgElement, TracialAlgebra, abs2, lp_norm, min_eigenvalue
+from .algebra import AlgElement, TracialAlgebra, _adj, abs2, lp_norm, min_eigenvalue
 from .conditional import SubalgebraLevel
 from .errors import DomainError, StructureError
 from .tolerances import ADAPTED_TOL, LOEWNER_HERMITIAN_TOL, MARTINGALE_TOL, worst
@@ -321,7 +321,6 @@ def random_stack(algebra: TracialAlgebra, rngs: Sequence[np.random.Generator],
     """
     if kind not in RANDOM_KINDS:
         raise DomainError(f"unknown random kind {kind!r}")
-    adj = lambda m: m.conj().swapaxes(-1, -2)
     blocks = []
     for n in algebra.block_dims:
         buf, ranks = np.empty((len(rngs), 2 * n * n)), []
@@ -334,15 +333,15 @@ def random_stack(algebra: TracialAlgebra, rngs: Sequence[np.random.Generator],
         if kind == "general":
             blocks.append(g)
         elif kind == "hermitian":
-            blocks.append((g + adj(g)) / 2.0)
+            blocks.append((g + _adj(g)) / 2.0)
         elif kind == "positive":
             # BLAS does not guarantee bitwise conjugate symmetry of g* g
-            h = adj(g) @ g
-            blocks.append((h + adj(h)) / 2.0)
+            h = _adj(g) @ g
+            blocks.append((h + _adj(h)) / 2.0)
         else:
             q, _ = np.linalg.qr(g)
             p = np.stack([m[:, :r] @ m[:, :r].conj().T for m, r in zip(q, ranks)])
-            blocks.append((p + adj(p)) / 2.0)
+            blocks.append((p + _adj(p)) / 2.0)
     return AlgElement(algebra, blocks)
 
 

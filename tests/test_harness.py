@@ -692,24 +692,28 @@ WRITER_CASES = {
 
 
 def record_summary(records):
-    """The per-check summary folded from the records one by one."""
+    """The per-check summary folded from the records one by one, each verdict
+    judged again from the record's residual and tolerance."""
     by_check = {}
     for r in records:
         by_check.setdefault(r.check, []).append(r)
     return {check: {"formula": rs[0].formula, "tolerance": rs[0].tolerance,
                     "max_residual": worst(r.residual for r in rs), "count": len(rs),
-                    "failures": sum(not r.passed for r in rs)}
+                    "failures": sum(not r.residual <= r.tolerance for r in rs)}
             for check, rs in by_check.items()}
 
 
 def assert_written_as_its_dict(report):
-    """to_json() is byte for byte the strict compact dump of to_dict(), and the
-    summary is the fold of the records."""
+    """to_json() is byte for byte the strict compact dump of to_dict(), the
+    summary is the fold of the records, and every verdict, written or summed,
+    is the one judged again from its residual and tolerance."""
     dump = lambda data: json.dumps(_strict(data), separators=(",", ":"), allow_nan=False)
+    records = report.records
     assert report.to_json() == dump(report.to_dict())
-    assert dump(report.summary["checks"]) == dump(record_summary(report.records))
+    assert [r.passed for r in records] == [r.residual <= r.tolerance for r in records]
+    assert dump(report.summary["checks"]) == dump(record_summary(records))
     assert report.all_passed is report.summary["all_passed"] \
-        is all(r.passed for r in report.records)
+        is all(r.residual <= r.tolerance for r in records)
 
 
 class TestRecordWriter:

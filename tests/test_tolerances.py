@@ -92,6 +92,17 @@ def test_one_record_path():
     assert callers("CheckRecord") == {("harness/checks.py", "record")}
 
 
+def test_one_verdict():
+    # by_instance alone compares a residual with its tolerance; the records, the
+    # summary, the JSON writer and all_passed read the verdicts it makes
+    def judges(node):
+        return isinstance(node, ast.Compare) and any(
+            getattr(operand, "id", getattr(operand, "attr", None)) in ("tolerance", "tol")
+            for operand in (node.left, *node.comparators))
+    assert [(module, owner) for module, owner, _ in sorted(sites(judges))
+            if module.startswith("harness/")] == [("harness/checks.py", "by_instance")]
+
+
 def test_one_fold_of_elements():
     # every discrete stochastic sum starts from zero in partial_sums and nowhere else
     assert callers("zero") == {("processes.py", "partial_sums")}
