@@ -17,7 +17,7 @@ from pathlib import Path
 
 from ..errors import ConfigError
 from .commands import COMMANDS
-from .config import PRESETS, load_config, preset, read_config
+from .config import LAYOUT, PRESETS, load_config, preset, read_config
 
 
 @functools.cache  # parse_args leaves the parser as it was
@@ -79,9 +79,10 @@ def check_output_path(path: str | None) -> None:
         return
     target = Path(path)
     if target.is_dir():
-        raise ConfigError(f"{path!r} is a directory", "output.path")
+        raise ConfigError(f"{path!r} is a directory", LAYOUT["output_path"])
     if not target.parent.is_dir():
-        raise ConfigError(f"directory {str(target.parent)!r} does not exist", "output.path")
+        raise ConfigError(f"directory {str(target.parent)!r} does not exist",
+                          LAYOUT["output_path"])
 
 
 def main(argv=None) -> int:
@@ -97,11 +98,10 @@ def main(argv=None) -> int:
         try:
             report.write(config.output_path, config.output_format)
         except OSError as exc:
-            print(f"config error: output.path: {exc}", file=sys.stderr)
+            print(f"config error: {LAYOUT['output_path']}: {exc}", file=sys.stderr)
             return 2
     else:
-        text = report.to_json() if config.output_format == "json" else report.render_csv()
-        print(text)
+        sys.stdout.write(report.render(config.output_format))
     if not report.all_passed:
         for r in [r for r in report.records if not r.passed][:10]:
             print(f"FAIL {r.check} (instance {r.instance}): residual {r.residual:.3e} "

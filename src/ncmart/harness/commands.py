@@ -10,7 +10,8 @@ made from the stacked arrays, and one :func:`.checks.by_instance` call, whose
 record table holds the records of every instance (``kolmogorov`` puts its
 left rows before its right ones).  Commands only compute; every pass/fail
 record comes from :mod:`.checks`.  On a numerical error (a failed
-precondition, an unadapted computed process, a LAPACK failure) the runner
+precondition, an unadapted computed process, a Gram basis that reads as
+dependent, a LAPACK failure) the runner
 splits the stack in halves and reruns each on new streams, which draw that
 half only, down to the instance that fails alone:
 that one reports only its failing ``instance_completed`` record, and every
@@ -26,17 +27,18 @@ import numpy as np
 
 from ..algebra import AlgElement, stack, trace
 from ..doob_meyer import naturality_gap
-from ..errors import DomainError, StructureError
+from ..errors import DomainError, IllConditionedBasisError, StructureError
 from ..inequalities import (epsilon_from_percentile, kolmogorov_projection, segal_modulus,
                             square_function_ratios)
 from ..integrals import integral_process, integrand_bound, refinement_table
 from ..processes import full_partition, martingale_from_terminal, random_stack, spawn_generators
+from ..tolerances import worst
 from .checks import (by_instance, error_checks, identity_rows, kolmogorov_checks,
                      partner_draws, ratio_checks, refine_checks)
 from .config import ExperimentConfig
 from .report import RowTable, VerificationReport, joined
 
-NUMERICAL_ERRORS = (DomainError, StructureError, np.linalg.LinAlgError)
+NUMERICAL_ERRORS = (DomainError, StructureError, IllConditionedBasisError, np.linalg.LinAlgError)
 
 
 def _instance_streams(config: ExperimentConfig) -> list:
@@ -166,7 +168,7 @@ def _certificates(config: ExperimentConfig, drawn: list) -> tuple[list, list]:
         cert = kolmogorov_projection(x, eps, side)
         side_checks, chain_min = kolmogorov_checks(cert)
         checks += side_checks
-        sup = [max(steps) for steps in zip(*(s.tolist() for s in cert.sup_norms))]
+        sup = np.broadcast_to(worst(cert.sup_norms), (n,)).tolist()  # NaN if any step is
         defect, bound, slack, projection, chain = (np.broadcast_to(c, (n,)).tolist() for c in (
             cert.trace_defect, cert.trace_bound, cert.trace_bound - cert.trace_defect,
             trace(cert.projection.element).real, chain_min))

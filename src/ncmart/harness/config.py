@@ -35,6 +35,16 @@ TERMINAL_KINDS = ("random", "fixed")
 MAX_INSTANCES = 10_000
 MAX_ALGEBRA_DIM = 256  # the complex dimension sum(n_b^2): M_16, or sixteen M_4 blocks
 
+# The JSON layout: the dotted key path of each ExperimentConfig init field, in field
+# order.  load_config reads each field there, to_dict writes it there, and each
+# field error is named by it.
+LAYOUT = {"block_dims": "algebra.block_dims", "block_weights": "algebra.block_weights",
+          "times": "times", "levels": "levels", "seed": "seed", "instances": "instances",
+          "p_values": "p_values",
+          "epsilon_mode": "epsilon.mode", "epsilon_value": "epsilon.value",
+          "partition_chain": "partition_chain", "terminal": "terminal",
+          "output_path": "output.path", "output_format": "output.format"}
+
 
 def _at(path: str, build, *args):
     """``build(*args)``; a TypeError, ValueError or OverflowError it raises (the
@@ -125,39 +135,40 @@ class ExperimentConfig:
 
     def __post_init__(self):
         # every field rule comes before anything is built, the caps first
-        dims = _each("algebra.block_dims", self.block_dims, _integer)
+        dims = _each(LAYOUT["block_dims"], self.block_dims, _integer)
         if sum(n * n for n in dims if n > 0) > MAX_ALGEBRA_DIM:
             raise ConfigError(f"the algebra's dimension sum(n^2) must be at most "
-                              f"{MAX_ALGEBRA_DIM}", "algebra.block_dims")
-        instances = _at("instances", _integer, self.instances, 1, MAX_INSTANCES)
+                              f"{MAX_ALGEBRA_DIM}", LAYOUT["block_dims"])
+        instances = _at(LAYOUT["instances"], _integer, self.instances, 1, MAX_INSTANCES)
         weights = self.block_weights
         if weights is not None:
-            weights = _each("algebra.block_weights", weights, _number)
-        p_values = _each("p_values", self.p_values, _number)
+            weights = _each(LAYOUT["block_weights"], weights, _number)
+        p_values = _each(LAYOUT["p_values"], self.p_values, _number)
         if not p_values or any(p < 2 for p in p_values):
-            raise ConfigError("p_values must be a nonempty list of numbers >= 2", "p_values")
-        if self.epsilon_mode not in EPSILON_MODES:
-            raise ConfigError(f"epsilon.mode must be one of {EPSILON_MODES}", "epsilon")
-        eps = _at("epsilon.value", _number, self.epsilon_value)
+            raise ConfigError("must be a nonempty list of numbers >= 2", LAYOUT["p_values"])
+        if self.epsilon_mode not in EPSILON_MODES:  # named by its section, which may lack it
+            raise ConfigError(f"mode must be one of {EPSILON_MODES}",
+                              LAYOUT["epsilon_mode"].split(".")[0])
+        eps = _at(LAYOUT["epsilon_value"], _number, self.epsilon_value)
         if self.epsilon_mode == "fixed" and eps <= 0:
-            raise ConfigError("fixed epsilon must be positive", "epsilon.value")
+            raise ConfigError("fixed epsilon must be positive", LAYOUT["epsilon_value"])
         if self.epsilon_mode == "percentile" and not 0 <= eps <= 100:
-            raise ConfigError("percentile must lie in [0, 100]", "epsilon.value")
-        chain = self.partition_chain
+            raise ConfigError("percentile must lie in [0, 100]", LAYOUT["epsilon_value"])
+        chain, chain_path = self.partition_chain, LAYOUT["partition_chain"]
         if chain != "midpoint":
             if not isinstance(chain, (list, tuple)):
-                raise ConfigError("must be 'midpoint' or a list of index lists", "partition_chain")
-            chain = tuple(_each(f"partition_chain[{i}]", c, _integer) for i, c in enumerate(chain))
+                raise ConfigError("must be 'midpoint' or a list of index lists", chain_path)
+            chain = tuple(_each(f"{chain_path}[{i}]", c, _integer) for i, c in enumerate(chain))
         if not isinstance(self.output_path, (str, type(None))):
-            raise ConfigError("path must be a string", "output.path")
+            raise ConfigError("path must be a string", LAYOUT["output_path"])
         if self.output_format not in OUTPUT_FORMATS:
-            raise ConfigError(f"format must be one of {OUTPUT_FORMATS}", "output.format")
+            raise ConfigError(f"format must be one of {OUTPUT_FORMATS}", LAYOUT["output_format"])
         plain = {"block_dims": dims, "block_weights": weights, "instances": instances,
                  "p_values": p_values, "epsilon_value": eps, "partition_chain": chain,
-                 "times": _each("times", self.times, _number),
-                 "levels": _each("levels", self.levels, copy.deepcopy),
+                 "times": _each(LAYOUT["times"], self.times, _number),
+                 "levels": _each(LAYOUT["levels"], self.levels, copy.deepcopy),
                  "terminal": copy.deepcopy(self.terminal),
-                 "seed": _at("seed", _integer, self.seed, 0)}
+                 "seed": _at(LAYOUT["seed"], _integer, self.seed, 0)}
         for name, value in plain.items():
             object.__setattr__(self, name, value)
 
@@ -165,39 +176,32 @@ class ExperimentConfig:
         n = len(filtration.grid)
         object.__setattr__(self, "filtration", filtration)
         object.__setattr__(self, "fixed_terminal",
-                           _decode_terminal(filtration.algebra, self.terminal))
+                           _decode_terminal(filtration.algebra, self.terminal, LAYOUT["terminal"]))
         chain = midpoint_chain(n) if chain == "midpoint" else chain
-        object.__setattr__(self, "chain", tuple(_at("partition_chain", nested_chain, n, chain)))
+        object.__setattr__(self, "chain", tuple(_at(chain_path, nested_chain, n, chain)))
 
     def to_dict(self) -> dict:
-        """The config as JSON data; the levels and terminal are the config's own,
-        which nothing mutates."""
-        chain = self.partition_chain
-        if not isinstance(chain, str):
-            chain = [list(c) for c in chain]
-        return {
-            "spec_version": SPEC_VERSION,
-            "algebra": {
-                "block_dims": list(self.block_dims),
-                "block_weights": None if self.block_weights is None else list(self.block_weights),
-            },
-            "times": list(self.times),
-            "levels": list(self.levels),
-            "seed": self.seed,
-            "instances": self.instances,
-            "p_values": list(self.p_values),
-            "epsilon": {"mode": self.epsilon_mode, "value": self.epsilon_value},
-            "partition_chain": chain,
-            "terminal": self.terminal,
-            "output": {"path": self.output_path, "format": self.output_format},
-        }
+        """The config as JSON data: each field at its :data:`LAYOUT` path, tuples as
+        lists; the levels and terminal are the config's own, which nothing mutates."""
+        out = {"spec_version": SPEC_VERSION}
+        for name, path in LAYOUT.items():
+            section, _, key = path.rpartition(".")
+            (out.setdefault(section, {}) if section else out)[key] = _listed(getattr(self, name))
+        return out
 
     def build_filtration(self) -> Filtration:
         """A new filtration from the algebra, level and time fields."""
-        algebra = _at("algebra", TracialAlgebra, self.block_dims, self.block_weights)
-        levels = [_at(f"levels[{k}]", _build_level, algebra, desc, f"levels[{k}]")
+        algebra = _at(LAYOUT["block_dims"].split(".")[0], TracialAlgebra,
+                      self.block_dims, self.block_weights)
+        path = LAYOUT["levels"]
+        levels = [_at(f"{path}[{k}]", _build_level, algebra, desc, f"{path}[{k}]")
                   for k, desc in enumerate(self.levels)]
-        return _at("levels", Filtration, _at("times", TimeGrid, self.times), levels)
+        return _at(path, Filtration, _at(LAYOUT["times"], TimeGrid, self.times), levels)
+
+
+def _listed(value):
+    """value with every tuple, nested ones too, as a list."""
+    return [_listed(v) for v in value] if isinstance(value, tuple) else value
 
 
 def midpoint_chain(n_times: int) -> list[tuple[int, ...]]:
@@ -232,53 +236,45 @@ def _build_level(algebra: TracialAlgebra, desc, path: str) -> SubalgebraLevel:
     return SubalgebraLevel(algebra, desc["kind"], desc.get("groups"), basis)
 
 
-def _decode_terminal(algebra: TracialAlgebra, terminal) -> AlgElement | None:
+def _decode_terminal(algebra: TracialAlgebra, terminal, path: str) -> AlgElement | None:
     """The fixed terminal element, or None when instances draw random ones."""
     if terminal is None:
         return None
     if not isinstance(terminal, dict):
-        raise ConfigError("terminal must be an object", "terminal")
+        raise ConfigError("must be an object", path)
     kind = terminal.get("kind", "random")
     if kind not in TERMINAL_KINDS:
-        raise ConfigError(f"kind must be one of {TERMINAL_KINDS}", "terminal.kind")
+        raise ConfigError(f"kind must be one of {TERMINAL_KINDS}", f"{path}.kind")
     return None if kind == "random" else \
-        _decode_element(algebra, terminal.get("blocks"), "terminal.blocks")
+        _decode_element(algebra, terminal.get("blocks"), f"{path}.blocks")
 
 
 def load_config(data: dict) -> ExperimentConfig:
-    """The config of a raw config dict: this maps the JSON layout to the fields,
-    and construction checks them; errors carry the field path."""
+    """The config of a raw config dict: each field is read at its :data:`LAYOUT`
+    path, and construction checks them; errors carry the field path."""
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
     if _at("spec_version", _integer, data.get("spec_version", SPEC_VERSION)) != SPEC_VERSION:
         raise ConfigError(f"unsupported spec_version {data['spec_version']!r}", "spec_version")
 
-    alg = data.get("algebra")
-    if not isinstance(alg, dict) or "block_dims" not in alg:
+    sections = {"": data}
+    for name in ("algebra", "epsilon", "output"):  # each an object, null or absent
+        sections[name] = {} if data.get(name) is None else data[name]
+        if not isinstance(sections[name], dict):
+            raise ConfigError("must be an object", name)
+    if "block_dims" not in sections["algebra"]:
         raise ConfigError("missing algebra.block_dims", "algebra")
-    eps = data.get("epsilon", {})
-    if not isinstance(eps, dict):
-        raise ConfigError(f"epsilon.mode must be one of {EPSILON_MODES}", "epsilon")
-    output = {} if data.get("output") is None else data["output"]
-    if not isinstance(output, dict):
-        raise ConfigError("output must be an object", "output")
 
-    # a key the config omits keeps its ExperimentConfig default
-    optional = {"seed": (data, "seed"), "instances": (data, "instances"),
-                "p_values": (data, "p_values"), "partition_chain": (data, "partition_chain"),
-                "epsilon_value": (eps, "value"), "output_format": (output, "format")}
-    fields = {name: source[key] for name, (source, key) in optional.items() if key in source}
-    if "epsilon" in data:  # but an epsilon object must name its mode
-        fields["epsilon_mode"] = eps.get("mode")
-    return ExperimentConfig(
-        block_dims=alg["block_dims"],
-        block_weights=alg.get("block_weights"),
-        times=data.get("times"),
-        levels=data.get("levels"),
-        terminal=data.get("terminal"),
-        output_path=output.get("path"),
-        **fields,
-    )
+    # a key the config omits keeps its field default, but construction names a
+    # missing required field, and an epsilon object must name its mode
+    fields = dict.fromkeys(("block_weights", "times", "levels"))
+    if data.get("epsilon") is not None:
+        fields["epsilon_mode"] = None
+    for name, path in LAYOUT.items():
+        section, _, key = path.rpartition(".")
+        if key in sections[section]:
+            fields[name] = sections[section][key]
+    return ExperimentConfig(**fields)
 
 
 def read_config(path: str | Path) -> dict:

@@ -132,10 +132,12 @@ class VerificationReport:
         writer.writerows(rows)
         return buf.getvalue()
 
+    def render(self, fmt: str = "json") -> str:
+        """The report as ``fmt``, "json" or "csv", ending in one newline: every output."""
+        return self.to_json() + "\n" if fmt == "json" else self.render_csv()
+
     def write(self, path: str | Path, fmt: str = "json") -> None:
-        text = self.to_json() if fmt == "json" else self.render_csv()
-        Path(path).write_text(text + "\n" if not text.endswith("\n") else text,
-                              encoding="utf-8")
+        Path(path).write_text(self.render(fmt), encoding="utf-8")
 
 
 def _strict(obj):

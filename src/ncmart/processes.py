@@ -207,8 +207,12 @@ def submartingale_abs2_defect(p: AdaptedProcess) -> float:
 
 
 def as_partition(n_times: int, partition: Iterable[int]) -> tuple[int, ...]:
-    """Validate a partition: strictly increasing grid indices, at least two."""
-    idx = tuple(int(i) for i in partition)
+    """Validate a partition: strictly increasing integer grid indices, at least two."""
+    partition = tuple(partition)
+    try:
+        idx = tuple(map(operator.index, partition))
+    except TypeError:
+        raise DomainError(f"partition indices must be integers: {partition}") from None
     if len(idx) < 2:
         raise DomainError("a partition needs at least two indices")
     if any(i < 0 or i >= n_times for i in idx):

@@ -3,11 +3,13 @@ and pinned payloads."""
 
 import csv
 import dataclasses
+import functools
 import io
 import json
 import math
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from ncmart.harness import (ExperimentConfig, cmd_kolmogorov, cmd_ratios, cmd_re
                             cmd_verify, load_config, midpoint_chain, preset)
 from ncmart.harness import commands
 from ncmart.harness.cli import main
-from ncmart.harness.config import MAX_ALGEBRA_DIM, MAX_INSTANCES
+from ncmart.harness.config import LAYOUT, MAX_ALGEBRA_DIM, MAX_INSTANCES
 from ncmart.harness import checks
 from ncmart.harness.report import VerificationReport, _strict
 from ncmart.tolerances import worst
@@ -118,6 +120,11 @@ class TestConfigValidation:
         assert load_config(data) == ExperimentConfig(**fields)
         assert load_config(data) != given
 
+    @pytest.mark.parametrize("key", ["epsilon", "output"])
+    def test_null_section_is_an_absent_one(self, key):
+        absent = {k: v for k, v in m2_config().items() if k != key}
+        assert load_config(m2_config(**{key: None})) == load_config(absent)
+
     def test_epsilon_validation(self):
         with pytest.raises(nc.ConfigError):
             load_config(m2_config(epsilon={"mode": "fixed", "value": -1.0}))
@@ -135,6 +142,31 @@ class TestConfigValidation:
             assert chain[-1] == tuple(range(n))
             for a, b in zip(chain, chain[1:]):
                 assert set(a) <= set(b)
+
+    def test_layout_lists_every_init_field_in_field_order(self):
+        assert list(LAYOUT) == [f.name for f in dataclasses.fields(ExperimentConfig) if f.init]
+
+    def test_each_layout_path_loads_into_its_field_and_is_written_back(self):
+        # a value at every path, each unlike its field's default, in field order
+        data = {"spec_version": 1,
+                "algebra": {"block_dims": [2], "block_weights": [1.0]},
+                "times": [0.0, 0.5, 3.0],
+                "levels": [{"kind": "scalars"}, {"kind": "block_full", "groups": [[[0], [1]]]},
+                           {"kind": "block_full", "groups": [[[0, 1]]]}],
+                "seed": 3, "instances": 2, "p_values": [2.5, 6.0],
+                "epsilon": {"mode": "fixed", "value": 0.125},
+                "partition_chain": [[0, 2], [0, 1, 2]],
+                "terminal": {"kind": "random"},
+                "output": {"path": "report.csv", "format": "csv"}}
+        config = load_config(data)
+        written = config.to_dict()
+        defaults = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
+        for name, path in LAYOUT.items():
+            value = functools.reduce(dict.__getitem__, path.split("."), data)
+            assert value != defaults[name], name
+            assert json.loads(json.dumps(getattr(config, name))) == value, name
+            assert functools.reduce(dict.__getitem__, path.split("."), written) == value, name
+        assert json.dumps(written) == json.dumps(data)
 
 
 def with_value(path, value):
@@ -423,6 +455,21 @@ class TestCli:
         head = capsys.readouterr().out.splitlines()[0]
         assert head.startswith("instance,chain_level,partition_size,decay,naturality_gap")
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("command", sorted(commands.COMMANDS))
+    def test_stdout_and_the_out_file_are_the_same_bytes(self, tmp_path, capsys, monkeypatch,
+                                                        command, fmt):
+        # the same bytes once the JSON config's output.path is null in both
+        monkeypatch.setattr(commands, "time", SimpleNamespace(perf_counter=lambda: 0.0))
+        argv = [command, "--preset", "m2-worked-example", "--format", fmt]
+        assert main(argv) == 0
+        printed = capsys.readouterr().out
+        out = tmp_path / f"report.{fmt}"
+        assert main(argv + ["--out", str(out)]) == 0
+        written = out.read_bytes().replace(json.dumps(str(out)).encode("utf-8"), b"null")
+        assert written == printed.encode("utf-8")
+        assert printed.endswith("\n") and not printed.endswith("\n\n")
+
     def test_seed_repetition_identical_minus_timing(self, tmp_path):
         out = tmp_path / "report.json"
         outs = []
@@ -531,6 +578,34 @@ class TestContainment:
         [rec] = failing(report, "instance_completed")
         assert rec["instance"] == 0 and "DomainError" in rec["formula"]
         assert rec["residual"] == math.inf and rec["tolerance"] == 0.0
+
+    def test_ill_conditioned_gram_twin_is_one_failing_record_per_instance(self, tmp_path):
+        # block weights in ratio 1e13 give the Gram twin of each level, which
+        # engine_agreement builds, a condition estimate of 1e13
+        data = preset("m2m3-random")
+        data["algebra"]["block_weights"] = [1e-13, 1 - 1e-13]
+        data["instances"] = 2
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(data))
+        code, report = run_cli(tmp_path, ["verify", "--config", str(cfg)])
+        assert code == 1
+        assert [(r["check"], r["instance"], r["passed"]) for r in report["records"]] == \
+            [("instance_completed", 0, False), ("instance_completed", 1, False)]
+        assert all("IllConditionedBasisError" in r["formula"] for r in report["records"])
+
+    def test_nan_sup_norm_step_is_the_nan_max_sup_norm(self, tmp_path, monkeypatch):
+        real = commands.kolmogorov_projection
+
+        def second_step_nan(*args, **kwargs):
+            cert = real(*args, **kwargs)
+            first, second, *rest = cert.sup_norms
+            return dataclasses.replace(cert, sup_norms=(first, second * math.nan, *rest))
+        monkeypatch.setattr(commands, "kolmogorov_projection", second_step_nan)
+        out = tmp_path / "report.json"
+        assert main(["kolmogorov", "--preset", "m4-random", "--instances", "2",
+                     "--out", str(out)]) == 1
+        rows = json.loads(out.read_text())["certificates"]
+        assert len(rows) == 4 and all(row["max_sup_norm"] == "nan" for row in rows)
 
     def test_non_finite_floats_are_written_as_strict_json(self, tmp_path):
         data = preset("m4-random")

@@ -209,6 +209,15 @@ class TestIncrements:
         with pytest.raises(nc.DomainError):
             nc.increments(m2_martingale, [1])
 
+    def test_non_integral_indices_are_rejected(self, m2_martingale):
+        # they would otherwise be truncated to another partition, (0, 1, 4) or (0, 2)
+        assert processes.as_partition(5, np.array([0, 2, 4])) == (0, 2, 4)
+        for partition in ([0, 1.9, 4.2], [0, 2.0]):
+            with pytest.raises(nc.DomainError, match="partition indices must be integers"):
+                processes.as_partition(5, partition)
+        with pytest.raises(nc.DomainError, match=r"\(0, 1.5, 2\)"):
+            nc.quadratic_variation_sum(m2_martingale, [0, 1.5, 2])
+
 
 def test_partial_sums_add_each_term_to_the_sum_before_it(m2):
     terms = [single(m2, [[1, 2], [0, 1]]), single(m2, [[0, 1j], [3, 0]]), m2.identity()]

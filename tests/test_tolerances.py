@@ -39,7 +39,8 @@ def test_the_table_holds_tolerances():
 
 
 # The modules that fold residual terms into one residual per record.
-FOLDING_MODULES = ("harness/checks.py", "processes.py", "doob_meyer.py", "harness/report.py")
+FOLDING_MODULES = ("harness/checks.py", "processes.py", "doob_meyer.py", "harness/report.py",
+                   "harness/commands.py")
 
 
 def builtin_max_min_calls(path):
