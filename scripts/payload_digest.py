@@ -13,9 +13,13 @@ to show that a change leaves every payload byte-identical:
     python scripts/payload_digest.py > before.txt         # in the old checkout
     python scripts/payload_digest.py --compare before.txt  # in the new checkout
 
+The first line, ``blas-kernel NAME``, names the OpenBLAS kernel that ran
+(``unknown`` where NumPy's BLAS does not say): the digests are
+byte-identical per kernel, and another kernel may round differently.
 With ``--compare`` it prints only the lines that differ from the file, the
 old line after ``-`` and the new after ``+``, and exits 1 on any
-difference (0 when every line is the same).
+difference (0 when every line is the same).  A kernel that differs from the
+file's is named first, on a line of its own.
 
 The package is imported from the ``src/`` next to this script, so each
 checkout digests its own code.
@@ -24,6 +28,7 @@ checkout digests its own code.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import hashlib
 import itertools
 import json
@@ -41,6 +46,17 @@ import ncmart as nc  # noqa: E402
 from ncmart.harness.cli import main as cli_main  # noqa: E402
 from ncmart.harness.commands import COMMANDS  # noqa: E402
 from ncmart.harness.config import PRESETS, load_config, preset  # noqa: E402
+
+
+def blas_kernel() -> str:
+    """The OpenBLAS kernel running NumPy's linear algebra, as NumPy's bundled
+    ``scipy_openblas`` build names it; ``unknown`` where that symbol is absent."""
+    try:
+        corename = ctypes.CDLL(np.linalg._umath_linalg.__file__).scipy_openblas_get_corename64_
+    except (AttributeError, OSError):
+        return "unknown"
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    return corename().decode()
 
 
 def sha256(text: str) -> str:
@@ -111,12 +127,18 @@ def main(argv=None) -> int:
                         help="print only the lines that differ from this earlier output "
                              "and exit 1 on any difference")
     args = parser.parse_args(argv)
+    kernel = blas_kernel()
     if args.compare is None:
-        for line in digest_lines():
+        for line in (f"blas-kernel {kernel}", *digest_lines()):
             print(line, flush=True)
         return 0
     before = args.compare.read_text(encoding="utf-8").splitlines()
-    differ = False
+    old_kernel = "none named"
+    if before and before[0].startswith("blas-kernel "):
+        old_kernel = before.pop(0).removeprefix("blas-kernel ")
+    differ = old_kernel != kernel
+    if differ:
+        print(f"blas kernel mismatch: {old_kernel} before, {kernel} now", flush=True)
     for old, new in itertools.zip_longest(before, digest_lines()):
         if old != new:
             differ = True

@@ -24,12 +24,14 @@ failed precondition of any stacked element raises for the whole stack.
 Each stacked element gets the bits it gets alone.  An element memoizes its
 spectral data: singular values, eigendecomposition, square root, one
 spectral projection per selection pattern of its eigenvectors, and, on a
-projection's element, the complement.  Two one-element paths remain, both
-for the Chebyshev sweep, which runs one element at a time over thresholds
-that share few selection patterns: the scalar cut of
-:func:`spectral_projection` and the single-matrix product of its range
-projection.  Even with the memo, their generic forms cost that sweep about
-a tenth of its time.
+projection's element, the complement;
+:func:`ncmart.inequalities.chebyshev_projection` adds the verdict of its
+positivity gate and one tail norm per projection to the same memo.  Two
+one-element paths remain, both for the Chebyshev sweep, which runs one
+element at a time over thresholds that share few selection patterns: the
+scalar cut of :func:`spectral_projection` and the single-matrix product of
+its range projection.  Even with the memo, their generic forms would add
+about a quarter to that sweep's time.
 """
 
 from __future__ import annotations

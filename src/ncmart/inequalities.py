@@ -11,9 +11,9 @@ degenerate equality).
 
 :func:`square_function_ratios`, :func:`epsilon_from_percentile`,
 :func:`kolmogorov_projection` and :func:`segal_modulus` also take a stack of
-martingales (see :mod:`ncmart.algebra`): each number they return is then an
-array over the stack, one entry per martingale, with the bits that
-martingale gets alone.
+martingales (see :mod:`ncmart.algebra`), and :func:`chebyshev_projection` a
+stack of elements: each number they return is then an array over the
+stack, one entry per martingale or element, with the bits it gets alone.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .algebra import (AlgElement, Projection, _each, lp_norm, min_eigenvalue, proj_meet,
-                      psd_sqrt, spectral_projection, squared, trace)
+from .algebra import (AlgElement, Projection, _each, _spectral, lp_norm, min_eigenvalue,
+                      proj_meet, psd_sqrt, spectral_projection, squared, trace)
 from .errors import DomainError, UndefinedRatioError
 from .integrals import SIDES
 from .processes import AdaptedProcess, as_partition, require_martingale
@@ -36,7 +36,11 @@ MODULUS_SIDES = ("left", "right", "weak")
 
 @dataclass(frozen=True)
 class ChebyshevCertificate:
-    """Spectral tail projection of a positive element with its trace bound."""
+    """Spectral tail projection of a positive element with its trace bound.
+
+    For a stack of elements the projection is a stack and the numbers
+    other than ``eta`` arrays over the stack.
+    """
     projection: Projection
     eta: float
     trace_value: float   # tau(e)
@@ -132,18 +136,28 @@ def chebyshev_projection(x: AlgElement, eta: float) -> ChebyshevCertificate:
 
     The certificate carries both sides of the trace bound tau(e) <=
     tau(x)/eta and of the compression bound ||(1-e) x (1-e)||_inf <= eta;
-    it does not judge them.
+    it does not judge them.  x memoizes the verdict of its positivity gate
+    and, per selection pattern, the tail norm ||(1-e) x (1-e)||_inf, keyed
+    by the memoized projection e; thresholds that select the same
+    eigenvectors share both.  On a stack, every number of the certificate
+    is an array over the stack, with the bits each element gets alone.
     """
-    if not eta > 0:  # NaN fails too
-        raise DomainError(f"eta must be positive, got {eta}")
-    if not min_eigenvalue(x, POSITIVITY_TOL) >= -POSITIVITY_TOL:
-        raise DomainError("chebyshev projection needs a positive semidefinite element")
+    if not 0 < eta < math.inf:  # NaN fails too
+        raise DomainError(f"eta must be positive and finite, got {eta}")
+    memo = _spectral(x)
+    if "positive" not in memo:
+        if not np.all(min_eigenvalue(x, POSITIVITY_TOL) >= -POSITIVITY_TOL):
+            raise DomainError("chebyshev projection needs a positive semidefinite element")
+        memo["positive"] = True
     e = spectral_projection(x, (eta, math.inf))
     trace_value = trace(e.element).real
     trace_bound = trace(x).real / eta
-    comp = e.complement().element
-    tail_norm = lp_norm(comp @ x @ comp, math.inf)
-    return ChebyshevCertificate(e, eta, trace_value, trace_bound, tail_norm)
+    tail = ("tail_norm", e)
+    if tail not in memo:
+        comp = e.complement().element
+        memo[tail] = lp_norm(comp @ x @ comp, math.inf)
+        np.asarray(memo[tail]).setflags(write=False)  # a stack's array is shared
+    return ChebyshevCertificate(e, eta, trace_value, trace_bound, memo[tail])
 
 
 def kolmogorov_projection(x: AdaptedProcess, epsilon: float, side: str) -> ProjectionCertificate:

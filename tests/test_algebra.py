@@ -363,16 +363,34 @@ class TestProjectionMemo:
         want = m23.identity() - e.element
         assert all(np.array_equal(a, b) for a, b in zip(c.element.blocks, want.blocks))
 
-    def test_certificates_after_other_thresholds_equal_fresh_ones(self, m23):
-        x = rand(m23, 33, "positive")
+    @pytest.mark.parametrize("dims, weights", [([n], None) for n in range(2, 9)]
+                             + [([2, 3], [0.4, 0.6])],
+                             ids=[f"M_{n}" for n in range(2, 9)] + ["M_2+M_3"])
+    def test_sweep_takes_one_tail_norm_per_pattern(self, monkeypatch, dims, weights):
+        """At the benchmark's 50 thresholds, one SVD per block for ||x|| and
+        one per block for each selection pattern's tail norm, and every
+        certificate equals the one a fresh copy of x gives."""
+        alg = nc.TracialAlgebra(dims, weights)
+        x = rand(alg, 33, "positive")
+        counts = count_linalg(monkeypatch)
         top = nc.lp_norm(x, math.inf)
-        for eta in np.linspace(top / 50.0, 1.05 * top, 50).tolist():
-            swept = nc.chebyshev_projection(x, eta)
-            fresh = nc.chebyshev_projection(m23.element(x.blocks), eta)
-            assert (swept.eta, swept.trace_value, swept.trace_bound, swept.tail_norm) == \
+        etas = np.linspace(top / 50.0, 1.05 * top, 50).tolist()
+        swept = [nc.chebyshev_projection(x, eta) for eta in etas]
+        eigs = [np.linalg.eigvalsh(b) for b in x.blocks]
+        patterns = {tuple((w >= eta - 1e-12).tobytes() for w in eigs) for eta in etas}
+        assert counts["svd"] == alg.nblocks * (len(patterns) + 1)
+        for eta, s in zip(etas, swept):
+            fresh = nc.chebyshev_projection(alg.element(x.blocks), eta)
+            assert (s.eta, s.trace_value, s.trace_bound, s.tail_norm) == \
                 (fresh.eta, fresh.trace_value, fresh.trace_bound, fresh.tail_norm)
-            for a, b in zip(swept.projection.element.blocks, fresh.projection.element.blocks):
-                assert np.array_equal(a, b)
+            assert all(np.array_equal(a, b) for a, b in
+                       zip(s.projection.element.blocks, fresh.projection.element.blocks))
+
+    def test_failed_positivity_gate_is_not_cached_as_success(self, m23):
+        x = m23.element([np.diag([1.0, -1.0]), np.eye(3)])
+        for _ in range(2):
+            with pytest.raises(nc.DomainError, match="positive semidefinite"):
+                nc.chebyshev_projection(x, 0.5)
 
     def test_stacked_projections_after_other_cuts_equal_fresh_ones(self, m23):
         h = nc.stack([rand(m23, 40 + k, "positive") for k in range(6)])

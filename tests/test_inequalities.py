@@ -116,6 +116,10 @@ class TestChebyshev:
         with pytest.raises(nc.DomainError, match="eta must be positive"):
             nc.chebyshev_projection(m2.identity(), math.nan)
 
+    def test_rejects_infinite_eta(self, m2):
+        with pytest.raises(nc.DomainError, match="eta must be positive and finite, got inf"):
+            nc.chebyshev_projection(m2.identity(), math.inf)
+
     @pytest.mark.parametrize("dims", [[2], [3], [2, 3], [5]])
     def test_random_sweep(self, dims):
         alg = nc.TracialAlgebra(dims)

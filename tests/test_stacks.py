@@ -185,6 +185,28 @@ class TestStackedSpectralKernels:
         assert stacked.shape == (5,)
         assert all(same_bits(stacked[k], nc.min_eigenvalue(h)) for k, h in enumerate(singles))
 
+    def test_chebyshev_certificates(self):
+        """On weighted M_2 (+) M_3, over 50 thresholds from below every rank
+        change to above the largest norm, ranks 0 to full in one stack."""
+        alg = nc.TracialAlgebra([2, 3], [0.3, 0.7])
+        singles = [alg.zero()] + [nc.random_element(alg, 50 + k, "positive") for k in range(5)]
+        xs = nc.stack(singles)
+        tops = nc.lp_norm(xs, math.inf)
+        ranks = set()
+        for eta in np.linspace(tops[1:].min() / 50.0, 1.05 * tops.max(), 50).tolist():
+            cert = nc.chebyshev_projection(xs, eta)
+            ranks.update(np.round(cert.trace_value, 9).tolist())
+            assert cert.trace_value.shape == cert.trace_bound.shape == cert.tail_norm.shape \
+                == (len(singles),)
+            for k, x in enumerate(singles):
+                one = nc.chebyshev_projection(x, eta)
+                assert same_element(cert.projection.element, k, one.projection.element)
+                assert all(same_bits(getattr(cert, key)[k], getattr(one, key))
+                           for key in ("trace_value", "trace_bound", "tail_norm"))
+        assert {0.0, 1.0} <= ranks
+        with pytest.raises(nc.DomainError, match="positive semidefinite"):
+            nc.chebyshev_projection(nc.stack([singles[1], -1.0 * singles[1]]), 1.0)
+
     @settings(derandomize=True, max_examples=30, deadline=None)
     @given(config=structures())
     def test_epsilon_and_kolmogorov_certificates(self, config):
