@@ -11,27 +11,24 @@ element arithmetic, Schatten-type p-norms, Hermitian functional calculus,
 spectral projections and the projection-lattice meet that everything else
 is built on.
 
-An element may also be a *stack* of N elements: each block is then an
-array of shape ``(N, n_b, n_b)`` instead of ``(n_b, n_b)``.  Arithmetic,
+An element may also be a *stack* of N elements: each block is then an array
+of shape ``(N, n_b, n_b)`` instead of ``(n_b, n_b)``.  Arithmetic,
 :func:`trace`, :func:`lp_norm`, :func:`hermiticity_defect`,
 :func:`hermitian_apply`, :func:`psd_sqrt`, :func:`min_eigenvalue`,
 :func:`spectral_projection`, :func:`proj_meet` and the :class:`Projection`
 gates run on both, acting on every element of a stack at once, so one
-element is the N = 1 case of a stack and not a second implementation.  On
-a stack, the scalar results are arrays of shape ``(N,)``, and the upper cut
-of a spectral projection may be such an array, one cut per element; a
-failed precondition of any stacked element raises for the whole stack.
-Each stacked element gets the bits it gets alone.  An element memoizes its
-spectral data: singular values, eigendecomposition, square root, one
-spectral projection per selection pattern of its eigenvectors, and, on a
-projection's element, the complement;
-:func:`ncmart.inequalities.chebyshev_projection` adds the verdict of its
-positivity gate and one tail norm per projection to the same memo.  Two
-one-element paths remain, both for the Chebyshev sweep, which runs one
-element at a time over thresholds that share few selection patterns: the
-scalar cut of :func:`spectral_projection` and the single-matrix product of
-its range projection.  Even with the memo, their generic forms would add
-about a quarter to that sweep's time.
+element is the N = 1 case of a stack and not a second implementation; only
+:func:`_each`, which gives one element's scalars as Python numbers, tells
+the two apart.  On a stack, the scalar results are arrays of shape
+``(N,)``, and the upper cut of a spectral projection may be such an array,
+one cut per element; a failed precondition of any stacked element raises
+for the whole stack.  Each stacked element gets the bits it gets alone.  An
+element memoizes its spectral data: singular values, eigendecomposition,
+square root, one spectral projection per selection pattern of its
+eigenvectors, and, on a projection's element, the complement;
+:func:`ncmart.inequalities.chebyshev_projection` adds tau(x), once its
+positivity gate has passed, and tau(e) and the tail norm of each projection
+e to the same memo.
 """
 
 from __future__ import annotations
@@ -306,8 +303,9 @@ def _spectral(x: AlgElement) -> dict:
     return memo
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
+def _frozen(a):
+    """a, made read-only if it is an array (a Python number is left as it is)."""
+    np.asarray(a).setflags(write=False)
     return a
 
 
@@ -412,21 +410,20 @@ def min_eigenvalue(x: AlgElement, tol: float = HERMITIAN_TOL) -> float:
 def _range_projection(v: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """The projection onto the eigenvectors (columns of ``v``) that ``mask`` selects.
 
-    A stack is grouped by selection pattern, and each group is one stacked
-    product of its selected columns, so every element is the product it is
-    alone; a product of all columns with the unselected ones zeroed would
-    round differently in the last bit.
+    The matrices, one or a stack, are grouped by selection pattern, and each
+    group is one stacked product of its selected columns, so every element
+    is the product it is alone; a product of all columns with the unselected
+    ones zeroed would round differently in the last bit.
     """
-    if v.ndim == 2:
-        vs = v[:, mask]
-        return vs @ vs.conj().T
-    out = np.empty_like(v)
-    keys = mask @ (1 << np.arange(mask.shape[-1]))  # one integer per selection pattern
+    n = v.shape[-1]
+    flat, mask = v.reshape(-1, n, n), mask.reshape(-1, n)
+    out = np.empty_like(flat)
+    keys = mask @ (1 << np.arange(n))  # one integer per selection pattern
     for key in set(keys.tolist()):
         members = keys == key
-        vs = v[members][..., mask[members.argmax()]]
+        vs = flat[members][..., mask[members.argmax()]]
         out[members] = vs @ _adj(vs)
-    return out
+    return out.reshape(v.shape)
 
 
 def spectral_projection(h: AlgElement, interval: tuple[float, float]) -> Projection:
@@ -438,15 +435,9 @@ def spectral_projection(h: AlgElement, interval: tuple[float, float]) -> Project
     stack an array of one upper cut per element.  Cuts that select the same
     eigenvectors return the same memoized projection.
     """
-    a, b = float(interval[0]), interval[1]
-    if isinstance(b, np.ndarray):
-        if not (a < b).all():
-            raise DomainError(f"empty interval [{a}, {b.min()})")
-        b = b[:, None]
-    else:
-        b = float(b)
-        if not a < b:
-            raise DomainError(f"empty interval [{a}, {b})")
+    a, b = float(interval[0]), np.asarray(interval[1], dtype=float)[..., None]
+    if not (a < b).all():
+        raise DomainError(f"empty interval [{a}, {b.min()})")
     eig = _hermitian_eigh(h, HERMITIAN_TOL)
     masks = [(w >= a - SPECTRAL_EDGE_TOL) & (w < b + SPECTRAL_EDGE_TOL) for w, _ in eig]
     memo = _spectral(h)

@@ -19,12 +19,13 @@ stack, one entry per martingale or element, with the bits it gets alone.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
 
-from .algebra import (AlgElement, Projection, _each, _spectral, lp_norm, min_eigenvalue,
+from .algebra import (AlgElement, Projection, _each, _frozen, _spectral, lp_norm, min_eigenvalue,
                       proj_meet, psd_sqrt, spectral_projection, squared, trace)
 from .errors import DomainError, UndefinedRatioError
 from .integrals import SIDES
@@ -136,28 +137,31 @@ def chebyshev_projection(x: AlgElement, eta: float) -> ChebyshevCertificate:
 
     The certificate carries both sides of the trace bound tau(e) <=
     tau(x)/eta and of the compression bound ||(1-e) x (1-e)||_inf <= eta;
-    it does not judge them.  x memoizes the verdict of its positivity gate
-    and, per selection pattern, the tail norm ||(1-e) x (1-e)||_inf, keyed
+    it does not judge them.  ``eta`` is one real number, also for a stack.
+    x memoizes tau(x) once its positivity gate has passed and, per
+    selection pattern, tau(e) and the tail norm ||(1-e) x (1-e)||_inf, keyed
     by the memoized projection e; thresholds that select the same
-    eigenvectors share both.  On a stack, every number of the certificate
+    eigenvectors share them, so a sweep takes one trace of x and one trace
+    and tail norm per pattern.  On a stack, every number of the certificate
     is an array over the stack, with the bits each element gets alone.
     """
+    if not isinstance(eta, numbers.Real):
+        raise DomainError(f"eta must be one real number, got {eta!r}")
     if not 0 < eta < math.inf:  # NaN fails too
         raise DomainError(f"eta must be positive and finite, got {eta}")
     memo = _spectral(x)
-    if "positive" not in memo:
+    if "chebyshev" not in memo:  # tau(x), stored once the positivity gate has passed
         if not np.all(min_eigenvalue(x, POSITIVITY_TOL) >= -POSITIVITY_TOL):
             raise DomainError("chebyshev projection needs a positive semidefinite element")
-        memo["positive"] = True
+        memo["chebyshev"] = _frozen(trace(x).real)
     e = spectral_projection(x, (eta, math.inf))
-    trace_value = trace(e.element).real
-    trace_bound = trace(x).real / eta
-    tail = ("tail_norm", e)
-    if tail not in memo:
+    pattern = ("chebyshev", e)
+    if pattern not in memo:
         comp = e.complement().element
-        memo[tail] = lp_norm(comp @ x @ comp, math.inf)
-        np.asarray(memo[tail]).setflags(write=False)  # a stack's array is shared
-    return ChebyshevCertificate(e, eta, trace_value, trace_bound, memo[tail])
+        memo[pattern] = (_frozen(trace(e.element).real),
+                         _frozen(lp_norm(comp @ x @ comp, math.inf)))
+    trace_value, tail_norm = memo[pattern]
+    return ChebyshevCertificate(e, eta, trace_value, memo["chebyshev"] / eta, tail_norm)
 
 
 def kolmogorov_projection(x: AdaptedProcess, epsilon: float, side: str) -> ProjectionCertificate:

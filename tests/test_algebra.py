@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import ncmart as nc
+from ncmart import algebra, inequalities
 from conftest import count_linalg, single
 
 
@@ -145,6 +146,28 @@ class TestSpectralProjection:
             for lo, hi in zip(edges, edges[1:]):
                 total = total + nc.spectral_projection(h, (lo, hi)).element
             assert nc.lp_norm(total - m23.identity(), 2) < 1e-10
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_range_projection_of_one_matrix_is_the_product_of_its_columns(self, n):
+        """One matrix, though it runs as a stack of one, keeps the bits of the
+        product of its selected columns, at every rank 0..n."""
+        v = np.linalg.eigh(rand(nc.TracialAlgebra([n]), 60 + n, "hermitian").blocks[0])[1]
+        rng, at = np.random.Generator(np.random.Philox(n)), np.arange(n)
+        for rank in range(n + 1):
+            for mask in (at < rank, at >= n - rank, np.isin(at, rng.permutation(n)[:rank])):
+                vs = v[:, mask]
+                want = vs @ vs.conj().T
+                got = algebra._range_projection(v, mask)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_float_cut_equals_an_array_cut_on_a_stack_of_one(self, m23):
+        h = rand(m23, 61, "hermitian")
+        eigs = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in h.blocks]))
+        for cut in [eigs[0] - 1.0, *((eigs[1:] + eigs[:-1]) / 2), math.inf]:
+            by_float = nc.spectral_projection(nc.stack([h]), (-1e3, float(cut)))
+            by_array = nc.spectral_projection(nc.stack([h]), (-1e3, np.array([cut])))
+            assert all(a.shape == b.shape and a.tobytes() == b.tobytes()
+                       for a, b in zip(by_float.element.blocks, by_array.element.blocks))
 
 
 class TestProjMeet:
@@ -330,6 +353,11 @@ class TestSpectralMemo:
                 setattr(x, name, None)
 
 
+SWEEP_ALGEBRAS = pytest.mark.parametrize(
+    "dims, weights", [([n], None) for n in range(2, 9)] + [([2, 3], [0.4, 0.6])],
+    ids=[f"M_{n}" for n in range(2, 9)] + ["M_2+M_3"])
+
+
 class TestProjectionMemo:
     """A spectral projection is memoized per selection pattern on its element,
     and a projection's complement on the projection's element."""
@@ -363,28 +391,51 @@ class TestProjectionMemo:
         want = m23.identity() - e.element
         assert all(np.array_equal(a, b) for a, b in zip(c.element.blocks, want.blocks))
 
-    @pytest.mark.parametrize("dims, weights", [([n], None) for n in range(2, 9)]
-                             + [([2, 3], [0.4, 0.6])],
-                             ids=[f"M_{n}" for n in range(2, 9)] + ["M_2+M_3"])
-    def test_sweep_takes_one_tail_norm_per_pattern(self, monkeypatch, dims, weights):
-        """At the benchmark's 50 thresholds, one SVD per block for ||x|| and
-        one per block for each selection pattern's tail norm, and every
-        certificate equals the one a fresh copy of x gives."""
-        alg = nc.TracialAlgebra(dims, weights)
-        x = rand(alg, 33, "positive")
-        counts = count_linalg(monkeypatch)
+    @staticmethod
+    def sweep(x):
+        """x's certificates at the benchmark's 50 thresholds, and the number of
+        distinct selection patterns among them."""
         top = nc.lp_norm(x, math.inf)
         etas = np.linspace(top / 50.0, 1.05 * top, 50).tolist()
         swept = [nc.chebyshev_projection(x, eta) for eta in etas]
         eigs = [np.linalg.eigvalsh(b) for b in x.blocks]
         patterns = {tuple((w >= eta - 1e-12).tobytes() for w in eigs) for eta in etas}
-        assert counts["svd"] == alg.nblocks * (len(patterns) + 1)
-        for eta, s in zip(etas, swept):
-            fresh = nc.chebyshev_projection(alg.element(x.blocks), eta)
+        return swept, len(patterns)
+
+    @staticmethod
+    def assert_fresh(x, swept):
+        """Every certificate equals the one a fresh copy of x gives."""
+        for s in swept:
+            fresh = nc.chebyshev_projection(x.algebra.element(x.blocks), s.eta)
             assert (s.eta, s.trace_value, s.trace_bound, s.tail_norm) == \
                 (fresh.eta, fresh.trace_value, fresh.trace_bound, fresh.tail_norm)
             assert all(np.array_equal(a, b) for a, b in
                        zip(s.projection.element.blocks, fresh.projection.element.blocks))
+
+    @SWEEP_ALGEBRAS
+    def test_sweep_takes_one_tail_norm_per_pattern(self, monkeypatch, dims, weights):
+        """One SVD per block for ||x|| and one per block for each selection
+        pattern's tail norm."""
+        alg = nc.TracialAlgebra(dims, weights)
+        x = rand(alg, 33, "positive")
+        counts = count_linalg(monkeypatch)
+        swept, patterns = self.sweep(x)
+        assert counts["svd"] == alg.nblocks * (patterns + 1)
+        self.assert_fresh(x, swept)
+
+    @SWEEP_ALGEBRAS
+    def test_sweep_takes_one_trace_of_x_and_one_per_pattern(self, monkeypatch, dims, weights):
+        x = rand(nc.TracialAlgebra(dims, weights), 33, "positive")
+        traced = []
+
+        def spy(y, _real=algebra.trace):
+            traced.append(y)
+            return _real(y)
+        for module in (algebra, inequalities):
+            monkeypatch.setattr(module, "trace", spy)
+        swept, patterns = self.sweep(x)
+        assert traced[0] is x and len(traced) == 1 + patterns
+        self.assert_fresh(x, swept)
 
     def test_failed_positivity_gate_is_not_cached_as_success(self, m23):
         x = m23.element([np.diag([1.0, -1.0]), np.eye(3)])

@@ -1,4 +1,5 @@
-"""The commutative case of the Chebyshev certificate, against plain NumPy.
+"""The commutative case of the Chebyshev certificate and the ratios, against
+plain NumPy.
 
 A diagonal positive element of a weighted block algebra is a random
 variable on the atoms of its diagonals, atom i of block b carrying mass
@@ -7,6 +8,11 @@ w_b / n_b.  There the tail projection e_[eta, inf)(x) is the indicator of
 ||(1-e) x (1-e)||_inf is the largest atom below eta.  The reference side
 below uses NumPy alone; thresholds stay more than 1e-9 from every atom, so
 the spectral edge tolerance never decides.
+
+Likewise a diagonal terminal on M_n, under ``block_scalar`` levels whose
+groups coarsen, is a classical martingale on n equally likely atoms: X_k
+is the mean of the terminal over each group of level k, and the square
+function and dual Doob ratios are classical L^p ratios.
 """
 
 import numpy as np
@@ -72,3 +78,86 @@ def test_chebyshev_certificate_is_the_classical_tail(case):
         assert close(cert.trace_value, tail_mass(weights, atoms, eta))
         assert close(cert.trace_bound, mean(weights, atoms) / eta)
         assert close(cert.tail_norm, largest_below(atoms, eta))
+
+
+# -- the ratio half: classical martingales on n equally likely atoms ------------
+
+RATIO_REL_TOL = 1e-14
+FLOOR = 1e-12  # a ratio whose denominator norm is at most this is undefined
+
+
+def group_means(labels, a):
+    """E[a | the partition into equal labels], every atom of mass 1/n."""
+    out = np.empty_like(a)
+    for g in np.unique(labels):
+        out[labels == g] = a[labels == g].mean()
+    return out
+
+
+def p_norm(y, p):
+    """(E |y|^p)^(1/p) on equally likely atoms."""
+    return np.mean(np.abs(y) ** p) ** (1.0 / p)
+
+
+def classical_ratios(chain, a, p):
+    """(square-function ratio, dual Doob ratio, defined) of the martingale
+    E[a | chain[k]], k = 0..m, closed by a itself, over its full grid; a
+    ratio is NaN where its denominator is at most the floor."""
+    values = [group_means(labels, a) for labels in chain] + [a]
+    steps = [b - c for c, b in zip(values, values[1:])]
+    plain = sum(d * d for d in steps)
+    conditioned = sum(group_means(labels, d * d) for labels, d in zip(chain, steps))
+    pairs = [(p_norm(np.sqrt(plain), p), p_norm(values[-1], p)),
+             (p_norm(conditioned, p / 2), p_norm(plain, p / 2))]
+    ratios = [num / den if den > FLOOR else np.nan for num, den in pairs]
+    return ratios[0], ratios[1], all(den > FLOOR for _, den in pairs)
+
+
+@st.composite
+def coarsening_chains(draw):
+    """n <= 16 atoms, an increasing chain of partitions (as one group label per
+    atom, coarsest first), and a few diagonals of dyadic integers.
+
+    Dyadic integers make every group sum exact, so an increment that is zero
+    in exact arithmetic is zero in floating point, and a denominator is 0 or
+    far above the floor."""
+    n = draw(st.integers(1, 16))
+    labels = np.array(draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n)))
+    chain = [labels]
+    for _ in range(draw(st.integers(0, 3))):  # merge groups by relabelling them
+        merge = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+        chain.insert(0, np.array(merge)[chain[0]])
+    scale = 2.0 ** draw(st.integers(-4, 4))
+    entry = st.integers(-8, 8)
+    diagonals = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=1, max_size=3))
+    if draw(st.booleans()):  # a constant diagonal, whose increments vanish
+        diagonals.append([draw(entry)] * n)
+    return chain, [scale * np.array(d, dtype=float) for d in diagonals]
+
+
+def groups_of(labels):
+    return [[tuple(np.flatnonzero(labels == g).tolist()) for g in np.unique(labels)]]
+
+
+def within(got, want) -> bool:
+    return bool(np.isnan(want) and np.isnan(got)) or abs(got - want) <= RATIO_REL_TOL * abs(want)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(case=coarsening_chains())
+def test_square_function_ratios_are_the_classical_ratios(case):
+    assert FLOOR == nc.tolerances.DENOMINATOR_FLOOR
+    chain, diagonals = case
+    n = chain[0].size
+    alg = nc.TracialAlgebra([n])
+    levels = [nc.SubalgebraLevel.block_scalar(alg, groups_of(labels)) for labels in chain]
+    levels.append(nc.SubalgebraLevel.block_full(alg, [[tuple(range(n))]]))
+    filt = nc.Filtration(nc.TimeGrid(range(len(levels))), levels)
+    x = nc.martingale_from_terminal(filt, nc.stack([alg.element([np.diag(d)])
+                                                    for d in diagonals]))
+    for p in (2.0, 3.0, 4.0, 8.0):
+        bg, dd, defined = nc.square_function_ratios(x, nc.full_partition(x), p)
+        for k, a in enumerate(diagonals):
+            want_bg, want_dd, want_defined = classical_ratios(chain, a, p)
+            assert within(bg[k], want_bg) and within(dd[k], want_dd)
+            assert defined[k] == want_defined

@@ -120,6 +120,13 @@ class TestChebyshev:
         with pytest.raises(nc.DomainError, match="eta must be positive and finite, got inf"):
             nc.chebyshev_projection(m2.identity(), math.inf)
 
+    def test_rejects_an_array_eta(self):
+        alg = nc.TracialAlgebra([2, 3], [0.4, 0.6])
+        xs = nc.stack([nc.random_element(alg, 70 + k, "positive") for k in range(3)])
+        for eta in (np.array([0.5, 1.0, 2.0]), np.array(1.0), [1.0]):
+            with pytest.raises(nc.DomainError, match="eta must be one real number"):
+                nc.chebyshev_projection(xs, eta)
+
     @pytest.mark.parametrize("dims", [[2], [3], [2, 3], [5]])
     def test_random_sweep(self, dims):
         alg = nc.TracialAlgebra(dims)

@@ -4,7 +4,12 @@ per-instance outcome, every command reports each instance whole or not
 at all, and the gates of a stack raise when one element fails them."""
 
 import ast
+import importlib.util
+import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -238,6 +243,71 @@ class TestStackedSpectralKernels:
                         assert same_bits(np.broadcast_to(getattr(cert, key), len(singles))[k],
                                          getattr(one, key))
                     assert all(same_bits(s[k], t) for s, t in zip(cert.sup_norms, one.sup_norms))
+
+
+# -- the same bits under a second BLAS kernel ----------------------------------
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+SECOND_KERNEL = "Sandybridge"
+
+# Run in a child process: the core stacked-vs-alone bit cases, printed as JSON
+# with the kernel that ran them.
+KERNEL_BITS = """
+import json, math, sys
+import numpy as np
+sys.path.insert(0, sys.argv[1])
+from payload_digest import blas_kernel  # it puts src/ on the path
+import ncmart as nc
+from ncmart import algebra
+
+def same(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+rng, failed = np.random.Generator(np.random.Philox(7)), []
+for n in range(1, 9):
+    a, b = (rng.standard_normal((6, n, n)) + 1j * rng.standard_normal((6, n, n))
+            for _ in range(2))
+    h = a + algebra._adj(a)
+    w, v = np.linalg.eigh(h)
+    masks = rng.integers(0, 2, (6, n)).astype(bool)
+    masks[1] = masks[0]  # two elements that share a selection pattern
+    alg = nc.TracialAlgebra([n])
+    x = alg.element([a])
+    cases = {"matmul": (a @ b, [p @ q for p, q in zip(a, b)]),
+             "svd": (np.linalg.svd(a, compute_uv=False),
+                     [np.linalg.svd(m, compute_uv=False) for m in a]),
+             "eigh w": (w, [np.linalg.eigh(m)[0] for m in h]),
+             "eigh v": (v, [np.linalg.eigh(m)[1] for m in h]),
+             "vdots": (algebra._vdots(a), [np.vdot(m, m).real for m in a]),
+             "range projection": (algebra._range_projection(v, masks),
+                                  [u[:, m] @ u[:, m].conj().T for u, m in zip(v, masks)])}
+    for p in (1.5, 2.0, 3.0, 4.0, 8.0, math.inf):
+        cases[f"lp_norm {p}"] = (nc.lp_norm(x, p), [nc.lp_norm(alg.element([m]), p) for m in a])
+    failed += [f"{name} n={n}" for name, (stacked, alone) in cases.items()
+               if not all(same(stacked[k], one) for k, one in enumerate(alone))]
+print(json.dumps({"kernel": blas_kernel(), "failed": failed}))
+"""
+
+
+def test_stacked_kernels_keep_their_bits_under_a_second_blas_kernel():
+    """Stacked matmul, svd, eigh, the 2-norm products, the range projection and
+    the p-norms give each element the bits it gets alone under another kernel
+    of the same OpenBLAS build too; the kernel is chosen for the child only."""
+    spec = importlib.util.spec_from_file_location("payload_digest", SCRIPTS / "payload_digest.py")
+    digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digest)
+    env = {**os.environ, "OPENBLAS_CORETYPE": SECOND_KERNEL}
+    out = subprocess.run([sys.executable, "-c", KERNEL_BITS, str(SCRIPTS)], env=env,
+                         capture_output=True, text=True, check=True, timeout=300)
+    child = json.loads(out.stdout)
+    if child["kernel"] == "unknown":
+        pytest.skip("NumPy's BLAS has no scipy_openblas_get_corename64_ to name its kernel")
+    here = digest.blas_kernel()
+    if child["kernel"] != SECOND_KERNEL or here == SECOND_KERNEL:
+        pytest.skip(f"OPENBLAS_CORETYPE={SECOND_KERNEL} did not switch the kernel: the child "
+                    f"ran {child['kernel']}, this process {here}")
+    assert child["failed"] == []
 
 
 def replace_terminal(monkeypatch, k, make):

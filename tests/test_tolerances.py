@@ -110,10 +110,8 @@ def test_one_fold_of_elements():
 
 
 # The functions that may tell one element from a stack: the number a kernel
-# returns, the two one-element paths the per-element Chebyshev loop keeps for
-# speed, the fold whose terms may be numbers, and input decoding.
-SHAPE_FORKS = {("algebra.py", "_each"), ("algebra.py", "_range_projection"),
-               ("algebra.py", "spectral_projection"), ("tolerances.py", "worst"),
+# returns, the fold whose terms may be numbers, and input decoding.
+SHAPE_FORKS = {("algebra.py", "_each"), ("tolerances.py", "worst"),
                ("harness/config.py", "decode_matrix")}
 
 
